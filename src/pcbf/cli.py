@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,10 +22,8 @@ from pcbf.simulate import SimLog, run_closed_loop
 
 _FLOAT_KEYS = {"T", "duration", "step", "refine_tol", "root_tol", "gamma",
                "slack_weight", "ecbf_k1", "ecbf_k2"}
-_INT_KEYS = {"N", "seed"}
+_INT_KEYS = {"N"}
 _BOOL_KEYS = {"two_level"}
-_STR_KEYS = {"scenario", "controller"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -221,15 +218,10 @@ def cmd_compare(args) -> int:
             raise ConfigurationError(f"unknown controller {name!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # runs are independent (each builds its own scenario) and write to
-    # disjoint subdirectories, so they can proceed concurrently
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        futures = [pool.submit(_run_one,
-                               replace(cfg, controller=name,
-                                       params=dict(cfg.params)),
-                               out_dir / name)
-                   for name in names]
-        table = [f.result() for f in futures]
+    # one run at a time, so each run's step_ms is its own
+    table = [_run_one(replace(cfg, controller=name, params=dict(cfg.params)),
+                      out_dir / name)
+             for name in names]
     cols = ["controller", "max_h", "safe", "max_control_norm", "total_deviation",
             "mean_step_ms"]
     lines = ["\t".join(cols)]

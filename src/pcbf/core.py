@@ -42,9 +42,8 @@ class InternalConsistencyError(RuntimeError):
 class DynamicsModel:
     """Control-affine dynamics xdot = f(t,x) + g(t,x) u.
 
-    Subclasses provide drift and input_matrix.  Both must broadcast over a
-    leading batch axis of x when possible; the batched path propagation
-    relies on it.
+    Subclasses provide drift and input_matrix.  Both should broadcast over
+    a leading batch axis of x when possible.
     """
 
     n: int

@@ -14,6 +14,8 @@ import numpy as np
 from pcbf.core import ConfigurationError
 
 _PLATEAU_TOL = 1e-12
+_THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
+_REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
 
 
 @dataclass
@@ -59,9 +61,6 @@ class HorizonGrid:
         dp_dx = self.path.state_sensitivity(tau, self.t, self.x) if with_sensitivity else None
         return PathEvaluation(tau, state, dp_dtau, h_value, dh_dtau, dp_dx)
 
-    def samples(self) -> list[PathEvaluation]:
-        return [self.evaluation(tau) for tau in self.taus]
-
 
 @dataclass
 class MaximizerEntry:
@@ -81,10 +80,6 @@ class MaximizerSet:
     entries: list[MaximizerEntry] = field(default_factory=list)
 
     @property
-    def q(self) -> int:
-        return len(self.entries)
-
-    @property
     def first(self) -> MaximizerEntry:
         return self.entries[0]
 
@@ -95,11 +90,11 @@ class RootResult:
     already_unsafe: bool
 
 
-def scan(path, h, t, x, T, N, two_level=False, threat_fraction=0.5, refine_factor=50):
+def scan(path, h, t, x, T, N, two_level=False):
     """Sample h along the path at N+1 uniform times over [t, t+T].
 
     With two_level=True, any interval whose endpoint h-value comes within
-    threat_fraction * h_max of zero is re-sampled refine_factor times denser,
+    _THREAT_FRACTION * h_max of zero is re-sampled _REFINE_FACTOR times denser,
     so narrow violation spikes are resolved without a uniformly fine grid.
     """
     if T <= 0:
@@ -112,10 +107,10 @@ def scan(path, h, t, x, T, N, two_level=False, threat_fraction=0.5, refine_facto
     h_values = np.asarray(h.value(taus, states), dtype=float)
 
     if two_level:
-        hot = np.flatnonzero(h_values >= -threat_fraction * h.h_max)
+        hot = np.flatnonzero(h_values >= -_THREAT_FRACTION * h.h_max)
         if hot.size:
             extra = []
-            dense_step = (T / N) / refine_factor
+            dense_step = (T / N) / _REFINE_FACTOR
             for j in hot:
                 lo = taus[max(j - 1, 0)]
                 hi = taus[min(j + 1, N)]

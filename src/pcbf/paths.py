@@ -74,79 +74,21 @@ class AnalyticCarPath:
         return self.k * (self.v - x[1::2])
 
 
-class _Propagation:
-    """One cached flow: knot states every `step` seconds from (t0, x0).
-
-    Sensitivity knots are co-integrated lazily on first request.
-    """
-
-    def __init__(self, path: "OdePath", t0: float, x0: np.ndarray, states=None):
-        self.path = path
-        self.t0 = float(t0)
-        self.x0 = np.asarray(x0, dtype=float)
-        self.states = [self.x0] if states is None else list(states)
-        self.phis = [np.eye(self.x0.size)]
-
-    def _knot_time(self, k: int) -> float:
-        return self.t0 + k * self.path.step
-
-    def _ensure_states(self, k: int):
-        while len(self.states) <= k:
-            j = len(self.states) - 1
-            tj = self._knot_time(j)
-            xn = self.path._rk4_state(tj, self.states[j], self.path.step)
-            if not np.all(np.isfinite(xn)):
-                raise PropagationError(
-                    f"non-finite state while propagating to tau={tj + self.path.step}",
-                    tau=tj + self.path.step,
-                )
-            self.states.append(xn)
-
-    def _ensure_phis(self, k: int):
-        self._ensure_states(k)
-        while len(self.phis) <= k:
-            j = len(self.phis) - 1
-            tj = self._knot_time(j)
-            _, phin = self.path._rk4_joint(tj, self.states[j], self.phis[j], self.path.step)
-            self.phis.append(phin)
-
-    def _locate(self, tau: float):
-        rel = (tau - self.t0) / self.path.step
-        k = int(math.floor(rel + 1e-9))
-        rem = tau - self._knot_time(k)
-        if rem < 1e-12 * max(1.0, abs(tau)):
-            rem = 0.0
-        return k, rem
-
-    def state_at(self, tau: float) -> np.ndarray:
-        k, rem = self._locate(tau)
-        self._ensure_states(k)
-        if rem == 0.0:
-            return self.states[k]
-        x = self.path._rk4_state(self._knot_time(k), self.states[k], rem)
-        if not np.all(np.isfinite(x)):
-            raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
-        return x
-
-    def phi_at(self, tau: float) -> np.ndarray:
-        k, rem = self._locate(tau)
-        self._ensure_phis(k)
-        if rem == 0.0:
-            return self.phis[k]
-        _, phi = self.path._rk4_joint(self._knot_time(k), self.states[k], self.phis[k], rem)
-        return phi
-
-
 class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
 
     The state sensitivity dp/dx is co-integrated through the variational
     equation Phidot = A(tau) Phi with A the central-difference Jacobian of
-    the closed-loop vector field.  Flows are cached per (t, x) because the
-    horizon scan and the derivative formulas re-query the same trajectory.
-    """
+    the closed-loop vector field.
 
-    _CACHE_MAX = 64
+    The path holds one forecast: knot states every `step` seconds from the
+    last (t, x) it was asked about, keyed by t and the exact bytes of x.
+    Within a control step the horizon scan, the maximizer and root searches
+    and the derivative formulas all query the same (t, x), so one forecast
+    serves them all; any other (t, x), however close, starts a new one.
+    State knots grow up to the latest time asked for, and sensitivity knots
+    only up to the latest knot whose sensitivity was asked for.
+    """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None):
         if step <= 0:
@@ -155,7 +97,10 @@ class OdePath:
         self.mu = mu
         self.step = float(step)
         self._jac = jacobian  # analytic closed-loop Jacobian, else central FD
-        self._cache: dict = {}
+        self._key = None
+        self._t0 = 0.0
+        self._states: list[np.ndarray] = []
+        self._phis: list[np.ndarray] = []
 
     # closed-loop field, broadcasting over leading batch axes of x
     def _field(self, t, x):
@@ -198,71 +143,75 @@ class OdePath:
         phin = phi + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4)
         return xn, phin
 
-    def _key(self, t, x):
-        # one scale for the whole vector: per-component scaling would map
-        # every component with |x_i| > 1 to the same quantized value
-        scale = max(1.0, float(np.max(np.abs(x))))
-        q = np.round(np.asarray(x, dtype=float) / (1e-12 * scale)).astype(np.int64)
-        return (float(t), q.tobytes())
+    def _forecast(self, t, x):
+        """Make the forecast the one from (t, x), starting afresh on a new key."""
+        x = np.asarray(x, dtype=float)
+        key = (float(t), x.tobytes())
+        if key != self._key:
+            self._key = key
+            self._t0 = float(t)
+            self._states = [x.copy()]
+            self._phis = [np.eye(x.size)]
 
-    def _propagation(self, t, x) -> _Propagation:
-        key = self._key(t, x)
-        prop = self._cache.get(key)
-        if prop is None:
-            prop = _Propagation(self, t, np.asarray(x, dtype=float))
-            if len(self._cache) >= self._CACHE_MAX:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = prop
-        return prop
-
-    def _check_tau(self, tau, t):
+    def _knot(self, tau, t):
+        """(k, t_k, rem): the last knot at or before tau, its time and the
+        time left from it to tau, with the state knots grown up to k."""
         if tau < t - 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"tau={tau} precedes t={t}")
+        tau = max(tau, t)
+        k = int(math.floor((tau - self._t0) / self.step + 1e-9))
+        t_k = self._t0 + k * self.step
+        rem = tau - t_k
+        if rem < 1e-12 * max(1.0, abs(tau)):
+            rem = 0.0
+        states = self._states
+        while len(states) <= k:
+            j = len(states) - 1
+            tj = self._t0 + j * self.step
+            xn = self._rk4_state(tj, states[j], self.step)
+            if not np.all(np.isfinite(xn)):
+                raise PropagationError(
+                    f"non-finite state while propagating to tau={tj + self.step}",
+                    tau=tj + self.step,
+                )
+            states.append(xn)
+        return k, t_k, rem
+
+    def _state(self, tau, t):
+        k, t_k, rem = self._knot(tau, t)
+        if rem == 0.0:
+            return self._states[k]
+        x = self._rk4_state(t_k, self._states[k], rem)
+        if not np.all(np.isfinite(x)):
+            raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
+        return x
 
     def evaluate(self, tau, t, x):
-        self._check_tau(tau, t)
-        return self._propagation(t, x).state_at(max(tau, t))
+        self._forecast(t, x)
+        return self._state(tau, t)
 
     def evaluate_many(self, taus, t, x):
-        prop = self._propagation(t, x)
-        out = np.empty((len(taus), np.asarray(x).size))
+        self._forecast(t, x)
+        out = np.empty((len(taus), self._states[0].size))
         for i, tau in enumerate(taus):
-            self._check_tau(tau, t)
-            out[i] = prop.state_at(max(tau, t))
+            out[i] = self._state(tau, t)
         return out
 
     def tau_derivative(self, tau, t, x):
         return self._field(tau, self.evaluate(tau, t, x))
 
     def state_sensitivity(self, tau, t, x):
-        self._check_tau(tau, t)
-        return self._propagation(t, x).phi_at(max(tau, t))
+        self._forecast(t, x)
+        k, t_k, rem = self._knot(tau, t)
+        states, phis = self._states, self._phis
+        while len(phis) <= k:
+            j = len(phis) - 1
+            _, phin = self._rk4_joint(self._t0 + j * self.step, states[j], phis[j], self.step)
+            phis.append(phin)
+        if rem == 0.0:
+            return phis[k]
+        _, phi = self._rk4_joint(t_k, states[k], phis[k], rem)
+        return phi
 
     def nominal_control(self, t, x):
         return self.mu(t, x)
-
-    def clear_cache(self):
-        self._cache.clear()
-
-    def preseed(self, t, X, tau_max):
-        """Batch-propagate initial states X (B,n) to tau_max and seed the cache.
-
-        All rows advance with the same fixed step, so one vectorized RK4 pass
-        replaces B sequential ones.  Requires drift/input_matrix/mu to
-        broadcast over the batch axis.
-        """
-        X = np.asarray(X, dtype=float)
-        n_steps = int(math.ceil((tau_max - t) / self.step - 1e-9))
-        knots = np.empty((n_steps + 1,) + X.shape)
-        knots[0] = X
-        cur = X
-        for j in range(n_steps):
-            cur = self._rk4_state(t + j * self.step, cur, self.step)
-            knots[j + 1] = cur
-        if not np.all(np.isfinite(knots)):
-            raise PropagationError("non-finite state in batch propagation")
-        for b in range(X.shape[0]):
-            key = self._key(t, X[b])
-            if key not in self._cache:
-                self._cache[key] = _Propagation(self, t, X[b], states=knots[:, b])
-        return knots

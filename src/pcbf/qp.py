@@ -35,15 +35,12 @@ class FilterResult:
     active_set: list[int]
     slack_values: list[float]
     feasible: bool
-    deviation: float
     infeasible_reason: str | None = None
 
 
-def build_cbf_constraint(pcbf, deriv, alpha: ClassKFunction, mu,
-                         entry_index: int = 0,
+def build_cbf_constraint(h_p: float, deriv, alpha: ClassKFunction, mu,
                          slack_weight: float | None = None) -> AffineConstraint:
     """Barrier condition c0 + a.(u - mu) <= alpha(-hp) rearranged to a.u <= b."""
-    h_p = pcbf.h_vector[entry_index] if hasattr(pcbf, "h_vector") else float(pcbf)
     row = np.asarray(deriv.row, dtype=float)
     bound = alpha.value(-h_p) - deriv.constant + float(row @ mu)
     return AffineConstraint(row=row, bound=bound, slack_weight=slack_weight)
@@ -120,14 +117,11 @@ def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult
         if nrm2 == 0.0:
             if viol > _FEAS_TOL * (1.0 + abs(b)):
                 return FilterResult(u=mu.copy(), active_set=[], slack_values=[],
-                                    feasible=False, deviation=0.0,
-                                    infeasible_reason="zero constraint row")
-            return FilterResult(u=mu.copy(), active_set=[], slack_values=[],
-                                feasible=True, deviation=0.0)
+                                    feasible=False, infeasible_reason="zero constraint row")
+            return FilterResult(u=mu.copy(), active_set=[], slack_values=[], feasible=True)
         u = mu - a * max(0.0, viol) / nrm2
         active = [0] if viol > 0 else []
-        return FilterResult(u=u, active_set=active, slack_values=[],
-                            feasible=True, deviation=float(np.linalg.norm(u - mu)))
+        return FilterResult(u=u, active_set=active, slack_values=[], feasible=True)
 
     # iterate on which slacked rows are violated; each pass is a smooth QP
     violated = [False] * len(slack)
@@ -143,7 +137,7 @@ def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult
         result, reason = _solve_hard(mu, hard, H, c)
         if result is None:
             return FilterResult(u=mu.copy(), active_set=[], slack_values=[],
-                                feasible=False, deviation=0.0, infeasible_reason=reason)
+                                feasible=False, infeasible_reason=reason)
         u, active = result
         obj = _penalized_objective(u, mu, slack)
         if best is None or obj < best[0] - 1e-12:
@@ -156,7 +150,7 @@ def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult
     _, u, active = best
     slack_values = [max(0.0, float(con.row @ u) - con.bound) for con in slack]
     return FilterResult(u=u, active_set=active, slack_values=slack_values,
-                        feasible=True, deviation=float(np.linalg.norm(u - mu)))
+                        feasible=True)
 
 
 def ecbf_baseline(h: ConstraintFunction, gains, model: DynamicsModel, mu_law):
@@ -189,7 +183,7 @@ def ecbf_baseline(h: ConstraintFunction, gains, model: DynamicsModel, mu_law):
         bound = -k1 * hdot(t, x) - k2 * float(h.value(t, x)) - dpsi_dt - float(dpsi_dx @ f)
         if np.linalg.norm(row) == 0.0 and float(row @ mu) > bound:
             return FilterResult(u=mu, active_set=[], slack_values=[], feasible=False,
-                                deviation=0.0, infeasible_reason="zero ECBF row")
+                                infeasible_reason="zero ECBF row")
         return solve_min_deviation(mu, [AffineConstraint(row=row, bound=bound)])
 
     return controller

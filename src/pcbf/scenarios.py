@@ -35,7 +35,6 @@ class ScenarioConfig:
     ecbf_k1: float = 2.0
     ecbf_k2: float = 1.0
     two_level: bool = False
-    seed: int = 0
     params: dict = field(default_factory=dict)
 
 
@@ -115,7 +114,7 @@ class LeftTurnLane:
         theta = np.clip(z, 0.0, self._arc_len) / self.R
         out = np.empty(z.shape + (2,))
         # approach segment
-        out[..., 0] = np.where(z <= 0, 0.0, 0.0)
+        out[..., 0] = 0.0
         out[..., 1] = np.where(z <= 0, z, 0.0)
         # arc around (-R, 0)
         on_arc = (z > 0) & (z < self._arc_len)
@@ -304,7 +303,7 @@ def satellite_initial_state(cfg: ScenarioConfig) -> np.ndarray:
     return _circular_state(p["radius"], p["mu_grav"], 0.0, -theta0)
 
 
-def build_satellite(cfg: ScenarioConfig, check_conjunction=True):
+def build_satellite(cfg: ScenarioConfig):
     """Returns (model, constraint, path, nominal control law).
 
     The debris trajectory is propagated once over the mission window and
@@ -335,13 +334,12 @@ def build_satellite(cfg: ScenarioConfig, check_conjunction=True):
     # control-free nominal law, so the closed-loop Jacobian is the drift's
     path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian)
 
-    if check_conjunction:
-        max_h = zero_control_max_h(cfg, model, h, path)
-        if max_h <= 0.5 * p["rho"]:
-            raise ConfigurationError(
-                f"configured orbits do not conjunct: zero-control max h = {max_h:.3f} "
-                f"<= 0.5 rho"
-            )
+    max_h = zero_control_max_h(cfg, model, h, path)
+    if max_h <= 0.5 * p["rho"]:
+        raise ConfigurationError(
+            f"configured orbits do not conjunct: zero-control max h = {max_h:.3f} "
+            f"<= 0.5 rho"
+        )
     return model, h, path, mu
 
 

@@ -64,12 +64,10 @@ class PcbfController:
     slacked rows for the rest, with case hysteresis to avoid chattering
     between derivative formulas at structural boundaries."""
 
-    def __init__(self, ctx: PcbfContext, alpha, slack_weight: float = 1e3,
-                 hysteresis: bool = True):
+    def __init__(self, ctx: PcbfContext, alpha, slack_weight: float = 1e3):
         self.ctx = ctx
         self.alpha = alpha
         self.slack_weight = float(slack_weight)
-        self.hysteresis = hysteresis
         self._prev_case: str | None = None
 
     def _held_case(self, entry, t) -> str:
@@ -77,7 +75,7 @@ class PcbfController:
         within a band of the boundary that separates the two formulas."""
         raw = classify_case(entry)
         prev = self._prev_case
-        if not self.hysteresis or prev is None or prev == raw or entry.already_unsafe:
+        if prev is None or prev == raw or entry.already_unsafe:
             return raw
         band_t = 2.0 * self.ctx.grid_step
         band_h = 1e-6 * self.ctx.h.h_max
@@ -131,7 +129,7 @@ class PcbfController:
             if deriv.diagnostics:
                 notes.append(deriv.diagnostics)
             constraints.append(build_cbf_constraint(
-                val, deriv, self.alpha, mu, entry_index=idx,
+                val.h_vector[idx], deriv, self.alpha, mu,
                 slack_weight=None if idx == 0 else self.slack_weight))
             if not inner_product_monitor(entry, ctx, val.grid):
                 monitor_ok = False

@@ -63,16 +63,12 @@ def test_unsafe_states_have_positive_predictive_value():
     Xs[half:, 3:] = debris0[3:] + rng.uniform(-0.005, 0.005, (B - half, 3))
     t0 = time.perf_counter()
     pos = bad = 0
-    for s in range(0, B, 1000):
-        blk = Xs[s:s + 1000]
-        path.clear_cache()
-        path.preseed(0.0, blk, cfg.T)
-        for b in range(blk.shape[0]):
-            x = blk[b]
-            if float(h.value(0.0, x)) > 0:
-                pos += 1
-                if eval_pcbf(0.0, x, ctx).h_star <= 0:
-                    bad += 1
+    for b in range(B):
+        x = Xs[b]
+        if float(h.value(0.0, x)) > 0:
+            pos += 1
+            if eval_pcbf(0.0, x, ctx).h_star <= 0:
+                bad += 1
     el_s = time.perf_counter() - t0
     results.append(("satellite", pos, bad, el_s))
 
@@ -229,7 +225,7 @@ def test_filter_matches_independent_oracles():
         mu, cons = random_instance(rng)
         res = solve_min_deviation(mu, cons)
         _, u_grid = grid_search(mu, cons)
-        dev_err = abs(res.deviation - float(np.linalg.norm(u_grid - mu)))
+        dev_err = abs(float(np.linalg.norm(res.u - mu)) - float(np.linalg.norm(u_grid - mu)))
         u_ref = slsqp_reference(mu, cons)
         u_err = float(np.max(np.abs(res.u - u_ref)))
         worst_u, worst_dev = max(worst_u, u_err), max(worst_dev, dev_err)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pcbf.cli import (
     write_csv,
 )
 from pcbf.core import ConfigurationError
-from pcbf.scenarios import default_config
+from pcbf.scenarios import SCENARIOS, default_config
 from pcbf.simulate import run_closed_loop
 
 
@@ -55,6 +56,10 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="line 2.*'horizon'"):
             parse_config("scenario = satellite\nhorizon = 10\n")
 
+    def test_seed_is_an_unknown_key(self):
+        with pytest.raises(ConfigurationError, match="line 2.*unknown key 'seed'"):
+            parse_config("scenario = satellite\nseed = 0\n")
+
     def test_unknown_param_names_line_and_choices(self):
         with pytest.raises(ConfigurationError, match="line 2.*'params.k'.*rho"):
             parse_config("scenario = satellite\nparams.k = 1\n")
@@ -82,6 +87,12 @@ class TestParseConfig:
         cfg = default_config(scenario, controller)
         cfg.gamma = 1.0 / 3.0  # exercise full-precision float round-trip
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_pinned_config_is_serialized_default(name):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert (configs / f"{name}.txt").read_text() == serialize_config(default_config(name))
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcbf.core import ConfigurationError, DynamicsModel, PropagationError
 from pcbf.paths import AnalyticCarPath, OdePath
-from pcbf.scenarios import TwoBodyModel
+from pcbf.scenarios import TwoBodyModel, default_config, satellite_initial_state
 
 
 def _independent_rk4(field, t0, x0, t1, n_steps=2000):
@@ -99,6 +99,21 @@ class _CubicBlowup(DynamicsModel):
 
     def input_matrix(self, t, x):
         return np.ones(x.shape[:-1] + (1, 1))
+
+
+class _CountingLinear(DynamicsModel):
+    """xdot = A x, counting calls to the drift (driven with u = 0 only)."""
+
+    n = 2
+    m = 1
+    A = np.array([[0.0, 1.0], [-1.0, -0.2]])
+
+    def __init__(self):
+        self.calls = 0
+
+    def drift(self, t, x):
+        self.calls += 1
+        return x @ self.A.T
 
 
 def _sat_path(step=1.0):
@@ -203,12 +218,37 @@ class TestOdePath:
         p2 = path.evaluate(30.0, 0.0, x2)
         assert not np.array_equal(p1, p2)
 
-    def test_preseed_matches_sequential(self):
+    def test_forecast_key_is_exact(self):
+        """Regression: a state one part in 1e14 away from the last query is
+        forecast from itself, not from the stored state."""
         _, path = _sat_path()
-        X = np.vstack([_sat_state(), _sat_state() + 1e-3])
-        path.preseed(0.0, X, 20.0)
-        seeded = [path.evaluate(17.5, 0.0, X[b]) for b in range(2)]
-        fresh_model, fresh_path = _sat_path()
-        for b in range(2):
-            ref = fresh_path.evaluate(17.5, 0.0, X[b])
-            assert np.allclose(seeded[b], ref, rtol=0, atol=1e-9)
+        x1 = satellite_initial_state(default_config("satellite"))
+        p1 = path.evaluate(5.0, 0.0, x1)
+        x2 = x1.copy()
+        x2[0] += 1e-10
+        assert np.array_equal(path.evaluate(0.0, 0.0, x2), x2)
+        assert not np.array_equal(path.evaluate(5.0, 0.0, x2), p1)
+
+    def test_one_forecast_serves_every_query_on_its_knots(self):
+        model = _CountingLinear()
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)),
+                       step=0.5, jacobian=lambda t, x: _CountingLinear.A)
+        t, x, K = 1.0, np.array([1.0, -0.5]), 6
+        knots = t + path.step * np.arange(K + 1)
+        end = path.evaluate(knots[-1], t, x)
+        assert model.calls == 4 * K  # one RK4 step per knot
+        states = path.evaluate_many(knots, t, x)
+        assert np.array_equal(states[-1], end)
+        assert model.calls == 4 * K
+        # the sensitivity re-uses the state knots: only the joint steps up
+        # to knot 3 evaluate the field, and only once
+        path.state_sensitivity(knots[3], t, x)
+        assert model.calls == 4 * K + 4 * 3
+        path.state_sensitivity(knots[2], t, x)
+        path.evaluate(knots[5], t, x)
+        assert model.calls == 4 * K + 4 * 3
+        # a new (t, x) starts a new forecast, which replaces the old one
+        path.evaluate(knots[1], t, x + 1e-3)
+        assert model.calls == 4 * K + 4 * 3 + 4
+        path.evaluate(knots[1], t, x)
+        assert model.calls == 4 * K + 4 * 3 + 8

@@ -21,7 +21,7 @@ def test_hand_worked_projection():
     assert np.allclose(res.u, [0.0, 1.0], atol=1e-10)
     assert res.feasible
     assert sorted(res.active_set) == [0, 1]
-    assert res.deviation == pytest.approx(np.sqrt(5.0), abs=1e-9)
+    assert np.linalg.norm(res.u - [2.0, 2.0]) == pytest.approx(np.sqrt(5.0), abs=1e-9)
 
 
 def test_inactive_constraint_returns_mu():
@@ -29,7 +29,6 @@ def test_inactive_constraint_returns_mu():
     res = solve_min_deviation(mu, [AffineConstraint(np.array([1.0, 1.0]), 10.0)])
     assert np.array_equal(res.u, mu)
     assert res.active_set == []
-    assert res.deviation == 0.0
 
 
 def test_single_row_analytic_projection():
@@ -129,20 +128,16 @@ def test_build_cbf_constraint_bound():
         constant = 0.7
         row = np.array([1.0, -2.0])
 
-    class FakeVal:
-        h_vector = [-0.3, 0.1]
-
     class FakeAlpha:
         @staticmethod
         def value(s):
             return 2.0 * s
 
     mu = np.array([0.1, 0.2])
-    con = build_cbf_constraint(FakeVal(), FakeDeriv(), FakeAlpha, mu)
+    con = build_cbf_constraint(-0.3, FakeDeriv(), FakeAlpha, mu)
     # bound = alpha(0.3) - c0 + a.mu
     assert con.bound == pytest.approx(0.6 - 0.7 + (0.1 - 0.4))
     assert con.slack_weight is None
-    con2 = build_cbf_constraint(FakeVal(), FakeDeriv(), FakeAlpha, mu,
-                                entry_index=1, slack_weight=1e3)
+    con2 = build_cbf_constraint(0.1, FakeDeriv(), FakeAlpha, mu, slack_weight=1e3)
     assert con2.bound == pytest.approx(-0.2 - 0.7 + (0.1 - 0.4))
     assert con2.slack_weight == 1e3

@@ -115,10 +115,9 @@ class TestHysteresis:
                                root_is_self=False, already_unsafe=False)
         assert ctrl._held_case(entry, 0.0) == CASE_INTERIOR
 
-    def test_disabled_hysteresis_uses_raw_case(self, intersection_setup):
+    def test_first_step_uses_raw_case(self, intersection_setup):
         ctrl, ctx = self._controller(intersection_setup)
-        ctrl.hysteresis = False
-        ctrl._prev_case = CASE_INTERIOR
+        # no previous case to hold on the first step
         entry = MaximizerEntry(tau=10.0 - 0.5 * ctx.grid_step, h_value=0.1,
                                at_start=False, at_end=True, root_eta=3.0,
                                root_is_self=False, already_unsafe=False)
