@@ -23,6 +23,7 @@ from pcbf.core import (
     TangentialCrossingError,
 )
 from pcbf.horizon import HorizonGrid, MaximizerEntry, MaximizerSet, find_maximizers, find_root_before, scan
+from pcbf.paths import Path
 
 CASE_INTERIOR = "I_interior"
 CASE_END_ROOT_BEFORE = "II_end_root_before"
@@ -34,7 +35,7 @@ class PcbfContext:
     """Everything needed to evaluate the barrier at a (t, x) pair."""
 
     model: DynamicsModel
-    path: object
+    path: Path
     h: ConstraintFunction
     margin: MarginFunction
     T: float
@@ -46,10 +47,6 @@ class PcbfContext:
     @property
     def grid_step(self) -> float:
         return self.T / self.N
-
-    def closed_loop_field(self, tau, y):
-        mu = self.path.nominal_control(tau, y)
-        return self.model.drift(tau, y) + self.model.input_matrix(tau, y) @ mu
 
     def scan(self, t, x) -> HorizonGrid:
         return scan(self.path, self.h, t, x, self.T, self.N, two_level=self.two_level)
@@ -162,7 +159,7 @@ def maximizer_sensitivity(tau, t, x, ctx: PcbfContext, grid: HorizonGrid) -> np.
     x = np.asarray(x, dtype=float)
     dF_dx = np.empty(x.size)
     def F_of_state(y):
-        return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.closed_loop_field(tau, y))
+        return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.path.field(tau, y))
 
     for i in range(x.size):
         d = max(1e-6, 1e-7 * abs(x[i]))
@@ -187,48 +184,34 @@ def derivative_affine(entry: MaximizerEntry, t, x, ctx: PcbfContext,
 
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
         # Barrier equals h(t, x) here; differentiate it directly.
-        mu = ctx.path.nominal_control(t, x)
         row_h = ctx.h.grad_x(t, x)
-        f = ctx.model.drift(t, x)
-        c0 = float(ctx.h.grad_t(t, x) + row_h @ (f + g @ mu))
+        c0 = float(ctx.h.grad_t(t, x) + row_h @ ctx.path.field(t, x))
         return AffineDerivative(constant=c0, row=np.asarray(row_h @ g, dtype=float).ravel())
 
-    if case == CASE_INTERIOR:
-        lam = entry.root_eta - t
-        ev = grid.evaluation(entry.tau, with_sensitivity=True)
-        row_h_phi = ctx.h.grad_x(entry.tau, ev.state) @ ev.dp_dx
-        if entry.root_is_self:
-            try:
-                C = maximizer_sensitivity(entry.tau, t, x, ctx, grid)
-            except DegenerateMaximizerError as exc:
-                C = np.zeros(x.size)
-                diagnostics = f"flat-maximum fallback: {exc}"
-        else:
-            C = root_sensitivity_C1(entry.root_eta, t, x, ctx, grid)
-        row = (row_h_phi - mprime(lam) * C) @ g
-        deriv = AffineDerivative(constant=mprime(lam), row=np.asarray(row).ravel(),
-                                 diagnostics=diagnostics)
-        if not entry.root_is_self and np.linalg.norm(deriv.row) == 0.0:
-            deriv.diagnostics = "assumption breach: zero constraint row in interior case"
-        return deriv
-
-    if case == CASE_END_ROOT_BEFORE:
-        lam = entry.root_eta - t
-        ev = grid.evaluation(entry.tau, with_sensitivity=True)
-        row_h_phi = ctx.h.grad_x(entry.tau, ev.state) @ ev.dp_dx
-        C = root_sensitivity_C1(entry.root_eta, t, x, ctx, grid)
-        row = (row_h_phi - mprime(lam) * C) @ g
-        # the horizon endpoint slides with t, so its time derivative is one
-        c0 = ev.dh_dtau + mprime(lam)
-        return AffineDerivative(constant=float(c0), row=np.asarray(row).ravel())
-
-    # boundary maximizer at the horizon end that is its own root
     ev = grid.evaluation(entry.tau, with_sensitivity=True)
     row_h_phi = ctx.h.grad_x(entry.tau, ev.state) @ ev.dp_dx
-    dtau_dt = 1.0 if ev.dh_dtau > 0 else 0.0
-    c0 = ev.dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
-    row = row_h_phi @ g
-    return AffineDerivative(constant=float(c0), row=np.asarray(row).ravel())
+    if case == CASE_BOUNDARY_ROOT_SELF:
+        # boundary maximizer at the horizon end that is its own root
+        dtau_dt = 1.0 if ev.dh_dtau > 0 else 0.0
+        c0 = ev.dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
+        return AffineDerivative(constant=float(c0), row=np.asarray(row_h_phi @ g).ravel())
+
+    lam = entry.root_eta - t
+    if case == CASE_INTERIOR and entry.root_is_self:
+        try:
+            C = maximizer_sensitivity(entry.tau, t, x, ctx, grid)
+        except DegenerateMaximizerError as exc:
+            C = np.zeros(x.size)
+            diagnostics = f"flat-maximum fallback: {exc}"
+    else:
+        C = root_sensitivity_C1(entry.root_eta, t, x, ctx, grid)
+    row = np.asarray((row_h_phi - mprime(lam) * C) @ g).ravel()
+    if case == CASE_END_ROOT_BEFORE:
+        # the horizon endpoint slides with t, so its time derivative is one
+        return AffineDerivative(constant=float(ev.dh_dtau + mprime(lam)), row=row)
+    if not entry.root_is_self and np.linalg.norm(row) == 0.0:
+        diagnostics = "assumption breach: zero constraint row in interior case"
+    return AffineDerivative(constant=mprime(lam), row=row, diagnostics=diagnostics)
 
 
 def inner_product_monitor(entry: MaximizerEntry, ctx: PcbfContext,

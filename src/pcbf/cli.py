@@ -20,10 +20,8 @@ from pcbf.core import ConfigurationError
 from pcbf.scenarios import CONTROLLERS, SCENARIOS, ScenarioConfig, default_config
 from pcbf.simulate import SimLog, run_closed_loop
 
-_FLOAT_KEYS = {"T", "duration", "step", "refine_tol", "root_tol", "gamma",
-               "slack_weight", "ecbf_k1", "ecbf_k2"}
-_INT_KEYS = {"N"}
-_BOOL_KEYS = {"two_level"}
+# config key -> "float", "int", "bool", ...: ScenarioConfig's string annotations
+_KEY_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -55,6 +53,7 @@ def parse_config(text: str) -> ScenarioConfig:
             f"line {lineno}: key {key!r}: cannot parse {value!r} as {expected}")
 
     for key, (value, lineno) in raw.items():
+        kind = _KEY_TYPES.get(key)
         if key.startswith("params."):
             pkey = key[len("params."):]
             if pkey not in cfg.params:
@@ -65,17 +64,17 @@ def parse_config(text: str) -> ScenarioConfig:
                 cfg.params[pkey] = float(value)
             except ValueError:
                 raise bad(key, lineno, value, "a number") from None
-        elif key in _FLOAT_KEYS:
+        elif kind == "float":
             try:
                 setattr(cfg, key, float(value))
             except ValueError:
                 raise bad(key, lineno, value, "a number") from None
-        elif key in _INT_KEYS:
+        elif kind == "int":
             try:
                 setattr(cfg, key, int(value))
             except ValueError:
                 raise bad(key, lineno, value, "an integer") from None
-        elif key in _BOOL_KEYS:
+        elif kind == "bool":
             if value.lower() not in ("true", "false"):
                 raise bad(key, lineno, value, "true or false")
             setattr(cfg, key, value.lower() == "true")

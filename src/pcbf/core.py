@@ -9,7 +9,7 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -133,6 +133,15 @@ def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunctio
         return float(np.sign(s)) * max((2.0 / T) * np.sqrt(h_max * a), slope * a)
 
     return ClassKFunction(value=value)
+
+
+def rk4(field, t, y, dt):
+    """One classical Runge-Kutta step of ydot = field(t, y) from (t, y)."""
+    k1 = field(t, y)
+    k2 = field(t + dt / 2, y + dt / 2 * k1)
+    k3 = field(t + dt / 2, y + dt / 2 * k2)
+    k4 = field(t + dt, y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def finite_diff_jacobian(func, x, base_step=1e-6, rel_step=1e-7):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcbf.core import ConfigurationError
+from pcbf.paths import Path
 
 _PLATEAU_TOL = 1e-12
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
@@ -22,10 +23,8 @@ _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
 class PathEvaluation:
     """Snapshot of the path and constraint at one horizon time."""
 
-    tau: float
     state: np.ndarray
     dp_dtau: np.ndarray
-    h_value: float
     dh_dtau: float
     dp_dx: np.ndarray | None = None
 
@@ -42,11 +41,10 @@ class HorizonGrid:
     t: float
     x: np.ndarray
     T: float
-    N: int
     taus: np.ndarray
     states: np.ndarray
     h_values: np.ndarray
-    path: object
+    path: Path
     h: object
 
     def h_along(self, tau: float) -> float:
@@ -55,11 +53,10 @@ class HorizonGrid:
 
     def evaluation(self, tau: float, with_sensitivity: bool = False) -> PathEvaluation:
         state = self.path.evaluate(tau, self.t, self.x)
-        dp_dtau = self.path.tau_derivative(tau, self.t, self.x)
-        h_value = float(self.h.value(tau, state))
+        dp_dtau = self.path.field(tau, state)
         dh_dtau = float(self.h.grad_t(tau, state) + self.h.grad_x(tau, state) @ dp_dtau)
         dp_dx = self.path.state_sensitivity(tau, self.t, self.x) if with_sensitivity else None
-        return PathEvaluation(tau, state, dp_dtau, h_value, dh_dtau, dp_dx)
+        return PathEvaluation(state, dp_dtau, dh_dtau, dp_dx)
 
 
 @dataclass
@@ -121,8 +118,8 @@ def scan(path, h, t, x, T, N, two_level=False):
             states = new_states
             h_values = np.asarray(h.value(taus, states), dtype=float)
 
-    return HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), N=int(N),
-                       taus=taus, states=states, h_values=h_values, path=path, h=h)
+    return HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
+                       states=states, h_values=h_values, path=path, h=h)
 
 
 def _golden_max(f, lo, hi, tol):

@@ -2,17 +2,39 @@
 
 Two implementations: a closed form for the double-integrator car pair, and a
 fixed-step RK4 flow for arbitrary dynamics under a nominal control law.  Both
-expose the state forecast, its tau-derivative, and the sensitivity of the
-forecast to the initial state, which the barrier derivative formulas consume.
+satisfy the Path protocol: the state forecast, the closed-loop vector field
+that is its tau-derivative, and the sensitivity of the forecast to the initial
+state, which the barrier derivative formulas consume.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Protocol
 
 import numpy as np
 
-from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, finite_diff_jacobian
+from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, finite_diff_jacobian, rk4
+
+
+class Path(Protocol):
+    """Forecast p(tau; t, x) of the nominal closed loop xdot = f + g mu."""
+
+    def evaluate(self, tau, t, x) -> np.ndarray:
+        """p(tau; t, x), equal to x at tau = t."""
+
+    def evaluate_many(self, taus, t, x) -> np.ndarray:
+        """p at each of taus, stacked along the first axis."""
+
+    def field(self, tau, y) -> np.ndarray:
+        """Closed-loop field f + g mu at (tau, y); at y = p(tau; t, x) it is
+        the tau-derivative of the forecast."""
+
+    def state_sensitivity(self, tau, t, x) -> np.ndarray:
+        """dp(tau; t, x)/dx."""
+
+    def nominal_control(self, t, x) -> np.ndarray:
+        """The nominal law mu(t, x)."""
 
 
 class AnalyticCarPath:
@@ -50,16 +72,9 @@ class AnalyticCarPath:
             out[at_t] = x
         return out
 
-    def tau_derivative(self, tau, t, x):
-        dt = tau - t
-        e = math.exp(-self.k * dt)
-        d = np.empty(4)
-        for i in range(2):
-            zdot = x[2 * i + 1]
-            v = self.v[i]
-            d[2 * i] = v + (zdot - v) * e
-            d[2 * i + 1] = -self.k * (zdot - v) * e
-        return d
+    def field(self, tau, y):
+        mu = self.nominal_control(tau, y)
+        return np.stack([y[..., 1], mu[..., 0], y[..., 3], mu[..., 1]], axis=-1)
 
     def state_sensitivity(self, tau, t, x):
         dt = tau - t
@@ -71,7 +86,7 @@ class AnalyticCarPath:
         return phi
 
     def nominal_control(self, t, x):
-        return self.k * (self.v - x[1::2])
+        return self.k * (self.v - x[..., 1::2])
 
 
 class OdePath:
@@ -102,8 +117,8 @@ class OdePath:
         self._states: list[np.ndarray] = []
         self._phis: list[np.ndarray] = []
 
-    # closed-loop field, broadcasting over leading batch axes of x
-    def _field(self, t, x):
+    def field(self, t, x):
+        """Closed-loop field, broadcasting over leading batch axes of x."""
         u = self.mu(t, x)
         f = self.model.drift(t, x)
         if np.any(u):
@@ -111,37 +126,17 @@ class OdePath:
             return f + np.einsum("...ij,...j->...i", g, u)
         return f
 
-    def _rk4_state(self, t, x, dt):
-        k1 = self._field(t, x)
-        k2 = self._field(t + dt / 2, x + dt / 2 * k1)
-        k3 = self._field(t + dt / 2, x + dt / 2 * k2)
-        k4 = self._field(t + dt, x + dt * k3)
-        return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
     def _jacobian(self, t, x):
         if self._jac is not None:
             return self._jac(t, x)
-        return finite_diff_jacobian(lambda y: self._field(t, y), x)
+        return finite_diff_jacobian(lambda y: self.field(t, y), x)
 
-    def _rk4_joint(self, t, x, phi, dt):
-        k1 = self._field(t, x)
-        a1 = self._jacobian(t, x)
-        p1 = a1 @ phi
-        x2 = x + dt / 2 * k1
-        k2 = self._field(t + dt / 2, x2)
-        a2 = self._jacobian(t + dt / 2, x2)
-        p2 = a2 @ (phi + dt / 2 * p1)
-        x3 = x + dt / 2 * k2
-        k3 = self._field(t + dt / 2, x3)
-        a3 = self._jacobian(t + dt / 2, x3)
-        p3 = a3 @ (phi + dt / 2 * p2)
-        x4 = x + dt * k3
-        k4 = self._field(t + dt, x4)
-        a4 = self._jacobian(t + dt, x4)
-        p4 = a4 @ (phi + dt * p3)
-        xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        phin = phi + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4)
-        return xn, phin
+    def _joint(self, t, y):
+        """Field of the stacked [x, vec Phi]: the state's own field and the
+        variational equation Phidot = A Phi."""
+        n = self._states[0].size
+        x, phi = y[:n], y[n:].reshape(n, n)
+        return np.concatenate([self.field(t, x), (self._jacobian(t, x) @ phi).ravel()])
 
     def _forecast(self, t, x):
         """Make the forecast the one from (t, x), starting afresh on a new key."""
@@ -168,7 +163,7 @@ class OdePath:
         while len(states) <= k:
             j = len(states) - 1
             tj = self._t0 + j * self.step
-            xn = self._rk4_state(tj, states[j], self.step)
+            xn = rk4(self.field, tj, states[j], self.step)
             if not np.all(np.isfinite(xn)):
                 raise PropagationError(
                     f"non-finite state while propagating to tau={tj + self.step}",
@@ -181,7 +176,7 @@ class OdePath:
         k, t_k, rem = self._knot(tau, t)
         if rem == 0.0:
             return self._states[k]
-        x = self._rk4_state(t_k, self._states[k], rem)
+        x = rk4(self.field, t_k, self._states[k], rem)
         if not np.all(np.isfinite(x)):
             raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
         return x
@@ -197,21 +192,20 @@ class OdePath:
             out[i] = self._state(tau, t)
         return out
 
-    def tau_derivative(self, tau, t, x):
-        return self._field(tau, self.evaluate(tau, t, x))
-
     def state_sensitivity(self, tau, t, x):
         self._forecast(t, x)
         k, t_k, rem = self._knot(tau, t)
         states, phis = self._states, self._phis
+        n = states[0].size
+
+        def joint_step(j, t_j, dt):
+            y = rk4(self._joint, t_j, np.concatenate([states[j], phis[j].ravel()]), dt)
+            return y[n:].reshape(n, n)
+
         while len(phis) <= k:
             j = len(phis) - 1
-            _, phin = self._rk4_joint(self._t0 + j * self.step, states[j], phis[j], self.step)
-            phis.append(phin)
-        if rem == 0.0:
-            return phis[k]
-        _, phi = self._rk4_joint(t_k, states[k], phis[k], rem)
-        return phi
+            phis.append(joint_step(j, self._t0 + j * self.step, self.step))
+        return phis[k] if rem == 0.0 else joint_step(k, t_k, rem)
 
     def nominal_control(self, t, x):
         return self.mu(t, x)

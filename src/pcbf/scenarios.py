@@ -204,14 +204,7 @@ def build_intersection(cfg: ScenarioConfig, lanes=None):
     model = CarPairModel()
     h = SeparationConstraint(lanes[0], lanes[1], p["rho"])
     path = AnalyticCarPath(k=k, v=np.array([v1, v2]))
-
-    def mu(t, x):
-        x = np.asarray(x, dtype=float)
-        targets = np.stack([np.broadcast_to(v1, x.shape[:-1]),
-                            np.broadcast_to(v2, x.shape[:-1])], axis=-1)
-        return k * (targets - x[..., 1::2])
-
-    return model, h, path, mu
+    return model, h, path, path.nominal_control
 
 
 def intersection_initial_state(cfg: ScenarioConfig) -> np.ndarray:
@@ -318,18 +311,17 @@ def build_satellite(cfg: ScenarioConfig):
     debris0 = _circular_state(p["radius"], p["mu_grav"], inclination,
                               -theta0 - p["phase_offset"])
 
+    def mu(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (3,))
+
     t_end = cfg.duration + cfg.T + 10.0
     knots = np.arange(0.0, t_end + 1.0, 1.0)
-    zero_mu = lambda t, x: np.zeros(x.shape[:-1] + (3,)) if x.ndim > 1 else np.zeros(3)
-    debris_path = OdePath(model, zero_mu, step=1.0)
+    debris_path = OdePath(model, mu, step=1.0)
     debris_states = debris_path.evaluate_many(knots, 0.0, debris0)
     spline = CubicSpline(knots, debris_states[:, :3], axis=0)
 
     h = DebrisDistanceConstraint(spline, p["rho"])
-
-    def mu(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3,))
 
     # control-free nominal law, so the closed-loop Jacobian is the drift's
     path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian)

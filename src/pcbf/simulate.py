@@ -31,6 +31,7 @@ from pcbf.core import (
     TangentialCrossingError,
     make_compatible_alpha,
     make_default_margin,
+    rk4,
 )
 from pcbf.qp import build_cbf_constraint, ecbf_baseline, solve_min_deviation
 from pcbf.scenarios import (
@@ -232,16 +233,6 @@ def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):
     raise ConfigurationError(f"unknown controller {cfg.controller!r}")
 
 
-def _rk4_plant(model, t, x, u, dt):
-    def fld(tq, y):
-        return model.drift(tq, y) + model.input_matrix(tq, y) @ u
-    k1 = fld(t, x)
-    k2 = fld(t + dt / 2, x + dt / 2 * k1)
-    k3 = fld(t + dt / 2, x + dt / 2 * k2)
-    k4 = fld(t + dt, x + dt * k3)
-    return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
     model, h, path, mu_law, x0 = build_scenario(cfg)
     controller = make_controller(cfg, model, h, path, mu_law)
@@ -292,7 +283,8 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
 
         if k == n_steps:
             break
-        x = _rk4_plant(model, t, x, dec.u, cfg.step)
+        x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
+                t, x, cfg.step)
         if not np.all(np.isfinite(x)):
             notes.append(f"t={t + cfg.step}: non-finite state, run truncated")
             truncated = True

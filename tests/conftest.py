@@ -40,6 +40,11 @@ def intersection_ecbf():
 
 
 @pytest.fixture(scope="session")
+def intersection_left_ecbf():
+    return _timed(default_config("intersection_left_turn", "ecbf"))
+
+
+@pytest.fixture(scope="session")
 def satellite_pcbf():
     return _timed(default_config("satellite", "pcbf"))
 

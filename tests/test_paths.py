@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcbf.core import ConfigurationError, DynamicsModel, PropagationError
+from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError
+from pcbf.horizon import scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import TwoBodyModel, default_config, satellite_initial_state
 
@@ -65,10 +66,17 @@ class TestAnalyticCarPath:
         k, v = 0.8, np.array([1.0, 0.5])
         path = AnalyticCarPath(k=k, v=v)
         x = np.array([0.0, 0.3, 1.0, -0.2])
+        zdot = x[1::2]
         for tau in (0.0, 0.7, 3.0):
             p = path.evaluate(tau, 0.0, x)
-            d = path.tau_derivative(tau, 0.0, x)
+            d = path.field(tau, p)
             assert np.allclose(d, _car_field(k, v)(tau, p), atol=1e-12)
+            # closed form of the flow's tau-derivative
+            e = math.exp(-k * tau)
+            closed = np.empty(4)
+            closed[0::2] = v + (zdot - v) * e
+            closed[1::2] = -k * (zdot - v) * e
+            assert np.allclose(d, closed, atol=1e-12)
 
     def test_sensitivity_matches_finite_difference(self):
         path = AnalyticCarPath(k=1.1, v=np.array([1.0, 1.0]))
@@ -116,6 +124,19 @@ class _CountingLinear(DynamicsModel):
         return x @ self.A.T
 
 
+class _FirstCoordinate(ConstraintFunction):
+    h_max = 1.0
+
+    def value(self, t, x):
+        return np.asarray(x)[..., 0] - 10.0
+
+    def grad_t(self, t, x):
+        return 0.0
+
+    def grad_x(self, t, x):
+        return np.array([1.0, 0.0])
+
+
 def _sat_path(step=1.0):
     model = TwoBodyModel(398600.4418)
     mu = lambda t, x: np.zeros(x.shape[:-1] + (3,))
@@ -154,7 +175,7 @@ class TestOdePath:
         for tau in rng.uniform(0.3, 40.0, 20):
             d = 1e-4
             fd = (path.evaluate(tau + d, 0.0, x) - path.evaluate(tau - d, 0.0, x)) / (2 * d)
-            deriv = path.tau_derivative(tau, 0.0, x)
+            deriv = path.field(tau, path.evaluate(tau, 0.0, x))
             assert np.linalg.norm(deriv - fd) <= 1e-6 * (1.0 + np.linalg.norm(deriv))
 
     def test_semigroup(self):
@@ -252,3 +273,15 @@ class TestOdePath:
         assert model.calls == 4 * K + 4 * 3 + 4
         path.evaluate(knots[1], t, x)
         assert model.calls == 4 * K + 4 * 3 + 8
+
+    def test_off_knot_evaluation_steps_once(self):
+        """An off-knot horizon evaluation makes one partial RK4 step for the
+        state and one field call for its tau-derivative: 4 + 1 drift calls."""
+        model = _CountingLinear()
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        t, x = 1.0, np.array([1.0, -0.5])
+        grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50)
+        calls = model.calls
+        ev = grid.evaluation(t + 1.3)
+        assert model.calls == calls + 5
+        assert np.array_equal(ev.dp_dtau, path.field(t + 1.3, ev.state))

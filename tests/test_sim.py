@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from pcbf.barrier import CASE_BOUNDARY_ROOT_SELF, CASE_END_ROOT_BEFORE, CASE_INTERIOR
-from pcbf.core import ConfigurationError, make_compatible_alpha
+from pcbf.core import ConfigurationError, make_compatible_alpha, rk4
 from pcbf.horizon import MaximizerEntry
 from pcbf.scenarios import CarPairModel, default_config
 from pcbf.simulate import (
     PcbfController,
-    _rk4_plant,
     build_scenario,
     make_context,
     make_controller,
@@ -82,7 +81,8 @@ def test_rk4_plant_matches_double_integrator():
     x = np.array([0.0, 1.0, 2.0, -1.0])
     u = np.array([0.5, -0.25])
     dt = 0.1
-    got = _rk4_plant(model, 0.0, x, u, dt)
+    # the plant step: one RK4 step of the field under the held input
+    got = rk4(lambda t, y: model.drift(t, y) + model.input_matrix(t, y) @ u, 0.0, x, dt)
     # constant acceleration: exact for a polynomial of degree two
     exact = np.array([x[0] + x[1] * dt + 0.5 * u[0] * dt * dt,
                       x[1] + u[0] * dt,
