@@ -136,12 +136,18 @@ def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunctio
 
 
 def rk4(field, t, y, dt):
-    """One classical Runge-Kutta step of ydot = field(t, y) from (t, y)."""
+    """One classical Runge-Kutta step of ydot = field(t, y) from (t, y).
+
+    With t and dt arrays of one entry per row of y, each row takes its own
+    step, bit for bit as it would alone; the field is then called with the
+    array of times.
+    """
+    h = np.asarray(dt)[:, None] if np.ndim(dt) else dt
     k1 = field(t, y)
-    k2 = field(t + dt / 2, y + dt / 2 * k1)
-    k3 = field(t + dt / 2, y + dt / 2 * k2)
-    k4 = field(t + dt, y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = field(t + dt / 2, y + h / 2 * k1)
+    k3 = field(t + dt / 2, y + h / 2 * k2)
+    k4 = field(t + dt, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def finite_diff_jacobian(func, x, base_step=1e-6, rel_step=1e-7):

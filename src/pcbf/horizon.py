@@ -26,7 +26,6 @@ class PathEvaluation:
     state: np.ndarray
     dp_dtau: np.ndarray
     dh_dtau: float
-    dp_dx: np.ndarray | None = None
 
 
 @dataclass
@@ -51,12 +50,15 @@ class HorizonGrid:
         state = self.path.evaluate(tau, self.t, self.x)
         return float(self.h.value(tau, state))
 
-    def evaluation(self, tau: float, with_sensitivity: bool = False) -> PathEvaluation:
+    def evaluation(self, tau: float) -> PathEvaluation:
         state = self.path.evaluate(tau, self.t, self.x)
         dp_dtau = self.path.field(tau, state)
         dh_dtau = float(self.h.grad_t(tau, state) + self.h.grad_x(tau, state) @ dp_dtau)
-        dp_dx = self.path.state_sensitivity(tau, self.t, self.x) if with_sensitivity else None
-        return PathEvaluation(state, dp_dtau, dh_dtau, dp_dx)
+        return PathEvaluation(state, dp_dtau, dh_dtau)
+
+    def sensitivity(self, tau: float) -> np.ndarray:
+        """dp(tau; t, x)/dx."""
+        return self.path.state_sensitivity(tau, self.t, self.x)
 
 
 @dataclass

@@ -28,7 +28,8 @@ class Path(Protocol):
 
     def field(self, tau, y) -> np.ndarray:
         """Closed-loop field f + g mu at (tau, y); at y = p(tau; t, x) it is
-        the tau-derivative of the forecast."""
+        the tau-derivative of the forecast.  y may hold a batch of states
+        along its leading axes, and tau then one time per state."""
 
     def state_sensitivity(self, tau, t, x) -> np.ndarray:
         """dp(tau; t, x)/dx."""
@@ -92,17 +93,29 @@ class AnalyticCarPath:
 class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
 
-    The state sensitivity dp/dx is co-integrated through the variational
-    equation Phidot = A(tau) Phi with A the central-difference Jacobian of
-    the closed-loop vector field.
+    The path holds one forecast: state knots every `step` seconds from the
+    last (t, x) it was asked about, and the state sensitivity dp/dx at those
+    knots, co-integrated through the variational equation Phidot = A Phi
+    with A the closed-loop Jacobian (analytic if given, else central
+    differences).  State knots grow up to the latest time asked for, and
+    sensitivity knots only up to the latest knot whose sensitivity was asked
+    for.
 
-    The path holds one forecast: knot states every `step` seconds from the
-    last (t, x) it was asked about, keyed by t and the exact bytes of x.
+    Each query names its (t, x), keyed by t and the exact bytes of x.
     Within a control step the horizon scan, the maximizer and root searches
-    and the derivative formulas all query the same (t, x), so one forecast
-    serves them all; any other (t, x), however close, starts a new one.
-    State knots grow up to the latest time asked for, and sensitivity knots
-    only up to the latest knot whose sensitivity was asked for.
+    and the derivative formulas all share one key.  When the key changes and
+    x is byte-equal to knot k >= 1 of the held forecast (the plant followed
+    the forecast for k steps), the knots from k on are kept and the
+    sensitivity restarts at the identity.  A kept knot stays only while the
+    time t0 + (k+j) step of the RK4 step that produced it equals the fresh
+    time t + j step bit for bit, so a time-dependent field still gets
+    exactly the states a fresh forecast would give; the rest are dropped and
+    grown again.  Any other key starts afresh.
+
+    A time between knots is reached by one partial RK4 step from the last
+    knot before it.  Each query makes all of its partial steps as one
+    batched RK4 step with one step length per row, so the field is called
+    with an array of times, one per row of x.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None):
@@ -139,28 +152,43 @@ class OdePath:
         return np.concatenate([self.field(t, x), (self._jacobian(t, x) @ phi).ravel()])
 
     def _forecast(self, t, x):
-        """Make the forecast the one from (t, x), starting afresh on a new key."""
+        """Make the held forecast the one from (t, x), keeping what it shares
+        with the forecast held so far."""
         x = np.asarray(x, dtype=float)
-        key = (float(t), x.tobytes())
-        if key != self._key:
-            self._key = key
-            self._t0 = float(t)
+        t = float(t)
+        key = (t, x.tobytes())
+        if key == self._key:
+            return
+        self._key = key
+        states, t0, step = self._states, self._t0, self.step
+        k = round((t - t0) / step) if states else 0
+        keep = 1
+        if 1 <= k < len(states) and states[k].tobytes() == key[1]:
+            # knot k + keep came from an RK4 step started at the time compared
+            while (k + keep < len(states)
+                   and t0 + (k + keep - 1) * step == t + (keep - 1) * step):
+                keep += 1
+            self._states = states[k:k + keep]
+        else:
             self._states = [x.copy()]
-            self._phis = [np.eye(x.size)]
+        self._t0 = t
+        self._phis = [np.eye(x.size)]
 
-    def _knot(self, tau, t):
-        """(k, t_k, rem): the last knot at or before tau, its time and the
-        time left from it to tau, with the state knots grown up to k."""
-        if tau < t - 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"tau={tau} precedes t={t}")
-        tau = max(tau, t)
-        k = int(math.floor((tau - self._t0) / self.step + 1e-9))
+    def _knots(self, taus, t):
+        """(k, t_k, rem) for each tau: the last knot at or before it, that
+        knot's time and the time left from it to tau, with the state knots
+        grown up to the largest k."""
+        taus = np.asarray(taus, dtype=float)
+        early = taus < t - 1e-9 * max(1.0, abs(t))
+        if early.any():
+            raise ValueError(f"tau={taus[early][0]} precedes t={t}")
+        taus = np.maximum(taus, t)
+        k = np.floor((taus - self._t0) / self.step + 1e-9).astype(int)
         t_k = self._t0 + k * self.step
-        rem = tau - t_k
-        if rem < 1e-12 * max(1.0, abs(tau)):
-            rem = 0.0
+        rem = taus - t_k
+        rem[rem < 1e-12 * np.maximum(1.0, np.abs(taus))] = 0.0
         states = self._states
-        while len(states) <= k:
+        while len(states) <= k.max(initial=0):
             j = len(states) - 1
             tj = self._t0 + j * self.step
             xn = rk4(self.field, tj, states[j], self.step)
@@ -172,29 +200,31 @@ class OdePath:
             states.append(xn)
         return k, t_k, rem
 
-    def _state(self, tau, t):
-        k, t_k, rem = self._knot(tau, t)
-        if rem == 0.0:
-            return self._states[k]
-        x = rk4(self.field, t_k, self._states[k], rem)
-        if not np.all(np.isfinite(x)):
-            raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
-        return x
+    def _at(self, taus, t):
+        k, t_k, rem = self._knots(taus, t)
+        lo, hi = (k.min(), k.max() + 1) if k.size else (0, 1)
+        out = np.array(self._states[lo:hi])[k - lo]
+        off = np.flatnonzero(rem)
+        if off.size:
+            y = rk4(self.field, t_k[off], out[off], rem[off])
+            bad = off[~np.isfinite(y).all(axis=1)]
+            if bad.size:
+                tau = float(np.asarray(taus, dtype=float)[bad[0]])
+                raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
+            out[off] = y
+        return out
 
     def evaluate(self, tau, t, x):
         self._forecast(t, x)
-        return self._state(tau, t)
+        return self._at([tau], t)[0]
 
     def evaluate_many(self, taus, t, x):
         self._forecast(t, x)
-        out = np.empty((len(taus), self._states[0].size))
-        for i, tau in enumerate(taus):
-            out[i] = self._state(tau, t)
-        return out
+        return self._at(taus, t)
 
     def state_sensitivity(self, tau, t, x):
         self._forecast(t, x)
-        k, t_k, rem = self._knot(tau, t)
+        (k,), (t_k,), (rem,) = self._knots([tau], t)
         states, phis = self._states, self._phis
         n = states[0].size
 

@@ -17,11 +17,11 @@ from pcbf.barrier import (
     CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
     CASE_INTERIOR,
+    AffineDerivative,
     PcbfContext,
     classify_case,
     derivative_affine,
     eval_pcbf,
-    inner_product_monitor,
 )
 from pcbf.core import (
     ConfigurationError,
@@ -44,6 +44,9 @@ from pcbf.scenarios import (
 
 _DERIV_ERRORS = (TangentialCrossingError, DegenerateMaximizerError,
                  InternalConsistencyError)
+# relative room by which c0 must undercut alpha(-H) for a row to count as
+# slack at u = mu without building it; nearer ties solve the full QP
+_TIE_MARGIN = 1e-6
 
 
 @dataclass
@@ -63,7 +66,18 @@ class StepDecision:
 class PcbfController:
     """Predictive safety filter: one hard row for the first maximizer,
     slacked rows for the rest, with case hysteresis to avoid chattering
-    between derivative formulas at structural boundaries."""
+    between derivative formulas at structural boundaries.
+
+    Each step tests activity first.  The constant c0 of every row, and
+    every derivative check that can fail, need no state sensitivity; at
+    u = mu a row reads c0 <= alpha(-H_i).  When every row's c0 undercuts
+    alpha(-H_i) by a clear relative margin, the QP's answer is known
+    without the rows: u = mu, no active row and zero slacks.  The step then
+    returns it, and the sensitivity is never co-integrated.  Otherwise, at
+    a near-tie or with some row active, it builds every row and solves the
+    QP.  Derivative failures drop rows and add notes alike on both paths;
+    a zero row in the interior case is noted only where rows are built.
+    """
 
     def __init__(self, ctx: PcbfContext, alpha, slack_weight: float = 1e3):
         self.ctx = ctx
@@ -95,6 +109,12 @@ class PcbfController:
             return prev
         return raw
 
+    def _slack_at_nominal(self, h_p, deriv) -> bool:
+        """The barrier condition c0 + a.(u - mu) <= alpha(-h_p) holds at
+        u = mu with a clear relative margin, so its row cannot be active."""
+        bound = self.alpha.value(-h_p)
+        return deriv.constant < bound - _TIE_MARGIN * (abs(bound) + abs(deriv.constant))
+
     def step(self, t, x) -> StepDecision:
         ctx = self.ctx
         h_now = float(ctx.h.value(t, np.asarray(x, dtype=float)))
@@ -107,33 +127,45 @@ class PcbfController:
                                 note=f"scan failed: {exc}")
 
         notes = []
-        monitor_ok = True
-        constraints = []
         first = val.maximizers.first
         case_used = self._held_case(first, t)
         if case_used != val.case_label:
             notes.append(f"hysteresis held {case_used}")
         self._prev_case = case_used
 
+        derivs = []  # per entry: its derivative, or the error that drops its row
         for idx, entry in enumerate(val.maximizers.entries):
             override = case_used if idx == 0 else None
             try:
-                deriv = derivative_affine(entry, t, x, ctx, val.grid, case=override)
+                derivs.append(derivative_affine(entry, t, x, ctx, val.grid, case=override))
             except _DERIV_ERRORS as exc:
                 if idx == 0:
                     # no usable hard row: pass the nominal input through
                     return StepDecision(u=mu, mu=mu, h=h_now, h_star=val.h_star,
                                         case=case_used, feasible=False,
                                         note=f"derivative failed: {exc}")
-                notes.append(f"slack row {idx} dropped: {exc}")
+                derivs.append(exc)
+
+        rows = [(idx, d) for idx, d in enumerate(derivs) if isinstance(d, AffineDerivative)]
+        active = not all(self._slack_at_nominal(val.h_vector[idx], d) for idx, d in rows)
+        constraints = []
+        for idx, deriv in enumerate(derivs):
+            if not isinstance(deriv, AffineDerivative):
+                notes.append(f"slack row {idx} dropped: {deriv}")
                 continue
+            if active:  # builds the row, which may add to its diagnostics
+                constraints.append(build_cbf_constraint(
+                    val.h_vector[idx], deriv, self.alpha, mu,
+                    slack_weight=None if idx == 0 else self.slack_weight))
             if deriv.diagnostics:
                 notes.append(deriv.diagnostics)
-            constraints.append(build_cbf_constraint(
-                val.h_vector[idx], deriv, self.alpha, mu,
-                slack_weight=None if idx == 0 else self.slack_weight))
-            if not inner_product_monitor(entry, ctx, val.grid):
-                monitor_ok = False
+        monitor_ok = all(d.aligned for _, d in rows)
+        if not active:
+            # every row slack at mu: the QP would return mu with no active row
+            return StepDecision(u=mu, mu=mu, h=h_now, h_star=val.h_star,
+                                case=case_used, feasible=True,
+                                slack=[0.0] * (len(rows) - 1), active=[],
+                                monitor_ok=monitor_ok, note="; ".join(notes))
 
         res = solve_min_deviation(mu, constraints)
         if res.infeasible_reason:

@@ -239,3 +239,53 @@ def test_derivative_matches_finite_difference(case, intersection_pcbf):
 def test_inner_product_monitor_self_root():
     e = MaximizerEntry(4.0, -0.2, False, False, 4.0, True)
     assert inner_product_monitor(e, None, None)
+
+
+def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
+    """The monitor's verdict is taken from the path evaluations of the
+    derivative step, which evaluates the maximizer and its root once each;
+    it equals the inner product of freshly evaluated gradients."""
+    log = intersection_pcbf.log
+    cfg, model, h, path, mu_law, _ = _intersection()
+    ctx = make_context(cfg, model, h, path)
+    checked = 0
+    for k in range(0, len(log.t), 3):
+        t, x = float(log.t[k]), log.x[k]
+        val = eval_pcbf(t, x, ctx)
+        grid = val.grid
+        for entry in val.maximizers.entries:
+            if entry.root_is_self or entry.already_unsafe:
+                continue
+            seen = []
+            evaluation = grid.evaluation
+            grid.evaluation = lambda tau: seen.append(tau) or evaluation(tau)
+            try:
+                deriv = derivative_affine(entry, t, x, ctx, grid)
+            except TangentialCrossingError:
+                continue
+            finally:
+                del grid.evaluation
+            assert sorted(seen) == sorted([entry.tau, entry.root_eta])
+            gx_tau = h.grad_x(entry.tau, grid.evaluation(entry.tau).state)
+            gx_eta = h.grad_x(entry.root_eta, grid.evaluation(entry.root_eta).state)
+            assert deriv.aligned == (float(np.dot(gx_tau, gx_eta)) >= 0.0)
+            assert inner_product_monitor(entry, gx_tau, gx_eta) == deriv.aligned
+            checked += 1
+    assert checked >= 20
+
+
+def test_inner_product_monitor_flags_opposed_gradients():
+    """h = 1 - (tau - 5)^2 on a frozen state peaks at 5 after its root at 4;
+    with grad_x h = tau - 4.5 the gradients there point apart."""
+    h = _FuncConstraint(
+        value=lambda t, x: 1.0 - (t - 5.0) ** 2 + 0.0 * x[..., 0],
+        grad_t=lambda t, x: -2.0 * (t - 5.0),
+        grad_x=lambda t, x: np.array([t - 4.5]),
+    )
+    ctx = _static_ctx(h)
+    x = np.zeros(1)
+    val = eval_pcbf(0.0, x, ctx)
+    entry = val.maximizers.first
+    assert entry.tau == pytest.approx(5.0, abs=1e-5)
+    assert entry.root_eta == pytest.approx(4.0, abs=1e-6)
+    assert not derivative_affine(entry, 0.0, x, ctx, val.grid).aligned

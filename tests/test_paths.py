@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError
+from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError, rk4
 from pcbf.horizon import scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import TwoBodyModel, default_config, satellite_initial_state
@@ -285,3 +285,113 @@ class TestOdePath:
         ev = grid.evaluation(t + 1.3)
         assert model.calls == calls + 5
         assert np.array_equal(ev.dp_dtau, path.field(t + 1.3, ev.state))
+
+
+class _DrivenLinear(DynamicsModel):
+    """xdot = A x + B u, driven below by a time-dependent nominal law."""
+
+    n = 2
+    m = 1
+    A = np.array([[0.0, 1.0], [-1.0, -0.2]])
+
+    def drift(self, t, x):
+        return x @ self.A.T
+
+    def input_matrix(self, t, x):
+        return np.broadcast_to(np.array([[0.0], [1.0]]), np.shape(x)[:-1] + (2, 1))
+
+
+def _time_law(t, x):
+    """Nominal law that depends on time; t may hold one time per state."""
+    return np.sin(3.0 * np.asarray(t, dtype=float))[..., None] - 0.5 * x[..., :1]
+
+
+class TestForecastReuse:
+    def test_next_step_from_knot_one_costs_one_knot(self):
+        model = _CountingLinear()
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        t, x, K = 1.0, np.array([1.0, -0.5]), 6
+        path.evaluate(t + K * path.step, t, x)
+        assert model.calls == 4 * K
+        x1 = path.evaluate(t + path.step, t, x)
+        path.evaluate(t + (K + 1) * path.step, t + path.step, x1)
+        assert model.calls == 4 * K + 4
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_reused_forecast_equals_fresh(self, k):
+        _, path = _sat_path()
+        t, x = 2.0, _sat_state()
+        path.evaluate(t + 40.0, t, x)
+        path.state_sensitivity(t + 20.0, t, x)
+        t1 = t + k * path.step
+        x1 = path.evaluate(t1, t, x)
+        _, fresh = _sat_path()
+        taus = t1 + np.array([0.0, 0.4, 1.0, 7.25, 30.0, 45.5, 60.0])
+        assert np.array_equal(path.evaluate_many(taus, t1, x1),
+                              fresh.evaluate_many(taus, t1, x1))
+        for tau in taus:
+            assert np.array_equal(path.state_sensitivity(tau, t1, x1),
+                                  fresh.state_sensitivity(tau, t1, x1))
+
+    def test_time_dependent_law_matches_fresh_forecast(self):
+        """With a non-dyadic step the held knot times t0 + (k+j) step and the
+        fresh times t + j step part in the last bit somewhere; the states
+        must still be those of a fresh forecast."""
+        step, t, K = 0.1, 0.3, 40
+        path = OdePath(_DrivenLinear(), _time_law, step=step)
+        x = np.array([1.0, -0.5])
+        path.evaluate(t + K * step, t, x)
+        t1 = t + step
+        assert any(t + (1 + j) * step != t1 + j * step for j in range(K))
+        x1 = path.evaluate(t1, t, x)
+        fresh = OdePath(_DrivenLinear(), _time_law, step=step)
+        taus = t1 + step * np.arange(K + 2) + 0.03
+        assert np.array_equal(path.evaluate_many(taus, t1, x1),
+                              fresh.evaluate_many(taus, t1, x1))
+        on_knots = t1 + step * np.arange(K + 2)
+        assert np.array_equal(path.evaluate_many(on_knots, t1, x1),
+                              fresh.evaluate_many(on_knots, t1, x1))
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("make", [
+        lambda: (_sat_path(step=1.0)[1], _sat_state()),
+        lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5])),
+    ], ids=["satellite", "time_dependent"])
+    def test_matches_per_tau_and_scalar_steps(self, make):
+        """evaluate_many equals per-tau evaluate and an independent chain of
+        single RK4 steps: whole steps to the last knot, then one partial."""
+        path, x = make()
+        t, s = 3.0, path.step
+        taus = t + s * np.array([0.0, 2.0, 2.5, 5.0, 9.75, 9.0, 0.25, 30.0, 41.6])
+        taus[3] += 2e-13  # within the remainder threshold of knot 5
+        many = path.evaluate_many(taus[:7], t, x)  # knots grown to t + 9 s
+        many = np.vstack([many, path.evaluate_many(taus[7:], t, x)])
+        single = np.array([path.evaluate(tau, t, x) for tau in taus])
+        assert np.array_equal(many, single)
+
+        knots = [x]
+        for j in range(42):
+            knots.append(rk4(path.field, t + j * path.step, knots[-1], path.step))
+        for tau, got in zip(taus, many):
+            k = math.floor((tau - t) / path.step + 1e-9)
+            rem = tau - (t + k * path.step)
+            want = knots[k] if rem < 1e-12 * max(1.0, tau) else rk4(
+                path.field, t + k * path.step, knots[k], rem)
+            assert np.array_equal(got, want)
+        assert np.array_equal(many[0], x)
+        assert np.array_equal(many[3], knots[5])  # within the remainder threshold
+
+    def test_rejects_tau_before_t(self):
+        _, path = _sat_path()
+        with pytest.raises(ValueError):
+            path.evaluate_many(np.array([2.5, 1.0, 3.0]), 2.0, _sat_state())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("x0, taus", [(1e30, [0.3, 0.1]),   # partial steps
+                                          (5.0, [0.2, 50.0])])  # knot steps
+    def test_nonfinite_partial_or_knot_step_raises(self, x0, taus):
+        path = OdePath(_CubicBlowup(), lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        with pytest.raises(PropagationError):
+            path.evaluate_many(np.array(taus), 0.0, np.array([x0]))
