@@ -93,29 +93,23 @@ class AnalyticCarPath:
 class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
 
-    The path holds one forecast: state knots every `step` seconds from the
-    last (t, x) it was asked about, and the state sensitivity dp/dx at those
-    knots, co-integrated through the variational equation Phidot = A Phi
-    with A the closed-loop Jacobian (analytic if given, else central
-    differences).  State knots grow up to the latest time asked for, and
-    sensitivity knots only up to the latest knot whose sensitivity was asked
-    for.
+    The path holds one forecast from the last (t, x) asked about, keyed by t
+    and the exact bytes of x: state knots every `step` seconds, grown up to
+    the latest time asked for, and the sensitivity dp/dx at the knots,
+    co-integrated through Phidot = A Phi (A the closed-loop Jacobian,
+    analytic if given, else central differences) only up to the latest knot
+    asked for.
 
-    Each query names its (t, x), keyed by t and the exact bytes of x.
-    Within a control step the horizon scan, the maximizer and root searches
-    and the derivative formulas all share one key.  When the key changes and
-    x is byte-equal to knot k >= 1 of the held forecast (the plant followed
-    the forecast for k steps), the knots from k on are kept and the
-    sensitivity restarts at the identity.  A kept knot stays only while the
-    time t0 + (k+j) step of the RK4 step that produced it equals the fresh
-    time t + j step bit for bit, so a time-dependent field still gets
-    exactly the states a fresh forecast would give; the rest are dropped and
-    grown again.  Any other key starts afresh.
+    A new key whose x is byte-equal to knot k >= 1 (the plant followed the
+    forecast) keeps the knots from k on, and the sensitivity restarts at the
+    identity.  Knot k+j+1 is kept only while the start time of the RK4 step
+    that produced it, t0 + (k+j) step, equals the fresh t + j step bit for
+    bit, so a time-dependent field gets exactly a fresh forecast's states.
+    Any other key starts afresh.
 
-    A time between knots is reached by one partial RK4 step from the last
-    knot before it.  Each query makes all of its partial steps as one
-    batched RK4 step with one step length per row, so the field is called
-    with an array of times, one per row of x.
+    A time between knots takes one partial RK4 step from the knot before it;
+    a query makes all of its partial steps as one batched RK4 step, calling
+    the field with one time per row of x.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None):
