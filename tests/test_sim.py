@@ -1,6 +1,7 @@
 """Closed-loop harness: logging, determinism, controller plumbing."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -190,13 +191,11 @@ def _full_step(ctrl, t, x):
                             note=f"derivative failed: {exc}")
             notes.append(f"slack row {idx} dropped: {exc}")
             continue
-        row = deriv.row
-        if deriv.diagnostics:
-            notes.append(deriv.diagnostics)
         constraints.append(build_cbf_constraint(
             val.h_vector[idx], deriv, ctrl.alpha, mu,
             slack_weight=None if idx == 0 else ctrl.slack_weight))
-        assert constraints[-1].row is row
+        if deriv.diagnostics:
+            notes.append(deriv.diagnostics)
     res = solve_min_deviation(mu, constraints)
     if res.infeasible_reason:
         notes.append(res.infeasible_reason)
@@ -229,7 +228,7 @@ def _check_step_against_oracle(ctrl, log, k, monkeypatch):
         m.setattr(simulate, "solve_min_deviation",
                   counted("qp", simulate.solve_min_deviation))
         dec = ctrl.step(t, x)
-    assert np.array_equal(dec.u, want["u"]) and dec.u.tobytes() == np.asarray(want["u"]).tobytes()
+    assert dec.u.shape == want["u"].shape and dec.u.tobytes() == want["u"].tobytes()
     assert dec.active == want["active"]
     assert dec.slack == want["slack"]
     assert dec.feasible == want["feasible"]
@@ -302,7 +301,7 @@ def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monke
         before = len(knot_steps)
         dec = ctrl.step(t, x)
         assert dec.feasible and not dec.active
-        assert len(knot_steps) - before == (cfg.N if k == 0 else 1)
+        assert len(knot_steps) - before == (round(cfg.T / cfg.step) if k == 0 else 1)
         x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
                 t, x, cfg.step)
     assert not sensitivity_calls
@@ -326,7 +325,7 @@ def test_activity_first_with_slack_rows(alpha_value, active, monkeypatch):
     if alpha_value is not None:
         alpha = ClassKFunction(value=lambda s: alpha_value)
     ctrl = PcbfController(ctx, alpha)
-    log = dataclasses.make_dataclass("Log", ["t", "x", "case"])([0.5], [np.zeros(1)], [""])
+    log = types.SimpleNamespace(t=[0.5], x=[np.zeros(1)], case=[""])
     sensitivity, qp = _check_step_against_oracle(ctrl, log, 0, monkeypatch)
     assert len(eval_pcbf(0.5, np.zeros(1), ctx).maximizers.entries) == 4
     assert (sensitivity > 0, qp) == (active, int(active))
