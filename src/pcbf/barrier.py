@@ -60,10 +60,7 @@ class PcbfValue:
 
     h_star: float
     h_vector: list[float]
-    m_star_tau: float
-    root_eta: float
     case_label: str
-    already_unsafe: bool
     grid: HorizonGrid = field(repr=False, default=None)
     maximizers: MaximizerSet = field(repr=False, default=None)
 
@@ -109,17 +106,8 @@ def eval_pcbf(t, x, ctx: PcbfContext) -> PcbfValue:
     grid = ctx.scan(t, x)
     mset = find_maximizers(grid, ctx.refine_tol, ctx.root_tol)
     h_vector = [e.h_value - ctx.margin.value(e.root_eta - t) for e in mset.entries]
-    first = mset.first
-    return PcbfValue(
-        h_star=h_vector[0],
-        h_vector=h_vector,
-        m_star_tau=first.tau,
-        root_eta=first.root_eta,
-        case_label=classify_case(first),
-        already_unsafe=first.already_unsafe,
-        grid=grid,
-        maximizers=mset,
-    )
+    return PcbfValue(h_star=h_vector[0], h_vector=h_vector,
+                     case_label=classify_case(mset.first), grid=grid, maximizers=mset)
 
 
 def classify_case(entry: MaximizerEntry) -> str:
@@ -135,19 +123,15 @@ def classify_case(entry: MaximizerEntry) -> str:
     return CASE_INTERIOR
 
 
-def root_sensitivity_C1(eta, t, x, ctx: PcbfContext, grid: HorizonGrid) -> np.ndarray:
+def root_sensitivity_C1(eta, ctx: PcbfContext,
+                        grid: HorizonGrid) -> tuple[Callable[[], np.ndarray], np.ndarray]:
     """Sensitivity of the preceding root time to the initial state.
 
     Requires the crossing to be transversal: the total tau-derivative of h
-    at the root must be bounded away from zero.
+    at the root must be bounded away from zero.  That check is made at
+    once; the result is (C1, grad): C1() builds the sensitivity from dp/dx
+    at the root, grad is the constraint gradient there.
     """
-    return _root_sensitivity(eta, ctx, grid)[0]()
-
-
-def _root_sensitivity(eta, ctx: PcbfContext, grid: HorizonGrid):
-    """The transversality check of root_sensitivity_C1, made at once, and
-    (C1, grad): C1() builds the sensitivity from dp/dx at the root, grad is
-    the constraint gradient there."""
     ev = grid.evaluation(eta)
     row_h = ctx.h.grad_x(eta, ev.state)
     advect = float(row_h @ ev.dp_dtau)
@@ -159,20 +143,18 @@ def _root_sensitivity(eta, ctx: PcbfContext, grid: HorizonGrid):
     return (lambda: -(row_h @ grid.sensitivity(eta)) / bracket), row_h
 
 
-def maximizer_sensitivity(tau, t, x, ctx: PcbfContext, grid: HorizonGrid) -> np.ndarray:
+def maximizer_sensitivity(tau, ctx: PcbfContext,
+                          grid: HorizonGrid) -> Callable[[], np.ndarray]:
     """Sensitivity of an interior maximizer time to the initial state via the
     implicit function theorem on F(tau, x) = d/dtau h(tau, p(tau; t, x)).
 
     dF/dtau comes from a central difference over tau; dF/dx from central
     differences of F with the state perturbation transported through the
-    path sensitivity, so no re-propagation is needed.
+    path sensitivity, so no re-propagation is needed.  The flat-maximum
+    check is made at once; the result is a function that builds the
+    sensitivity from dp/dx at tau.
     """
-    return _maximizer_sensitivity(tau, t, x, ctx, grid)()
-
-
-def _maximizer_sensitivity(tau, t, x, ctx: PcbfContext, grid: HorizonGrid):
-    """The flat-maximum check of maximizer_sensitivity, made at once, and a
-    function that builds the sensitivity from dp/dx at tau."""
+    t, x = grid.t, grid.x
     step = ctx.grid_step
     lo = max(tau - step, t)
     hi = min(tau + step, t + ctx.T)
@@ -182,7 +164,6 @@ def _maximizer_sensitivity(tau, t, x, ctx: PcbfContext, grid: HorizonGrid):
         raise DegenerateMaximizerError(
             f"flat maximum at tau={tau}: dF/dtau={dF_dtau:.3e}"
         )
-    x = np.asarray(x, dtype=float)
 
     def F_of_state(y):
         return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.path.field(tau, y))
@@ -199,8 +180,8 @@ def _maximizer_sensitivity(tau, t, x, ctx: PcbfContext, grid: HorizonGrid):
     return sensitivity
 
 
-def derivative_affine(entry: MaximizerEntry, t, x, ctx: PcbfContext,
-                      grid: HorizonGrid, case: str | None = None) -> AffineDerivative:
+def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid,
+                      case: str | None = None) -> AffineDerivative:
     """Affine form of d/dt of the predicted safety at one maximizer entry.
 
     `case` overrides the structural classification; the caller uses this to
@@ -210,7 +191,7 @@ def derivative_affine(entry: MaximizerEntry, t, x, ctx: PcbfContext,
     """
     if case is None:
         case = classify_case(entry)
-    x = np.asarray(x, dtype=float)
+    t, x = grid.t, grid.x
     g = ctx.model.input_matrix(t, x)
     mprime = ctx.margin.derivative
 
@@ -248,12 +229,12 @@ def derivative_affine(entry: MaximizerEntry, t, x, ctx: PcbfContext,
     aligned = True
     if case == CASE_INTERIOR and entry.root_is_self:
         try:
-            C = _maximizer_sensitivity(entry.tau, t, x, ctx, grid)
+            C = maximizer_sensitivity(entry.tau, ctx, grid)
         except DegenerateMaximizerError as exc:
             C = lambda: np.zeros(x.size)
             diagnostics = f"flat-maximum fallback: {exc}"
     else:
-        C, row_h_eta = _root_sensitivity(entry.root_eta, ctx, grid)
+        C, row_h_eta = root_sensitivity_C1(entry.root_eta, ctx, grid)
         aligned = inner_product_monitor(entry, row_h, row_h_eta)
 
     def row():

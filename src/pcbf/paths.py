@@ -125,10 +125,11 @@ class OdePath:
         self._phis: list[np.ndarray] = []
 
     def field(self, t, x):
-        """Closed-loop field, broadcasting over leading batch axes of x."""
+        """Closed-loop field, broadcasting over leading batch axes of x; the
+        nominal law mu returns an ndarray."""
         u = self.mu(t, x)
         f = self.model.drift(t, x)
-        if np.any(u):
+        if u.any():
             g = self.model.input_matrix(t, x)
             return f + np.einsum("...ij,...j->...i", g, u)
         return f

@@ -3,18 +3,17 @@
 Solves argmin ||u - mu||^2 subject to affine rows a.u <= b; slacked rows are
 folded in as quadratic penalties.  Problems are tiny (a handful of rows), so
 the solver enumerates hard active sets through the KKT conditions, which is
-exact and deterministic.  Also provides the exponential-CBF baseline
-controller used for comparisons.
+exact and deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from pcbf.core import ClassKFunction, ConstraintFunction, DynamicsModel
+from pcbf.core import ClassKFunction
 
 _FEAS_TOL = 1e-9
 _DUAL_TOL = 1e-9
@@ -151,39 +150,3 @@ def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult
     slack_values = [max(0.0, float(con.row @ u) - con.bound) for con in slack]
     return FilterResult(u=u, active_set=active, slack_values=slack_values,
                         feasible=True)
-
-
-def ecbf_baseline(h: ConstraintFunction, gains, model: DynamicsModel, mu_law):
-    """Reactive baseline for relative-degree-2 constraints.
-
-    Enforces hddot + k1 hdot + k2 h <= 0 as an affine row on u and projects
-    the nominal input onto it.  Derivatives of hdot are taken by central
-    finite differences, so only first derivatives of h are required.
-    """
-    k1, k2 = gains
-
-    def hdot(t, x):
-        return float(h.grad_t(t, x) + h.grad_x(t, x) @ model.drift(t, x))
-
-    def controller(t, x):
-        x = np.asarray(x, dtype=float)
-        mu = np.asarray(mu_law(t, x), dtype=float)
-        dt = 1e-6
-        dpsi_dt = (hdot(t + dt, x) - hdot(t - dt, x)) / (2.0 * dt)
-        dpsi_dx = np.empty(x.size)
-        for i in range(x.size):
-            d = max(1e-6, 1e-7 * abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += d
-            xm[i] -= d
-            dpsi_dx[i] = (hdot(t, xp) - hdot(t, xm)) / (2.0 * d)
-        f = model.drift(t, x)
-        g = model.input_matrix(t, x)
-        row = dpsi_dx @ g
-        bound = -k1 * hdot(t, x) - k2 * float(h.value(t, x)) - dpsi_dt - float(dpsi_dx @ f)
-        if np.linalg.norm(row) == 0.0 and float(row @ mu) > bound:
-            return FilterResult(u=mu, active_set=[], slack_values=[], feasible=False,
-                                infeasible_reason="zero ECBF row")
-        return solve_min_deviation(mu, [AffineConstraint(row=row, bound=bound)])
-
-    return controller

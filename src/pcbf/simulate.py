@@ -33,7 +33,7 @@ from pcbf.core import (
     make_default_margin,
     rk4,
 )
-from pcbf.qp import build_cbf_constraint, ecbf_baseline, solve_min_deviation
+from pcbf.qp import AffineConstraint, build_cbf_constraint, solve_min_deviation
 from pcbf.scenarios import (
     ScenarioConfig,
     build_intersection,
@@ -137,7 +137,7 @@ class PcbfController:
         for idx, entry in enumerate(val.maximizers.entries):
             override = case_used if idx == 0 else None
             try:
-                derivs.append(derivative_affine(entry, t, x, ctx, val.grid, case=override))
+                derivs.append(derivative_affine(entry, ctx, val.grid, case=override))
             except _DERIV_ERRORS as exc:
                 if idx == 0:
                     # no usable hard row: pass the nominal input through
@@ -178,20 +178,42 @@ class PcbfController:
 
 
 class EcbfController:
-    """Reactive baseline wrapper with the same step interface."""
+    """Reactive baseline for relative-degree-2 constraints.
+
+    Enforces hddot + k1 hdot + k2 h <= 0 as an affine row on u and projects
+    the nominal input onto it.  Derivatives of hdot are taken by central
+    finite differences, so only first derivatives of h are required.
+    """
 
     def __init__(self, h, gains, model, mu_law):
         self.h = h
-        self._filter = ecbf_baseline(h, gains, model, mu_law)
+        self.k1, self.k2 = gains
+        self.model = model
         self._mu_law = mu_law
+
+    def _hdot(self, t, x):
+        return float(self.h.grad_t(t, x) + self.h.grad_x(t, x) @ self.model.drift(t, x))
 
     def step(self, t, x) -> StepDecision:
         x = np.asarray(x, dtype=float)
         mu = np.asarray(self._mu_law(t, x), dtype=float)
-        res = self._filter(t, x)
-        return StepDecision(u=np.asarray(res.u, dtype=float), mu=mu,
-                            h=float(self.h.value(t, x)), h_star=float("nan"),
-                            case="", feasible=res.feasible,
+        h_now = float(self.h.value(t, x))
+        hdot = self._hdot
+        dt = 1e-6
+        dpsi_dt = (hdot(t + dt, x) - hdot(t - dt, x)) / (2.0 * dt)
+        dpsi_dx = np.empty(x.size)
+        for i in range(x.size):
+            d = max(1e-6, 1e-7 * abs(x[i]))
+            xp, xm = x.copy(), x.copy()
+            xp[i] += d
+            xm[i] -= d
+            dpsi_dx[i] = (hdot(t, xp) - hdot(t, xm)) / (2.0 * d)
+        f = self.model.drift(t, x)
+        g = self.model.input_matrix(t, x)
+        bound = -self.k1 * hdot(t, x) - self.k2 * h_now - dpsi_dt - float(dpsi_dx @ f)
+        res = solve_min_deviation(mu, [AffineConstraint(row=dpsi_dx @ g, bound=bound)])
+        return StepDecision(u=np.asarray(res.u, dtype=float), mu=mu, h=h_now,
+                            h_star=float("nan"), case="", feasible=res.feasible,
                             slack=res.slack_values, active=res.active_set,
                             note=res.infeasible_reason or "")
 

@@ -165,7 +165,7 @@ def _harvest(log, ctx, model, path, buckets, cap=150):
         ent = val.maximizers.first
         if ent.already_unsafe:
             continue
-        deriv = derivative_affine(ent, t, x, ctx, val.grid)
+        deriv = derivative_affine(ent, ctx, val.grid)
         if deriv.diagnostics:
             continue
         mu = path.nominal_control(t, x)

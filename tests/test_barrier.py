@@ -85,8 +85,7 @@ def test_value_consistency_intersection():
         val = eval_pcbf(t, x, ctx)
         assert val.h_vector[0] == val.h_star
         first = val.maximizers.first
-        assert val.m_star_tau == first.tau
-        assert val.root_eta == first.root_eta
+        assert val.case_label == classify_case(first)
         # recompute the definition directly
         recomputed = (val.grid.h_along(first.tau)
                       - ctx.margin.value(first.root_eta - t))
@@ -130,7 +129,7 @@ def test_maximizer_sensitivity_quadratic_oracle():
     ctx = _static_ctx(h)
     x = np.array([4.0])
     grid = ctx.scan(0.0, x)
-    sens = maximizer_sensitivity(4.0, 0.0, x, ctx, grid)
+    sens = maximizer_sensitivity(4.0, ctx, grid)()
     assert sens[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -144,7 +143,7 @@ def test_maximizer_sensitivity_flat_maximum_raises():
     x = np.zeros(1)
     grid = ctx.scan(0.0, x)
     with pytest.raises(DegenerateMaximizerError):
-        maximizer_sensitivity(5.0, 0.0, x, ctx, grid)
+        maximizer_sensitivity(5.0, ctx, grid)
 
 
 def test_tangential_root_raises():
@@ -161,7 +160,7 @@ def test_tangential_root_raises():
     root = find_root_before(grid, 9.0, ctx.root_tol)
     assert root.eta == pytest.approx(4.0, abs=1e-3)
     with pytest.raises(TangentialCrossingError):
-        root_sensitivity_C1(root.eta, 0.0, x, ctx, grid)
+        root_sensitivity_C1(root.eta, ctx, grid)
 
 
 def test_root_sensitivity_matches_rescan(intersection_pcbf):
@@ -175,14 +174,14 @@ def test_root_sensitivity_matches_rescan(intersection_pcbf):
     val = eval_pcbf(t, x, ctx)
     first = val.maximizers.first
     assert first.root_eta < first.tau
-    C1 = root_sensitivity_C1(first.root_eta, t, x, ctx, val.grid)
+    C1 = root_sensitivity_C1(first.root_eta, ctx, val.grid)[0]()
     d = 1e-4
     for i in (0, 1):
         xp, xm = x.copy(), x.copy()
         xp[i] += d
         xm[i] -= d
-        eta_p = eval_pcbf(t, xp, ctx).root_eta
-        eta_m = eval_pcbf(t, xm, ctx).root_eta
+        eta_p = eval_pcbf(t, xp, ctx).maximizers.first.root_eta
+        eta_m = eval_pcbf(t, xm, ctx).maximizers.first.root_eta
         fd = (eta_p - eta_m) / (2 * d)
         assert C1[i] == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
@@ -195,9 +194,9 @@ def test_already_unsafe_derivative_is_direct_h_rate():
     x = np.array([0.0, 1.0, 0.05, 1.0])
     t = 1.0
     val = eval_pcbf(t, x, ctx)
-    assert val.already_unsafe
+    assert val.maximizers.first.already_unsafe
     assert val.h_star == pytest.approx(float(h.value(t, x)), abs=1e-9)
-    deriv = derivative_affine(val.maximizers.first, t, x, ctx, val.grid)
+    deriv = derivative_affine(val.maximizers.first, ctx, val.grid)
     mu = path.nominal_control(t, x)
     analytic = deriv.constant + float(deriv.row @ (mu - mu))
     fd = _fd_hstar_rate(ctx, model, t, x, mu)
@@ -225,7 +224,7 @@ def test_derivative_matches_finite_difference(case, intersection_pcbf):
         val = eval_pcbf(t, x, ctx)
         if val.maximizers.first.already_unsafe:
             continue
-        deriv = derivative_affine(val.maximizers.first, t, x, ctx, val.grid)
+        deriv = derivative_affine(val.maximizers.first, ctx, val.grid)
         if deriv.diagnostics:
             continue
         mu = path.nominal_control(t, x)
@@ -260,7 +259,7 @@ def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
             evaluation = grid.evaluation
             grid.evaluation = lambda tau: seen.append(tau) or evaluation(tau)
             try:
-                deriv = derivative_affine(entry, t, x, ctx, grid)
+                deriv = derivative_affine(entry, ctx, grid)
             except TangentialCrossingError:
                 continue
             finally:
@@ -288,4 +287,4 @@ def test_inner_product_monitor_flags_opposed_gradients():
     entry = val.maximizers.first
     assert entry.tau == pytest.approx(5.0, abs=1e-5)
     assert entry.root_eta == pytest.approx(4.0, abs=1e-6)
-    assert not derivative_affine(entry, 0.0, x, ctx, val.grid).aligned
+    assert not derivative_affine(entry, ctx, val.grid).aligned

@@ -17,6 +17,7 @@ from pcbf.barrier import (
 from pcbf.core import (
     ClassKFunction,
     ConfigurationError,
+    ConstraintFunction,
     DegenerateMaximizerError,
     InternalConsistencyError,
     TangentialCrossingError,
@@ -28,6 +29,7 @@ from pcbf.paths import OdePath
 from pcbf.qp import build_cbf_constraint, solve_min_deviation
 from pcbf.scenarios import CarPairModel, default_config
 from pcbf.simulate import (
+    EcbfController,
     PcbfController,
     build_scenario,
     make_context,
@@ -109,6 +111,59 @@ def test_rk4_plant_matches_double_integrator():
     assert np.allclose(got, exact, atol=1e-14)
 
 
+class _ConstantConstraint(ConstraintFunction):
+    """h(t, x) = c: both gradients vanish, so the ECBF row is zero."""
+
+    h_max = 1.0
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, t, x):
+        return self.c
+
+    def grad_t(self, t, x):
+        return 0.0
+
+    def grad_x(self, t, x):
+        return np.zeros(np.shape(x)[-1])
+
+
+@pytest.mark.parametrize("c, feasible, note", [(1.0, False, "zero constraint row"),
+                                               (-1.0, True, "")])
+def test_ecbf_zero_row_passes_mu_through(c, feasible, note):
+    """A zero row leaves the bound -k2 h: unsatisfiable for h > 0, slack
+    for h < 0.  Either way the step returns the nominal input."""
+    mu = np.array([0.3, -0.2])
+    ctrl = EcbfController(_ConstantConstraint(c), (2.0, 0.05), CarPairModel(),
+                          lambda t, x: mu)
+    dec = ctrl.step(0.0, np.array([-10.0, 1.0, -9.0, 1.0]))
+    assert np.array_equal(dec.u, mu) and np.array_equal(dec.mu, mu)
+    assert dec.feasible == feasible
+    assert dec.note == note
+    assert dec.h == c and dec.active == []
+
+
+def test_ecbf_step_calls_mu_and_h_once(monkeypatch):
+    cfg = _short_cfg("ecbf")
+    model, h, path, mu_law, x0 = build_scenario(cfg)
+    calls = {"mu": 0, "h": 0}
+
+    def counted_mu(t, x):
+        calls["mu"] += 1
+        return mu_law(t, x)
+
+    def counted_value(t, x, value=h.value):
+        calls["h"] += 1
+        return value(t, x)
+
+    monkeypatch.setattr(h, "value", counted_value)
+    ctrl = make_controller(cfg, model, h, path, counted_mu)
+    assert isinstance(ctrl, EcbfController)
+    ctrl.step(0.0, x0)
+    assert calls == {"mu": 1, "h": 1}
+
+
 class TestHysteresis:
     def _controller(self, intersection_setup):
         cfg, model, h, path, mu_law, _ = intersection_setup
@@ -182,7 +237,7 @@ def _full_step(ctrl, t, x):
     constraints = []
     for idx, entry in enumerate(val.maximizers.entries):
         try:
-            deriv = derivative_affine(entry, t, x, ctx, val.grid,
+            deriv = derivative_affine(entry, ctx, val.grid,
                                       case=case_used if idx == 0 else None)
         except (TangentialCrossingError, DegenerateMaximizerError,
                 InternalConsistencyError) as exc:
@@ -269,7 +324,7 @@ def test_activity_first_matches_full_qp(scenario, request, monkeypatch):
     t, x = float(log.t[k]), log.x[k]
     val = eval_pcbf(t, x, ctrl.ctx)
     ctrl._prev_case = log.case[k - 1]
-    c0 = derivative_affine(val.maximizers.first, t, x, ctrl.ctx, val.grid,
+    c0 = derivative_affine(val.maximizers.first, ctrl.ctx, val.grid,
                            case=ctrl._held_case(val.maximizers.first, t)).constant
     for shift in (1e-9, -1e-9):
         ctrl.alpha = ClassKFunction(value=lambda s, c=c0 + shift * abs(c0): c)
