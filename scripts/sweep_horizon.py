@@ -8,8 +8,6 @@ Shorter horizons act later and harder; long horizons act early and gently.
 import argparse
 import sys
 
-import numpy as np
-
 from pcbf.cli import summarize
 from pcbf.scenarios import default_config
 from pcbf.simulate import run_closed_loop

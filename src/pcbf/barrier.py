@@ -24,7 +24,7 @@ from pcbf.core import (
     MarginFunction,
     TangentialCrossingError,
 )
-from pcbf.horizon import HorizonGrid, MaximizerEntry, MaximizerSet, find_maximizers, find_root_before, scan
+from pcbf.horizon import HorizonGrid, MaximizerEntry, MaximizerSet, find_maximizers, scan
 from pcbf.paths import Path
 
 CASE_INTERIOR = "I_interior"
@@ -90,15 +90,6 @@ class AffineDerivative:
         if self.row_must_be_nonzero and np.linalg.norm(row) == 0.0:
             self.diagnostics = "assumption breach: zero constraint row in interior case"
         return row
-
-
-def eval_hp(tau, t, x, ctx: PcbfContext, grid: HorizonGrid | None = None) -> float:
-    """Predicted safety at horizon time tau: h along the path minus the
-    margin in the time until the path first becomes unsafe."""
-    if grid is None:
-        grid = ctx.scan(t, x)
-    root = find_root_before(grid, tau, ctx.root_tol)
-    return grid.h_along(tau) - ctx.margin.value(root.eta - t)
 
 
 def eval_pcbf(t, x, ctx: PcbfContext) -> PcbfValue:

@@ -3,6 +3,9 @@
 A dense grid over [t, t+T] locates candidate local maximizers of
 h(tau, p(tau; t, x)); golden-section search refines interior candidates and
 bisection finds the last upcrossing zero preceding each unsafe maximizer.
+Each search evaluates a missing probe in one batch with every probe its next
+_LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
+keeps each value's bits, so both return what one probe per step returns.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pcbf.paths import Path
 _PLATEAU_TOL = 1e-12
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
 _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
+_LOOKAHEAD = 4          # search steps evaluated ahead per batch (<= 15 probes)
 
 
 @dataclass
@@ -46,9 +50,10 @@ class HorizonGrid:
     path: Path
     h: object
 
-    def h_along(self, tau: float) -> float:
-        state = self.path.evaluate(tau, self.t, self.x)
-        return float(self.h.value(tau, state))
+    def h_many(self, taus) -> np.ndarray:
+        """h along the path at each of taus."""
+        taus = np.asarray(taus, dtype=float)
+        return self.h.value(taus, self.path.evaluate_many(taus, self.t, self.x))
 
     def evaluation(self, tau: float) -> PathEvaluation:
         state = self.path.evaluate(tau, self.t, self.x)
@@ -114,34 +119,56 @@ def scan(path, h, t, x, T, N, two_level=False):
                 lo = taus[max(j - 1, 0)]
                 hi = taus[min(j + 1, N)]
                 extra.append(np.arange(lo + dense_step, hi - dense_step / 2, dense_step))
-            new_taus = np.unique(np.concatenate([taus] + extra))
-            new_states = np.asarray(path.evaluate_many(new_taus, t, x))
-            taus = new_taus
-            states = new_states
+            taus = np.unique(np.concatenate([taus] + extra))
+            states = np.asarray(path.evaluate_many(taus, t, x))
             h_values = np.asarray(h.value(taus, states), dtype=float)
 
     return HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
                        states=states, h_values=h_values, path=path, h=h)
 
 
-def _golden_max(f, lo, hi, tol):
-    """Golden-section maximization of f on [lo, hi] to an interval of width tol."""
+def _batched(h_many, tree):
+    """h through a memo; a miss evaluates tree(*state), the probes due next."""
+    memo = {}
+
+    def f(tau, *state):
+        if tau not in memo:
+            taus = tree(*state)
+            memo.update(zip(taus, h_many(taus).tolist()))
+        return memo[tau]
+    return f
+
+
+def _golden_max(h_many, lo, hi, tol):
+    """Golden-section maximization of h on [lo, hi] to an interval of width tol."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def tree(a, b, c, d, pending, depth=_LOOKAHEAD):
+        # pending probes, then both outcomes of each comparison that follows
+        out, depth = list(pending), depth - len(pending)
+        if depth and b - a > tol:
+            c2, d2 = d - invphi * (d - a), c + invphi * (b - c)
+            out += tree(a, d, c2, c, (c2,), depth) + tree(c, b, d, d2, (d2,), depth)
+        elif depth:
+            out.append(0.5 * (a + b))
+        return out
+
+    f = _batched(h_many, tree)
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(c, a, b, c, d, (c, d)), f(d, a, b, c, d, (d,))
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = f(c, a, b, c, d, (c,))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = f(d, a, b, c, d, (d,))
     tau = 0.5 * (a + b)
-    return tau, f(tau)
+    return tau, f(tau, a, b, c, d, (tau,), 1)
 
 
 def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> MaximizerSet:
@@ -169,8 +196,7 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
                 jj = j
                 while jj + 1 < K and abs(hv[jj + 1] - hv[j]) <= tol_j:
                     jj += 1
-                f = lambda tau: grid.h_along(tau)
-                tau_r, h_r = _golden_max(f, taus[j - 1], taus[min(j + 1, K)], refine_tol)
+                tau_r, h_r = _golden_max(grid.h_many, taus[j - 1], taus[min(j + 1, K)], refine_tol)
                 candidates.append((tau_r, h_r, False, False))
                 j = jj
         j += 1
@@ -186,7 +212,7 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
 
     entries = []
     for tau, h_val, at_start, at_end in merged:
-        root = find_root_before(grid, tau, root_tol)
+        root = find_root_before(grid, tau, h_val, root_tol)
         entries.append(MaximizerEntry(
             tau=tau, h_value=h_val, at_start=at_start, at_end=at_end,
             root_eta=root.eta, root_is_self=(root.eta == tau and not root.already_unsafe),
@@ -195,14 +221,13 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
     return MaximizerSet(entries=entries)
 
 
-def find_root_before(grid: HorizonGrid, tau: float, root_tol: float) -> RootResult:
-    """Latest upcrossing zero of h along the path at or before tau.
+def find_root_before(grid: HorizonGrid, tau: float, h_tau: float, root_tol: float) -> RootResult:
+    """Latest upcrossing zero of h along the path at or before tau; h(tau) = h_tau.
 
     Returns tau itself when the path is safe there.  When h(tau) > 0 and no
     sign change exists on [t, tau], the state is already outside the safe
     set; the start time is returned with the already_unsafe flag raised.
     """
-    h_tau = grid.h_along(tau)
     if h_tau <= 0:
         return RootResult(eta=tau, already_unsafe=False)
 
@@ -211,21 +236,27 @@ def find_root_before(grid: HorizonGrid, tau: float, root_tol: float) -> RootResu
     knot_h = np.append(grid.h_values[:idx], h_tau)
     for j in range(len(knot_taus) - 2, -1, -1):
         if knot_h[j] < 0 <= knot_h[j + 1]:
-            eta = _bisect_root(grid.h_along, knot_taus[j], knot_taus[j + 1], root_tol)
+            eta = _bisect_root(grid.h_many, knot_taus[j], knot_taus[j + 1],
+                               knot_h[j], knot_h[j + 1], root_tol)
             return RootResult(eta=eta, already_unsafe=False)
     return RootResult(eta=grid.t, already_unsafe=True)
 
 
-def _bisect_root(f, lo, hi, root_tol):
-    """Bisection on [lo, hi] with f(lo) < 0 <= f(hi), to |f| <= root_tol."""
-    flo, fhi = f(lo), f(hi)
+def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
+    """Bisection on [lo, hi] with flo = h(lo) < 0 <= h(hi) = fhi, to |h| <= root_tol."""
+    def tree(lo, hi, depth=_LOOKAHEAD):
+        # the midpoint, then those of both halves it may keep
+        mid = 0.5 * (lo + hi)
+        return [mid] + (tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1) if depth > 1 else [])
+
+    f = _batched(h_many, tree)
     if abs(fhi) <= root_tol:
         return hi
     if abs(flo) <= root_tol:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = f(mid, lo, hi)
         if abs(fm) <= root_tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fm < 0:

@@ -8,7 +8,7 @@ intersection, a debris conjunction that genuinely requires intervention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline

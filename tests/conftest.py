@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from pcbf.scenarios import default_config
-from pcbf.simulate import build_scenario, make_context, run_closed_loop
+from pcbf.simulate import build_scenario, run_closed_loop
 
 
 class TimedRun:

@@ -24,31 +24,33 @@ def _split(constraints):
 
 
 def _sweep(center, half, points, mu, hard, slack, best):
-    """Dense axis-aligned sweep, chunked over the first axis to bound memory."""
+    """Dense axis-aligned sweep, chunked over the first axis to bound memory.
+
+    The grid over the other axes, its share of the objective and its
+    projection on each row are computed once; each first-axis value v then
+    adds its own term."""
     m = mu.size
     axes = [np.linspace(center[i] - half, center[i] + half, points)
             for i in range(m)]
+    tail = (np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, m - 1)
+            if m > 1 else np.zeros((1, 0)))
+    tail_obj = np.sum((tail - mu[1:]) ** 2, axis=1)
+    hard_tail = [(a[0], tail @ a[1:], b) for a, b in hard]
+    slack_tail = [(a[0], tail @ a[1:], b, w) for a, b, w in slack]
     found = False
-    if m == 1:
-        chunks = [axes[0][:, None]]
-    else:
-        tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, m - 1)
-        chunks = (np.concatenate([np.full((len(tail), 1), v), tail], axis=1)
-                  for v in axes[0])
-    for grid in chunks:
-        feas = np.ones(len(grid), dtype=bool)
-        for a, b in hard:
-            feas &= grid @ a <= b + 1e-9
+    for v in axes[0]:
+        feas = np.ones(len(tail), dtype=bool)
+        for a0, proj, b in hard_tail:
+            feas &= v * a0 + proj <= b + 1e-9
         if not np.any(feas):
             continue
         found = True
-        cand = grid[feas]
-        obj = np.sum((cand - mu) ** 2, axis=1)
-        for a, b, w in slack:
-            obj = obj + w * np.maximum(0.0, cand @ a - b) ** 2
+        obj = (v - mu[0]) ** 2 + tail_obj[feas]
+        for a0, proj, b, w in slack_tail:
+            obj = obj + w * np.maximum(0.0, v * a0 + proj[feas] - b) ** 2
         j = int(np.argmin(obj))
         if best is None or obj[j] < best[0]:
-            best = (float(obj[j]), cand[j])
+            best = (float(obj[j]), np.concatenate([[v], tail[feas][j]]))
     return best, found
 
 

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from pcbf.barrier import derivative_affine, eval_pcbf
 from pcbf.core import make_default_margin

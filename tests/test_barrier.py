@@ -1,7 +1,5 @@
 """Predictive barrier value and its control-affine derivative."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from pcbf.barrier import (
     PcbfContext,
     classify_case,
     derivative_affine,
-    eval_hp,
     eval_pcbf,
     inner_product_monitor,
     maximizer_sensitivity,
@@ -26,7 +23,7 @@ from pcbf.core import (
     TangentialCrossingError,
     make_default_margin,
 )
-from pcbf.horizon import MaximizerEntry
+from pcbf.horizon import MaximizerEntry, find_root_before
 from pcbf.paths import OdePath
 from pcbf.simulate import build_scenario, make_context
 
@@ -77,6 +74,14 @@ def _fd_hstar_rate(ctx, model, t, x, u, d=1e-4):
     return (hp - hm) / (2 * d)
 
 
+def _eval_hp(tau, t, ctx, grid):
+    """Predicted safety at horizon time tau: h along the path minus the
+    margin in the time until the path first becomes unsafe."""
+    h_tau = float(grid.h_many([tau])[0])
+    root = find_root_before(grid, tau, h_tau, ctx.root_tol)
+    return h_tau - ctx.margin.value(root.eta - t)
+
+
 def test_value_consistency_intersection():
     cfg, model, h, path, mu_law, x0 = _intersection()
     ctx = make_context(cfg, model, h, path)
@@ -87,11 +92,11 @@ def test_value_consistency_intersection():
         first = val.maximizers.first
         assert val.case_label == classify_case(first)
         # recompute the definition directly
-        recomputed = (val.grid.h_along(first.tau)
+        recomputed = (val.grid.h_many([first.tau])[0]
                       - ctx.margin.value(first.root_eta - t))
         assert abs(val.h_star - recomputed) <= 1e-10
-        # eval_hp agrees at the maximizer
-        assert eval_hp(first.tau, t, x, ctx, val.grid) == pytest.approx(
+        # the predicted safety at the maximizer agrees
+        assert _eval_hp(first.tau, t, ctx, val.grid) == pytest.approx(
             val.h_star, abs=1e-10)
 
 
@@ -156,8 +161,7 @@ def test_tangential_root_raises():
     ctx = _static_ctx(h, root_tol=1e-12)
     x = np.zeros(1)
     grid = ctx.scan(0.0, x)
-    from pcbf.horizon import find_root_before
-    root = find_root_before(grid, 9.0, ctx.root_tol)
+    root = find_root_before(grid, 9.0, grid.h_many([9.0])[0], ctx.root_tol)
     assert root.eta == pytest.approx(4.0, abs=1e-3)
     with pytest.raises(TangentialCrossingError):
         root_sensitivity_C1(root.eta, ctx, grid)

@@ -1,7 +1,5 @@
 """Margin and class-K function construction."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

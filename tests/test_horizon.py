@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
-from pcbf.horizon import find_maximizers, find_root_before, scan
+from pcbf.horizon import _bisect_root, _golden_max, find_maximizers, find_root_before, scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import SeparationConstraint, StraightLane
 
@@ -136,14 +136,14 @@ def test_entry_invariants_on_sinusoids(freq, phase, offset):
         assert 0.0 <= e.root_eta <= e.tau + 1e-12
         if e.h_value > 0 and not e.already_unsafe:
             assert e.root_eta < e.tau
-            assert abs(grid.h_along(e.root_eta)) <= 1e-6
+            assert abs(grid.h_many([e.root_eta])[0]) <= 1e-6
         if e.h_value <= 0:
             assert e.root_is_self and e.root_eta == e.tau
 
 
 def test_root_before_safe_time_is_identity():
     grid = _scan_time_only(np.sin, np.cos)
-    res = find_root_before(grid, 4.0, 1e-9)  # sin(4) < 0
+    res = find_root_before(grid, 4.0, math.sin(4.0), 1e-9)  # sin(4) < 0
     assert res.eta == 4.0 and not res.already_unsafe
 
 
@@ -173,3 +173,139 @@ def test_two_level_scan_inserts_dense_samples():
     assert dense.taus[0] == 0.0 and dense.taus[-1] == 10.0
     assert np.all(np.diff(dense.taus) > 0)
     assert np.allclose(dense.h_values, func(dense.taus))
+
+
+# -- batched lookahead against the sequential searches ------------------------
+
+def _sequential_golden(f, lo, hi, tol):
+    """The golden-section search evaluating one probe at a time (oracle)."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    tau = 0.5 * (a + b)
+    return tau, f(tau)
+
+
+def _sequential_bisect(f, lo, hi, root_tol):
+    """The bisection evaluating one probe at a time (oracle)."""
+    flo, fhi = f(lo), f(hi)
+    if abs(fhi) <= root_tol:
+        return hi
+    if abs(flo) <= root_tol:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= root_tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
+            return mid
+        if fm < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_SHAPES = {
+    "sine": lambda t, s: 0.5 * np.sin(3.0 * t + s) + 0.1 * s,
+    "constant": lambda t, s: np.full_like(t, s),
+    "kink": lambda t, s: -np.abs(t - s),
+    "quadratic": lambda t, s: -(t - s) ** 2,
+    "line": lambda t, s: t - s,
+    "cubic": lambda t, s: (t - s) ** 3,
+}
+
+
+def _alone(func):
+    """f(tau) evaluating each probe on its own, and the list of probes."""
+    probes = []
+
+    def f(tau):
+        probes.append(tau)
+        return float(func(np.array([tau]))[0])
+    return f, probes
+
+
+def _batches(func):
+    """h_many over func, and the size of each batch it was asked for."""
+    sizes = []
+
+    def h_many(taus):
+        sizes.append(len(taus))
+        return func(np.asarray(taus, dtype=float))
+    return h_many, sizes
+
+
+def _assert_batching(sizes, sequential):
+    assert all(n <= 15 for n in sizes)
+    assert len(sizes) <= math.ceil(sequential / 4) + 1
+
+
+def _golden_matches(func, lo, hi, tol):
+    f, probes = _alone(func)
+    h_many, sizes = _batches(func)
+    assert _golden_max(h_many, lo, hi, tol) == _sequential_golden(f, lo, hi, tol)
+    _assert_batching(sizes, len(probes))
+
+
+def _bisect_matches(func, lo, hi, root_tol):
+    f, probes = _alone(func)
+    want = _sequential_bisect(f, lo, hi, root_tol)
+    h_many, sizes = _batches(func)
+    flo, fhi = (float(func(np.array([v]))[0]) for v in (lo, hi))
+    assert _bisect_root(h_many, lo, hi, flo, fhi, root_tol) == want
+    _assert_batching(sizes, len(probes) - 2)  # the oracle also evaluates lo and hi
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)), lo=st.floats(-5.0, 5.0),
+       width=st.floats(1e-6, 5.0), shift=st.floats(-1.0, 1.0),
+       tol_frac=st.floats(1e-9, 2.0))
+def test_golden_max_is_the_sequential_search(shape, lo, width, shift, tol_frac):
+    func = lambda t: _SHAPES[shape](t, lo + shift * width)
+    _golden_matches(func, lo, lo + width, tol_frac * width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)), lo=st.floats(-5.0, 5.0),
+       width=st.floats(1e-6, 5.0), shift=st.floats(0.0, 1.0),
+       root_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4, 10.0]))
+def test_bisect_root_is_the_sequential_search(shape, lo, width, shift, root_tol):
+    func = lambda t: _SHAPES[shape](t, lo + shift * width)
+    _bisect_matches(func, lo, lo + width, root_tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.5, 1.0, 3.0])
+def test_golden_max_on_constant_h(tol):
+    """fc == fd at every step: the search always keeps the left part."""
+    _golden_matches(lambda t: np.full_like(t, -0.25), 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("root_tol", [0.0, 1e-9])
+@pytest.mark.parametrize("at", ["lo", "hi"])
+def test_bisect_root_exact_zero_at_an_end(at, root_tol):
+    lo, hi = 0.3, 1.7
+    zero = lo if at == "lo" else hi
+    _bisect_matches(lambda t: t - zero, lo, hi, root_tol)
+    h_many, sizes = _batches(lambda t: t - zero)
+    assert _bisect_root(h_many, lo, hi, lo - zero, hi - zero, root_tol) == zero
+    assert sizes == []
+
+
+def test_bisect_root_width_stop():
+    """With root_tol = 0 and no double where h is exactly zero, only the
+    width test ends the search."""
+    func = lambda t: np.sin(t) - 0.3
+    eta = _bisect_matches(func, 0.0, 1.0, 0.0)
+    assert func(np.array([eta]))[0] != 0.0
