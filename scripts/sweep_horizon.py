@@ -26,7 +26,7 @@ def main() -> int:
         s = summarize(run_closed_loop(cfg))
         print(f"{T:6.1f} {s['first_intervention_t']:15.2f} "
               f"{s['total_deviation']:16.4f} {s['max_h']:12.4g} "
-              f"{s['mean_step_ms']:13.1f}")
+              f"{s['mean_step_ms']:13.3f}")
     return 0
 
 

@@ -138,11 +138,11 @@ def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunctio
 def rk4(field, t, y, dt):
     """One classical Runge-Kutta step of ydot = field(t, y) from (t, y).
 
-    With t and dt arrays of one entry per row of y, each row takes its own
-    step, bit for bit as it would alone; the field is then called with the
-    array of times.
+    With t and dt 1-D ndarrays of one entry per row of y, each row takes its
+    own step, bit for bit as it would alone; the field is then called with
+    the array of times.
     """
-    h = np.asarray(dt)[:, None] if np.ndim(dt) else dt
+    h = dt[:, None] if isinstance(dt, np.ndarray) else dt
     k1 = field(t, y)
     k2 = field(t + dt / 2, y + h / 2 * k1)
     k3 = field(t + dt / 2, y + h / 2 * k2)

@@ -186,20 +186,20 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
     candidates = []  # (tau, h_value, at_start, at_end)
     if hv[0] >= hv[1]:
         candidates.append((t, float(hv[0]), True, False))
-    j = 1
-    while j < K:
-        tol_j = _PLATEAU_TOL * (1.0 + abs(hv[j]))
-        if hv[j] >= hv[j - 1] - tol_j and hv[j] >= hv[j + 1] - tol_j:
-            strict = (hv[j] > hv[j - 1] + tol_j) or (hv[j] > hv[j + 1] + tol_j)
-            if strict:
-                # first-of-plateau: skip any following equal samples
-                jj = j
-                while jj + 1 < K and abs(hv[jj + 1] - hv[j]) <= tol_j:
-                    jj += 1
-                tau_r, h_r = _golden_max(grid.h_many, taus[j - 1], taus[min(j + 1, K)], refine_tol)
-                candidates.append((tau_r, h_r, False, False))
-                j = jj
-        j += 1
+    prev, mid, nxt = hv[:K - 1], hv[1:K], hv[2:]
+    tol = _PLATEAU_TOL * (1.0 + np.abs(mid))
+    peak = ((mid >= prev - tol) & (mid >= nxt - tol)
+            & ((mid > prev + tol) | (mid > nxt + tol)))
+    end = 0
+    for j in (np.flatnonzero(peak) + 1).tolist():
+        if j <= end:
+            continue  # first-of-plateau: skip the following equal samples
+        tol_j = tol[j - 1]
+        end = j
+        while end + 1 < K and abs(hv[end + 1] - hv[j]) <= tol_j:
+            end += 1
+        tau_r, h_r = _golden_max(grid.h_many, taus[j - 1], taus[j + 1], refine_tol)
+        candidates.append((tau_r, h_r, False, False))
     if hv[K] >= hv[K - 1]:
         candidates.append((tend, float(hv[K]), False, True))
 

@@ -109,7 +109,10 @@ class OdePath:
 
     A time between knots takes one partial RK4 step from the knot before it;
     a query makes all of its partial steps as one batched RK4 step, calling
-    the field with one time per row of x.
+    the field with one time per row of x.  Each knot keeps the states of its
+    partial steps, keyed by the step's inputs (t_k, rem), and leaves with
+    them: a kept knot serves them to later queries and forecasts, and a knot
+    whose start time moved no longer matches its keys.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None):
@@ -122,6 +125,7 @@ class OdePath:
         self._key = None
         self._t0 = 0.0
         self._states: list[np.ndarray] = []
+        self._partials: list[dict] = []  # per knot: (t_k, rem) -> partial-step state
         self._phis: list[np.ndarray] = []
 
     def field(self, t, x):
@@ -164,8 +168,10 @@ class OdePath:
                    and t0 + (k + keep - 1) * step == t + (keep - 1) * step):
                 keep += 1
             self._states = states[k:k + keep]
+            self._partials = self._partials[k:k + keep]
         else:
             self._states = [x.copy()]
+            self._partials = [{}]
         self._t0 = t
         self._phis = [np.eye(x.size)]
 
@@ -193,6 +199,7 @@ class OdePath:
                     tau=tj + self.step,
                 )
             states.append(xn)
+            self._partials.append({})
         return k, t_k, rem
 
     def _at(self, taus, t):
@@ -201,12 +208,19 @@ class OdePath:
         out = np.array(self._states[lo:hi])[k - lo]
         off = np.flatnonzero(rem)
         if off.size:
-            y = rk4(self.field, t_k[off], out[off], rem[off])
-            bad = off[~np.isfinite(y).all(axis=1)]
-            if bad.size:
-                tau = float(np.asarray(taus, dtype=float)[bad[0]])
-                raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
-            out[off] = y
+            memos = [self._partials[j] for j in k[off].tolist()]
+            keys = list(zip(t_k[off].tolist(), rem[off].tolist()))
+            miss = [n for n, (memo, key) in enumerate(zip(memos, keys)) if key not in memo]
+            if miss:
+                rows = off[miss]
+                y = rk4(self.field, t_k[rows], out[rows], rem[rows])
+                bad = rows[~np.isfinite(y).all(axis=1)]
+                if bad.size:
+                    tau = float(np.asarray(taus, dtype=float)[bad[0]])
+                    raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
+                for n, state in zip(miss, y):
+                    memos[n][keys[n]] = state
+            out[off] = [memo[key] for memo, key in zip(memos, keys)]
         return out
 
     def evaluate(self, tau, t, x):

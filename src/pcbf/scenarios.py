@@ -221,6 +221,9 @@ class TwoBodyModel(DynamicsModel):
 
     n = 6
     m = 3
+    _EYE = np.eye(3)
+    _G = np.vstack([np.zeros((3, 3)), _EYE])  # thrust enters the velocities
+    _JAC = np.block([[np.zeros((3, 3)), _EYE], [np.zeros((3, 6))]])
 
     def __init__(self, mu_grav):
         self.mu_grav = float(mu_grav)
@@ -228,24 +231,21 @@ class TwoBodyModel(DynamicsModel):
     def drift(self, t, x):
         x = np.asarray(x, dtype=float)
         r = x[..., :3]
-        rn = np.linalg.norm(r, axis=-1, keepdims=True)
+        # np.linalg.norm's own sum for real input, without its wrapper
+        rn = np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True))
         out = np.empty_like(x)
         out[..., :3] = x[..., 3:]
         out[..., 3:] = -self.mu_grav * r / rn**3
         return out
 
     def input_matrix(self, t, x):
-        x = np.asarray(x, dtype=float)
-        g = np.vstack([np.zeros((3, 3)), np.eye(3)])
-        return np.broadcast_to(g, x.shape[:-1] + (6, 3))
+        return np.broadcast_to(self._G, np.shape(x)[:-1] + (6, 3))
 
     def drift_jacobian(self, t, x):
         r = np.asarray(x, dtype=float)[:3]
         rn = np.linalg.norm(r)
-        grav = self.mu_grav * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
-        jac = np.zeros((6, 6))
-        jac[:3, 3:] = np.eye(3)
-        jac[3:, :3] = grav
+        jac = self._JAC.copy()
+        jac[3:, :3] = self.mu_grav * (3.0 * np.outer(r, r) / rn**5 - self._EYE / rn**3)
         return jac
 
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pcbf import horizon
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
-from pcbf.horizon import _bisect_root, _golden_max, find_maximizers, find_root_before, scan
+from pcbf.horizon import (HorizonGrid, MaximizerEntry, MaximizerSet, _bisect_root, _golden_max,
+                          find_maximizers, find_root_before, scan)
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import SeparationConstraint, StraightLane
 
@@ -309,3 +311,90 @@ def test_bisect_root_width_stop():
     func = lambda t: np.sin(t) - 0.3
     eta = _bisect_matches(func, 0.0, 1.0, 0.0)
     assert func(np.array([eta]))[0] != 0.0
+
+
+# -- one-pass peak detection against the sequential scan ----------------------
+
+def _sequential_find_maximizers(grid, refine_tol, root_tol, golden):
+    """find_maximizers walking the samples one at a time (oracle)."""
+    taus, hv = grid.taus, grid.h_values
+    K = len(taus) - 1
+    t, tend = grid.t, grid.t + grid.T
+    candidates = []
+    if hv[0] >= hv[1]:
+        candidates.append((t, float(hv[0]), True, False))
+    j = 1
+    while j < K:
+        tol_j = horizon._PLATEAU_TOL * (1.0 + abs(hv[j]))
+        if hv[j] >= hv[j - 1] - tol_j and hv[j] >= hv[j + 1] - tol_j:
+            strict = (hv[j] > hv[j - 1] + tol_j) or (hv[j] > hv[j + 1] + tol_j)
+            if strict:
+                jj = j
+                while jj + 1 < K and abs(hv[jj + 1] - hv[j]) <= tol_j:
+                    jj += 1
+                tau_r, h_r = golden(grid.h_many, taus[j - 1], taus[min(j + 1, K)], refine_tol)
+                candidates.append((tau_r, h_r, False, False))
+                j = jj
+        j += 1
+    if hv[K] >= hv[K - 1]:
+        candidates.append((tend, float(hv[K]), False, True))
+    candidates.sort(key=lambda c: c[0])
+    merged = []
+    for c in candidates:
+        if not (merged and c[0] - merged[-1][0] <= refine_tol):
+            merged.append(c)
+    entries = []
+    for tau, h_val, at_start, at_end in merged:
+        root = find_root_before(grid, tau, h_val, root_tol)
+        entries.append(MaximizerEntry(
+            tau=tau, h_value=h_val, at_start=at_start, at_end=at_end,
+            root_eta=root.eta, root_is_self=(root.eta == tau and not root.already_unsafe),
+            already_unsafe=root.already_unsafe,
+        ))
+    return MaximizerSet(entries=entries)
+
+
+class _Samples:
+    """A path that is time itself, and h the linear interpolant of samples."""
+
+    h_max = 1.0
+
+    def __init__(self, taus, hv):
+        self.taus, self.hv = taus, hv
+
+    def evaluate_many(self, taus, t, x):
+        return np.asarray(taus, dtype=float)[:, None]
+
+    def value(self, t, x):
+        return np.interp(x[..., 0], self.taus, self.hv)
+
+
+_LEVELS = [-1.0, -0.5, -1e-3, 0.0, 0.25, 0.5]
+_JITTER = [0.0, 0.0, 0.0, 2e-13, -2e-13, 9e-13, -9e-13, 3e-12, -3e-12]  # tol ~1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(st.sampled_from(_LEVELS), min_size=3, max_size=40),
+       jitter=st.lists(st.sampled_from(_JITTER), min_size=40, max_size=40))
+@example(levels=[0.0, 0.5, 0.0, 0.5, 0.5, 0.5, 0.0], jitter=[0.0] * 40)  # peaks at 1, K-1
+@example(levels=[0.0, 0.5, 0.5, 0.0, 0.25, 0.25], jitter=[0.0, 0.0, 9e-13] + [0.0] * 37)
+@example(levels=[0.25] * 5, jitter=[0.0, 2e-13, -2e-13, 9e-13, 0.0] + [0.0] * 35)
+def test_one_pass_peaks_match_sequential_scan(levels, jitter):
+    hv = np.array(levels) + np.array(jitter[:len(levels)])
+    taus = np.arange(len(hv), dtype=float)
+    samples = _Samples(taus, hv)
+    grid = HorizonGrid(t=0.0, x=np.zeros(1), T=taus[-1], taus=taus, states=taus[:, None],
+                       h_values=hv, path=samples, h=samples)
+    brackets = {"one_pass": [], "sequential": []}
+
+    def recording(key):
+        def golden(h_many, lo, hi, tol):
+            brackets[key].append((lo, hi))
+            return _golden_max(h_many, lo, hi, tol)
+        return golden
+
+    want = _sequential_find_maximizers(grid, 1e-6, 1e-9, recording("sequential"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(horizon, "_golden_max", recording("one_pass"))
+        assert find_maximizers(grid, 1e-6, 1e-9) == want
+    assert brackets["one_pass"] == brackets["sequential"]

@@ -275,16 +275,22 @@ class TestOdePath:
         assert model.calls == 4 * K + 4 * 3 + 8
 
     def test_off_knot_evaluation_steps_once(self):
-        """An off-knot horizon evaluation makes one partial RK4 step for the
-        state and one field call for its tau-derivative: 4 + 1 drift calls."""
+        """An off-knot horizon evaluation away from the scan grid makes one
+        partial RK4 step for the state and one field call for its
+        tau-derivative: 4 + 1 drift calls.  Asked again, the state is held."""
         model = _CountingLinear()
         path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         t, x = 1.0, np.array([1.0, -0.5])
         grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50)
+        tau = t + 1.33  # between the scan's samples t + 1.3 and t + 1.4
         calls = model.calls
-        ev = grid.evaluation(t + 1.3)
+        ev = grid.evaluation(tau)
         assert model.calls == calls + 5
-        assert np.array_equal(ev.dp_dtau, path.field(t + 1.3, ev.state))
+        assert np.array_equal(ev.dp_dtau, path.field(tau, ev.state))
+        calls = model.calls
+        again = grid.evaluation(tau)
+        assert model.calls == calls + 1
+        assert np.array_equal(again.state, ev.state)
 
 
 class _DrivenLinear(DynamicsModel):
@@ -304,6 +310,12 @@ class _DrivenLinear(DynamicsModel):
 def _time_law(t, x):
     """Nominal law that depends on time; t may hold one time per state."""
     return np.sin(3.0 * np.asarray(t, dtype=float))[..., None] - 0.5 * x[..., :1]
+
+
+def _steep_law(t, x):
+    """Nominal law so steep in time that a last-bit change of t moves the
+    partial step's state."""
+    return np.sin(1e9 * np.asarray(t, dtype=float))[..., None] - 0.5 * x[..., :1]
 
 
 class TestForecastReuse:
@@ -351,6 +363,66 @@ class TestForecastReuse:
         on_knots = t1 + step * np.arange(K + 2)
         assert np.array_equal(path.evaluate_many(on_knots, t1, x1),
                               fresh.evaluate_many(on_knots, t1, x1))
+
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("make", [
+        lambda: (_sat_path(step=1.0)[1], _sat_state(), 2.0),
+        lambda: (OdePath(_DrivenLinear(), _steep_law, step=0.1), np.array([1.0, -0.5]), 0.3),
+    ], ids=["satellite", "time_dependent"])
+    def test_reused_off_knot_states_equal_fresh(self, make, k):
+        """Partial steps taken before a reuse and asked for again after it
+        give a fresh forecast's states, also where the knot times of the two
+        forecasts part in the last bit."""
+        path, x, t = make()
+        s, K = path.step, 40
+        rems = np.array([0.03125, 0.0625])  # dyadic: the same rem from either knot time
+
+        def off_knot(t0):
+            return ((t0 + s * np.arange(K))[:, None] + rems).ravel()
+
+        path.evaluate_many(off_knot(t), t, x)
+        t1 = t + k * s
+        x1 = path.evaluate(t1, t, x)
+        fresh = OdePath(path.model, path.mu, step=s)
+        for taus in (off_knot(t1), off_knot(t)[2 * k:]):
+            assert np.array_equal(path.evaluate_many(taus, t1, x1),
+                                  fresh.evaluate_many(taus, t1, x1))
+
+    def test_repeated_off_knot_batch_makes_no_drift_call(self):
+        model = _CountingLinear()
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        t, x = 1.0, np.array([1.0, -0.5])
+        taus = t + np.array([0.3, 1.2, 2.05, 2.9, 0.3])
+        first = path.evaluate_many(taus, t, x)
+        calls = model.calls
+        assert np.array_equal(path.evaluate_many(taus, t, x), first)
+        assert model.calls == calls
+        # the next forecast from knot 1 keeps the later knots and their states
+        t1 = t + path.step
+        x1 = path.evaluate(t1, t, x)
+        assert np.array_equal(path.evaluate_many(taus[1:4], t1, x1), first[1:4])
+        assert model.calls == calls
+
+    def test_fresh_forecast_serves_no_old_state(self):
+        model = _CountingLinear()
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        t, x = 1.0, np.array([1.0, -0.5])
+        taus = t + np.array([0.3, 1.2, 2.05])
+        path.evaluate_many(taus, t, x)
+        calls = model.calls
+        got = path.evaluate_many(taus, t, x + 1e-3)
+        assert model.calls == calls + 4 * 4 + 4  # four knots, one batched partial step
+        fresh = OdePath(_CountingLinear(), path.mu, step=path.step)
+        assert np.array_equal(got, fresh.evaluate_many(taus, t, x + 1e-3))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_partial_step_raises_again(self):
+        path = OdePath(_CubicBlowup(), lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
+        for _ in range(2):
+            with pytest.raises(PropagationError):
+                path.evaluate(0.3, 0.0, np.array([1e30]))
 
 
 class TestBatchedEvaluation:

@@ -166,3 +166,42 @@ def test_satellite_scenario_is_a_genuine_threat(satellite_setup):
     from pcbf.scenarios import zero_control_max_h
     cfg, model, h, path, mu_law, x0 = satellite_setup
     assert zero_control_max_h(cfg, model, h, path) > 0.5 * cfg.params["rho"]
+
+
+def _two_body_drift(mu_grav, x):
+    """The two-body drift through np.linalg.norm (oracle)."""
+    r = x[..., :3]
+    rn = np.linalg.norm(r, axis=-1, keepdims=True)
+    out = np.empty_like(x)
+    out[..., :3] = x[..., 3:]
+    out[..., 3:] = -mu_grav * r / rn**3
+    return out
+
+
+def _two_body_jacobian(mu_grav, x):
+    """The two-body drift Jacobian built from fresh blocks (oracle)."""
+    r = x[:3]
+    rn = np.linalg.norm(r)
+    jac = np.zeros((6, 6))
+    jac[:3, 3:] = np.eye(3)
+    jac[3:, :3] = mu_grav * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
+    return jac
+
+
+def test_two_body_model_is_bit_identical_to_its_plain_form():
+    model = TwoBodyModel(398600.4418)
+    rng = np.random.default_rng(11)
+    direction = rng.normal(size=(1000, 3))
+    radius = 10.0 ** rng.uniform(3.0, 5.0, (1000, 1))  # |r| from 1e3 to 1e5 km
+    X = np.hstack([radius * direction / np.linalg.norm(direction, axis=1, keepdims=True),
+                   rng.uniform(-10.0, 10.0, (1000, 3))])
+    assert np.array_equal(model.drift(0.0, X), _two_body_drift(model.mu_grav, X))
+    g = np.vstack([np.zeros((3, 3)), np.eye(3)])
+    assert np.array_equal(model.input_matrix(0.0, X), np.broadcast_to(g, (1000, 6, 3)))
+    for x in X[:50]:
+        assert np.array_equal(model.drift(0.0, x), _two_body_drift(model.mu_grav, x))
+        assert np.array_equal(model.input_matrix(0.0, x), g)
+        assert np.array_equal(model.drift_jacobian(0.0, x), _two_body_jacobian(model.mu_grav, x))
+    # a caller may write to the Jacobian it gets without touching the next one
+    model.drift_jacobian(0.0, X[0])[:] = np.nan
+    assert np.array_equal(model.drift_jacobian(0.0, X[1]), _two_body_jacobian(model.mu_grav, X[1]))
