@@ -114,8 +114,7 @@ def classify_case(entry: MaximizerEntry) -> str:
     return CASE_INTERIOR
 
 
-def root_sensitivity_C1(eta, ctx: PcbfContext,
-                        grid: HorizonGrid) -> tuple[Callable[[], np.ndarray], np.ndarray]:
+def root_sensitivity_C1(eta, grid: HorizonGrid) -> tuple[Callable[[], np.ndarray], np.ndarray]:
     """Sensitivity of the preceding root time to the initial state.
 
     Requires the crossing to be transversal: the total tau-derivative of h
@@ -124,14 +123,12 @@ def root_sensitivity_C1(eta, ctx: PcbfContext,
     at the root, grad is the constraint gradient there.
     """
     ev = grid.evaluation(eta)
-    row_h = ctx.h.grad_x(eta, ev.state)
-    advect = float(row_h @ ev.dp_dtau)
-    bracket = float(ctx.h.grad_t(eta, ev.state)) + advect
-    if abs(bracket) < 1e-8 * (1.0 + abs(advect)):
+    advect = float(ev.grad_x @ ev.dp_dtau)
+    if abs(ev.dh_dtau) < 1e-8 * (1.0 + abs(advect)):
         raise TangentialCrossingError(
-            f"root at eta={eta} is tangential (dh/dtau={bracket:.3e})"
+            f"root at eta={eta} is tangential (dh/dtau={ev.dh_dtau:.3e})"
         )
-    return (lambda: -(row_h @ grid.sensitivity(eta)) / bracket), row_h
+    return (lambda: -(ev.grad_x @ grid.sensitivity(eta)) / ev.dh_dtau), ev.grad_x
 
 
 def maximizer_sensitivity(tau, ctx: PcbfContext,
@@ -156,16 +153,14 @@ def maximizer_sensitivity(tau, ctx: PcbfContext,
             f"flat maximum at tau={tau}: dF/dtau={dF_dtau:.3e}"
         )
 
-    def F_of_state(y):
-        return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.path.field(tau, y))
-
     def sensitivity():
         dp_dx = grid.sensitivity(tau)
         dF_dx = np.empty(x.size)
         for i in range(x.size):
             d = max(1e-6, 1e-7 * abs(x[i]))
             dp = dp_dx[:, i] * d
-            dF_dx[i] = (F_of_state(ev.state + dp) - F_of_state(ev.state - dp)) / (2.0 * d)
+            dF_dx[i] = (grid.evaluation(tau, ev.state + dp).dh_dtau
+                        - grid.evaluation(tau, ev.state - dp).dh_dtau) / (2.0 * d)
         return -dF_dx / dF_dtau
 
     return sensitivity
@@ -186,22 +181,18 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
     g = ctx.model.input_matrix(t, x)
     mprime = ctx.margin.derivative
 
-    def grad_at(tau):
-        return ctx.h.grad_x(tau, grid.evaluation(tau).state)
-
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
         # Barrier equals h(t, x) here; differentiate it directly.
-        row_h = ctx.h.grad_x(t, x)
-        c0 = float(ctx.h.grad_t(t, x) + row_h @ ctx.path.field(t, x))
-        row = np.asarray(row_h @ g, dtype=float).ravel()
+        ev = grid.evaluation(t, x)
+        row = np.asarray(ev.grad_x @ g, dtype=float).ravel()
         # an entry that is not its own root is already unsafe: its root is
         # the start, where the state is x
         aligned = entry.root_is_self or inner_product_monitor(
-            entry, grad_at(entry.tau), row_h)
-        return AffineDerivative(constant=c0, build_row=lambda: row, aligned=aligned)
+            grid.evaluation(entry.tau).grad_x, ev.grad_x)
+        return AffineDerivative(constant=ev.dh_dtau, build_row=lambda: row, aligned=aligned)
 
     ev = grid.evaluation(entry.tau)
-    row_h = ctx.h.grad_x(entry.tau, ev.state)
+    row_h = ev.grad_x
 
     def row_h_phi():
         return row_h @ grid.sensitivity(entry.tau)
@@ -211,7 +202,7 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
         dtau_dt = 1.0 if ev.dh_dtau > 0 else 0.0
         c0 = ev.dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
         aligned = entry.root_is_self or inner_product_monitor(
-            entry, row_h, grad_at(entry.root_eta))
+            row_h, grid.evaluation(entry.root_eta).grad_x)
         return AffineDerivative(constant=float(c0), aligned=aligned,
                                 build_row=lambda: np.asarray(row_h_phi() @ g).ravel())
 
@@ -225,8 +216,8 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
             C = lambda: np.zeros(x.size)
             diagnostics = f"flat-maximum fallback: {exc}"
     else:
-        C, row_h_eta = root_sensitivity_C1(entry.root_eta, ctx, grid)
-        aligned = inner_product_monitor(entry, row_h, row_h_eta)
+        C, row_h_eta = root_sensitivity_C1(entry.root_eta, grid)
+        aligned = inner_product_monitor(row_h, row_h_eta)
 
     def row():
         return np.asarray((row_h_phi() - mprime(lam) * C()) @ g).ravel()
@@ -239,11 +230,9 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
                             aligned=aligned, row_must_be_nonzero=not entry.root_is_self)
 
 
-def inner_product_monitor(entry: MaximizerEntry, grad_tau, grad_eta) -> bool:
+def inner_product_monitor(grad_tau, grad_eta) -> bool:
     """True when the constraint gradients at the maximizer and at its root
     are nonnegatively aligned, as the feasibility argument assumes.  The
-    gradients come from the path evaluations the derivative step made; an
-    entry that is its own root needs none."""
-    if entry.root_is_self:
-        return True
+    gradients come from the path evaluations the derivative step made; the
+    callers skip an entry that is its own root, which needs none."""
     return float(np.dot(grad_tau, grad_eta)) >= 0.0

@@ -46,9 +46,6 @@ class DynamicsModel:
     a leading batch axis of x when possible.
     """
 
-    n: int
-    m: int
-
     def drift(self, t, x):
         raise NotImplementedError
 
@@ -150,19 +147,18 @@ def rk4(field, t, y, dt):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def finite_diff_jacobian(func, x, base_step=1e-6, rel_step=1e-7):
-    """Central-difference Jacobian of func: R^n -> R^k, column by column.
+def finite_diff_jacobian(func, x):
+    """Central-difference Jacobian of func: R^n -> R^k, column by column,
+    as a (k, n) array; a float-valued func gives shape (1, n).
 
-    Per-component step max(base_step, rel_step * |x_i|).
+    Per-component step max(1e-6, 1e-7 * |x_i|).
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(func(x), dtype=float))
-    jac = np.empty((f0.size, x.size))
+    cols = []
     for i in range(x.size):
-        d = max(base_step, rel_step * abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
+        d = max(1e-6, 1e-7 * abs(x[i]))
+        xp, xm = x.copy(), x.copy()
         xp[i] += d
         xm[i] -= d
-        jac[:, i] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * d)
-    return jac
+        cols.append((func(xp) - func(xm)) / (2.0 * d))
+    return np.asarray(cols, dtype=float).reshape(x.size, -1).T

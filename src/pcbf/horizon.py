@@ -29,6 +29,7 @@ class PathEvaluation:
 
     state: np.ndarray
     dp_dtau: np.ndarray
+    grad_x: np.ndarray
     dh_dtau: float
 
 
@@ -45,7 +46,6 @@ class HorizonGrid:
     x: np.ndarray
     T: float
     taus: np.ndarray
-    states: np.ndarray
     h_values: np.ndarray
     path: Path
     h: object
@@ -55,11 +55,15 @@ class HorizonGrid:
         taus = np.asarray(taus, dtype=float)
         return self.h.value(taus, self.path.evaluate_many(taus, self.t, self.x))
 
-    def evaluation(self, tau: float) -> PathEvaluation:
-        state = self.path.evaluate(tau, self.t, self.x)
+    def evaluation(self, tau: float, state=None) -> PathEvaluation:
+        """The field, grad_x h and dh/dtau at the path state at tau, or at
+        the given state."""
+        if state is None:
+            state = self.path.evaluate(tau, self.t, self.x)
         dp_dtau = self.path.field(tau, state)
-        dh_dtau = float(self.h.grad_t(tau, state) + self.h.grad_x(tau, state) @ dp_dtau)
-        return PathEvaluation(state, dp_dtau, dh_dtau)
+        grad_x = self.h.grad_x(tau, state)
+        dh_dtau = float(self.h.grad_t(tau, state) + grad_x @ dp_dtau)
+        return PathEvaluation(state, dp_dtau, grad_x, dh_dtau)
 
     def sensitivity(self, tau: float) -> np.ndarray:
         """dp(tau; t, x)/dx."""
@@ -124,7 +128,7 @@ def scan(path, h, t, x, T, N, two_level=False):
             h_values = np.asarray(h.value(taus, states), dtype=float)
 
     return HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
-                       states=states, h_values=h_values, path=path, h=h)
+                       h_values=h_values, path=path, h=h)
 
 
 def _batched(h_many, tree):

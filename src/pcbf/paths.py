@@ -161,12 +161,10 @@ class OdePath:
         self._key = key
         states, t0, step = self._states, self._t0, self.step
         k = round((t - t0) / step) if states else 0
-        keep = 1
         if 1 <= k < len(states) and states[k].tobytes() == key[1]:
-            # knot k + keep came from an RK4 step started at the time compared
-            while (k + keep < len(states)
-                   and t0 + (k + keep - 1) * step == t + (keep - 1) * step):
-                keep += 1
+            # knot k + j + 1 came from an RK4 step started at the time compared
+            j = np.arange(len(states) - k - 1)
+            keep = 1 + int(np.argmin(np.append(t0 + (k + j) * step == t + j * step, False)))
             self._states = states[k:k + keep]
             self._partials = self._partials[k:k + keep]
         else:

@@ -138,9 +138,6 @@ class LeftTurnLane:
 class CarPairModel(DynamicsModel):
     """Two lane-following double integrators: zddot_i = u_i."""
 
-    n = 4
-    m = 2
-
     def drift(self, t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -219,8 +216,6 @@ class TwoBodyModel(DynamicsModel):
     """Controlled satellite under point-mass gravity; thrust enters the
     velocity states directly."""
 
-    n = 6
-    m = 3
     _EYE = np.eye(3)
     _G = np.vstack([np.zeros((3, 3)), _EYE])  # thrust enters the velocities
     _JAC = np.block([[np.zeros((3, 3)), _EYE], [np.zeros((3, 6))]])
@@ -326,7 +321,7 @@ def build_satellite(cfg: ScenarioConfig):
     # control-free nominal law, so the closed-loop Jacobian is the drift's
     path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian)
 
-    max_h = zero_control_max_h(cfg, model, h, path)
+    max_h = zero_control_max_h(cfg, h, path)
     if max_h <= 0.5 * p["rho"]:
         raise ConfigurationError(
             f"configured orbits do not conjunct: zero-control max h = {max_h:.3f} "
@@ -335,7 +330,7 @@ def build_satellite(cfg: ScenarioConfig):
     return model, h, path, mu
 
 
-def zero_control_max_h(cfg: ScenarioConfig, model, h, path) -> float:
+def zero_control_max_h(cfg: ScenarioConfig, h, path) -> float:
     """Max of h along the zero-control satellite trajectory, with the dip
     near closest approach re-sampled finely."""
     x0 = satellite_initial_state(cfg)

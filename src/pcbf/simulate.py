@@ -29,6 +29,7 @@ from pcbf.core import (
     InternalConsistencyError,
     PropagationError,
     TangentialCrossingError,
+    finite_diff_jacobian,
     make_compatible_alpha,
     make_default_margin,
     rk4,
@@ -201,13 +202,7 @@ class EcbfController:
         hdot = self._hdot
         dt = 1e-6
         dpsi_dt = (hdot(t + dt, x) - hdot(t - dt, x)) / (2.0 * dt)
-        dpsi_dx = np.empty(x.size)
-        for i in range(x.size):
-            d = max(1e-6, 1e-7 * abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += d
-            xm[i] -= d
-            dpsi_dx[i] = (hdot(t, xp) - hdot(t, xm)) / (2.0 * d)
+        dpsi_dx = finite_diff_jacobian(lambda y: hdot(t, y), x)[0]
         f = self.model.drift(t, x)
         g = self.model.input_matrix(t, x)
         bound = -self.k1 * hdot(t, x) - self.k2 * h_now - dpsi_dt - float(dpsi_dx @ f)
@@ -293,13 +288,8 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
 
     n_steps = int(round(cfg.duration / cfg.step))
     x = np.asarray(x0, dtype=float)
-    rows = {k: [] for k in ("t", "x", "u", "mu", "h", "h_star", "case",
-                            "feasible", "slack", "active", "step_ms")}
-    notes: list[str] = []
-    monitor_violations = 0
-    infeasible_steps = 0
-    truncated = False
-    initial_h_star = None
+    ts, xs, decs, step_ms = [], [], [], []
+    stop_note = None  # why the run ended early
 
     for k in range(n_steps + 1):
         t = k * cfg.step
@@ -307,59 +297,42 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
         try:
             dec = controller.step(t, x)
         except PropagationError as exc:
-            notes.append(f"t={t}: aborted ({exc})")
-            truncated = True
+            stop_note = f"t={t}: aborted ({exc})"
             break
-        elapsed_ms = (time.perf_counter() - tic) * 1e3
-
-        if k == 0 and np.isfinite(dec.h_star):
-            initial_h_star = dec.h_star
-            if dec.h_star > 0:
-                notes.append(f"initial barrier value positive: {dec.h_star:.6g}")
-
-        rows["t"].append(t)
-        rows["x"].append(x.copy())
-        rows["u"].append(dec.u.copy())
-        rows["mu"].append(dec.mu.copy())
-        rows["h"].append(dec.h)
-        rows["h_star"].append(dec.h_star)
-        rows["case"].append(dec.case)
-        rows["feasible"].append(dec.feasible)
-        rows["slack"].append(list(dec.slack))
-        rows["active"].append(list(dec.active))
-        rows["step_ms"].append(elapsed_ms)
-        if dec.note:
-            notes.append(f"t={t}: {dec.note}")
-        if not dec.monitor_ok:
-            monitor_violations += 1
-        if not dec.feasible:
-            infeasible_steps += 1
+        step_ms.append((time.perf_counter() - tic) * 1e3)
+        ts.append(t)
+        xs.append(x)
+        decs.append(dec)
 
         if k == n_steps:
             break
         x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
                 t, x, cfg.step)
         if not np.all(np.isfinite(x)):
-            notes.append(f"t={t + cfg.step}: non-finite state, run truncated")
-            truncated = True
+            stop_note = f"t={t + cfg.step}: non-finite state, run truncated"
             break
 
+    initial_h_star = decs[0].h_star if decs and np.isfinite(decs[0].h_star) else None
+    notes = ([f"initial barrier value positive: {initial_h_star:.6g}"]
+             if initial_h_star is not None and initial_h_star > 0 else [])
+    notes += [f"t={t}: {d.note}" for t, d in zip(ts, decs) if d.note]
+    notes += [stop_note] if stop_note else []
     return SimLog(
         cfg=cfg,
-        t=np.asarray(rows["t"]),
-        x=np.asarray(rows["x"]),
-        u=np.asarray(rows["u"]),
-        mu=np.asarray(rows["mu"]),
-        h=np.asarray(rows["h"]),
-        h_star=np.asarray(rows["h_star"]),
-        case=rows["case"],
-        feasible=np.asarray(rows["feasible"], dtype=bool),
-        slack=rows["slack"],
-        active=rows["active"],
-        step_ms=np.asarray(rows["step_ms"]),
-        monitor_violations=monitor_violations,
-        infeasible_steps=infeasible_steps,
-        truncated=truncated,
+        t=np.asarray(ts),
+        x=np.asarray(xs),
+        u=np.asarray([d.u for d in decs]),
+        mu=np.asarray([d.mu for d in decs]),
+        h=np.asarray([d.h for d in decs]),
+        h_star=np.asarray([d.h_star for d in decs]),
+        case=[d.case for d in decs],
+        feasible=np.asarray([d.feasible for d in decs], dtype=bool),
+        slack=[list(d.slack) for d in decs],
+        active=[list(d.active) for d in decs],
+        step_ms=np.asarray(step_ms),
+        monitor_violations=sum(not d.monitor_ok for d in decs),
+        infeasible_steps=sum(not d.feasible for d in decs),
+        truncated=stop_note is not None,
         notes=notes,
         initial_h_star=initial_h_star,
     )

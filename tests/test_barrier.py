@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from pcbf import barrier
 from pcbf.barrier import (
     CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
     CASE_INTERIOR,
+    AffineDerivative,
     PcbfContext,
     classify_case,
     derivative_affine,
@@ -29,9 +31,6 @@ from pcbf.simulate import build_scenario, make_context
 
 
 class _StaticModel(DynamicsModel):
-    n = 1
-    m = 1
-
     def drift(self, t, x):
         return np.zeros_like(x)
 
@@ -164,7 +163,7 @@ def test_tangential_root_raises():
     root = find_root_before(grid, 9.0, grid.h_many([9.0])[0], ctx.root_tol)
     assert root.eta == pytest.approx(4.0, abs=1e-3)
     with pytest.raises(TangentialCrossingError):
-        root_sensitivity_C1(root.eta, ctx, grid)
+        root_sensitivity_C1(root.eta, grid)
 
 
 def test_root_sensitivity_matches_rescan(intersection_pcbf):
@@ -178,7 +177,7 @@ def test_root_sensitivity_matches_rescan(intersection_pcbf):
     val = eval_pcbf(t, x, ctx)
     first = val.maximizers.first
     assert first.root_eta < first.tau
-    C1 = root_sensitivity_C1(first.root_eta, ctx, val.grid)[0]()
+    C1 = root_sensitivity_C1(first.root_eta, val.grid)[0]()
     d = 1e-4
     for i in (0, 1):
         xp, xm = x.copy(), x.copy()
@@ -239,9 +238,27 @@ def test_derivative_matches_finite_difference(case, intersection_pcbf):
     assert checked > 0
 
 
-def test_inner_product_monitor_self_root():
-    e = MaximizerEntry(4.0, -0.2, False, False, 4.0, True)
-    assert inner_product_monitor(e, None, None)
+def test_inner_product_monitor_self_root(intersection_pcbf, monkeypatch):
+    """An entry that is its own root needs no monitor: the derivative step
+    reports it aligned without calling it, at the horizon start and in the
+    boundary formula at the horizon end."""
+    log = intersection_pcbf.log
+    cfg, model, h, path, mu_law, _ = _intersection()
+    ctx = make_context(cfg, model, h, path)
+
+    def monitor(grad_tau, grad_eta):
+        raise AssertionError("monitor called for a self-root entry")
+
+    monkeypatch.setattr(barrier, "inner_product_monitor", monitor)
+    seen = set()
+    for k in range(0, len(log.t), 10):
+        val = eval_pcbf(float(log.t[k]), log.x[k], ctx)
+        for entry in val.maximizers.entries:
+            if entry.root_is_self:
+                deriv = derivative_affine(entry, ctx, val.grid, case=CASE_BOUNDARY_ROOT_SELF)
+                assert deriv.aligned
+                seen.add(entry.at_start)
+    assert seen == {True, False}
 
 
 def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
@@ -261,7 +278,8 @@ def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
                 continue
             seen = []
             evaluation = grid.evaluation
-            grid.evaluation = lambda tau: seen.append(tau) or evaluation(tau)
+            grid.evaluation = lambda tau, state=None: (seen.append(tau)
+                                                       or evaluation(tau, state))
             try:
                 deriv = derivative_affine(entry, ctx, grid)
             except TangentialCrossingError:
@@ -272,7 +290,7 @@ def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
             gx_tau = h.grad_x(entry.tau, grid.evaluation(entry.tau).state)
             gx_eta = h.grad_x(entry.root_eta, grid.evaluation(entry.root_eta).state)
             assert deriv.aligned == (float(np.dot(gx_tau, gx_eta)) >= 0.0)
-            assert inner_product_monitor(entry, gx_tau, gx_eta) == deriv.aligned
+            assert inner_product_monitor(gx_tau, gx_eta) == deriv.aligned
             checked += 1
     assert checked >= 20
 
@@ -292,3 +310,212 @@ def test_inner_product_monitor_flags_opposed_gradients():
     assert entry.tau == pytest.approx(5.0, abs=1e-5)
     assert entry.root_eta == pytest.approx(4.0, abs=1e-6)
     assert not derivative_affine(entry, ctx, val.grid).aligned
+
+
+# The derivative functions as they were before they shared one path-
+# evaluation record, kept as oracles: the library must return their bits.
+
+def _parent_evaluation(grid, tau):
+    state = grid.path.evaluate(tau, grid.t, grid.x)
+    dp_dtau = grid.path.field(tau, state)
+    dh_dtau = float(grid.h.grad_t(tau, state) + grid.h.grad_x(tau, state) @ dp_dtau)
+    return state, dp_dtau, dh_dtau
+
+
+def _parent_root_sensitivity_C1(eta, ctx, grid):
+    state, dp_dtau, _ = _parent_evaluation(grid, eta)
+    row_h = ctx.h.grad_x(eta, state)
+    advect = float(row_h @ dp_dtau)
+    bracket = float(ctx.h.grad_t(eta, state)) + advect
+    if abs(bracket) < 1e-8 * (1.0 + abs(advect)):
+        raise TangentialCrossingError(
+            f"root at eta={eta} is tangential (dh/dtau={bracket:.3e})"
+        )
+    return (lambda: -(row_h @ grid.sensitivity(eta)) / bracket), row_h
+
+
+def _parent_maximizer_sensitivity(tau, ctx, grid):
+    t, x = grid.t, grid.x
+    step = ctx.grid_step
+    lo = max(tau - step, t)
+    hi = min(tau + step, t + ctx.T)
+    dF_dtau = (_parent_evaluation(grid, hi)[2] - _parent_evaluation(grid, lo)[2]) / (hi - lo)
+    state, _, dh_dtau = _parent_evaluation(grid, tau)
+    if abs(dF_dtau) < 1e-8 * (1.0 + abs(dh_dtau)):
+        raise DegenerateMaximizerError(
+            f"flat maximum at tau={tau}: dF/dtau={dF_dtau:.3e}"
+        )
+
+    def F_of_state(y):
+        return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.path.field(tau, y))
+
+    def sensitivity():
+        dp_dx = grid.sensitivity(tau)
+        dF_dx = np.empty(x.size)
+        for i in range(x.size):
+            d = max(1e-6, 1e-7 * abs(x[i]))
+            dp = dp_dx[:, i] * d
+            dF_dx[i] = (F_of_state(state + dp) - F_of_state(state - dp)) / (2.0 * d)
+        return -dF_dx / dF_dtau
+
+    return sensitivity
+
+
+def _parent_inner_product_monitor(entry, grad_tau, grad_eta):
+    if entry.root_is_self:
+        return True
+    return float(np.dot(grad_tau, grad_eta)) >= 0.0
+
+
+def _parent_derivative_affine(entry, ctx, grid, case=None):
+    if case is None:
+        case = classify_case(entry)
+    t, x = grid.t, grid.x
+    g = ctx.model.input_matrix(t, x)
+    mprime = ctx.margin.derivative
+
+    def grad_at(tau):
+        return ctx.h.grad_x(tau, _parent_evaluation(grid, tau)[0])
+
+    if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
+        row_h = ctx.h.grad_x(t, x)
+        c0 = float(ctx.h.grad_t(t, x) + row_h @ ctx.path.field(t, x))
+        row = np.asarray(row_h @ g, dtype=float).ravel()
+        aligned = entry.root_is_self or _parent_inner_product_monitor(
+            entry, grad_at(entry.tau), row_h)
+        return AffineDerivative(constant=c0, build_row=lambda: row, aligned=aligned)
+
+    state, _, dh_dtau = _parent_evaluation(grid, entry.tau)
+    row_h = ctx.h.grad_x(entry.tau, state)
+
+    def row_h_phi():
+        return row_h @ grid.sensitivity(entry.tau)
+
+    if case == CASE_BOUNDARY_ROOT_SELF:
+        dtau_dt = 1.0 if dh_dtau > 0 else 0.0
+        c0 = dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
+        aligned = entry.root_is_self or _parent_inner_product_monitor(
+            entry, row_h, grad_at(entry.root_eta))
+        return AffineDerivative(constant=float(c0), aligned=aligned,
+                                build_row=lambda: np.asarray(row_h_phi() @ g).ravel())
+
+    lam = entry.root_eta - t
+    diagnostics = None
+    aligned = True
+    if case == CASE_INTERIOR and entry.root_is_self:
+        try:
+            C = _parent_maximizer_sensitivity(entry.tau, ctx, grid)
+        except DegenerateMaximizerError as exc:
+            C = lambda: np.zeros(x.size)
+            diagnostics = f"flat-maximum fallback: {exc}"
+    else:
+        C, row_h_eta = _parent_root_sensitivity_C1(entry.root_eta, ctx, grid)
+        aligned = _parent_inner_product_monitor(entry, row_h, row_h_eta)
+
+    def row():
+        return np.asarray((row_h_phi() - mprime(lam) * C()) @ g).ravel()
+
+    if case == CASE_END_ROOT_BEFORE:
+        return AffineDerivative(constant=float(dh_dtau + mprime(lam)),
+                                build_row=row, aligned=aligned)
+    return AffineDerivative(constant=mprime(lam), build_row=row, diagnostics=diagnostics,
+                            aligned=aligned, row_must_be_nonzero=not entry.root_is_self)
+
+
+def _held_cases(entry):
+    """The case= values PcbfController._held_case can pass with this entry:
+    its own case, or the previous one held across a boundary."""
+    raw = classify_case(entry)
+    if entry.at_start or entry.already_unsafe:
+        return [raw]
+    cases = {raw, CASE_BOUNDARY_ROOT_SELF}  # held near the horizon end or h = 0
+    if raw != CASE_INTERIOR or not entry.root_is_self:
+        cases.add(CASE_INTERIOR)  # held near the horizon end
+    if raw == CASE_INTERIOR and not entry.root_is_self:
+        cases.add(CASE_END_ROOT_BEFORE)  # needs an earlier root
+    return sorted(cases)
+
+
+def _outcome(derive):
+    """(constant, aligned, diagnostics, row, diagnostics after the row), or
+    the error raised, as (type, message)."""
+    try:
+        d = derive()
+    except (TangentialCrossingError, DegenerateMaximizerError) as exc:
+        return type(exc), str(exc)
+    before = d.diagnostics
+    return d.constant, d.aligned, before, d.row, d.diagnostics
+
+
+def _assert_matches_parent(entry, ctx, grid):
+    """derivative_affine gives the parent's bits, or its error, under each
+    case the hysteresis can hold; returns the outcomes compared."""
+    outcomes = []
+    for case in _held_cases(entry):
+        got = _outcome(lambda: derivative_affine(entry, ctx, grid, case=case))
+        want = _outcome(lambda: _parent_derivative_affine(entry, ctx, grid, case))
+        assert got[:3] == want[:3]
+        if len(want) == 5:
+            assert np.array_equal(got[3], want[3])
+            assert got[4] == want[4]
+        outcomes.append((case, want))
+    return outcomes
+
+
+@pytest.mark.parametrize("fixture", ["intersection_pcbf", "satellite_pcbf"])
+def test_derivative_matches_parent_bit_for_bit(fixture, request):
+    """Every entry at every 10th logged state, under each case the
+    hysteresis can hold."""
+    log = request.getfixturevalue(fixture).log
+    model, h, path, mu_law, _ = build_scenario(log.cfg)
+    ctx = make_context(log.cfg, model, h, path)
+    seen = set()
+    for k in range(0, len(log.t), 10):
+        val = eval_pcbf(float(log.t[k]), log.x[k], ctx)
+        for entry in val.maximizers.entries:
+            for case, _ in _assert_matches_parent(entry, ctx, val.grid):
+                seen.add((classify_case(entry), case, bool(entry.root_is_self)))
+    # the interior formula on an end maximizer that is its own root
+    assert (CASE_BOUNDARY_ROOT_SELF, CASE_INTERIOR, True) in seen
+    assert len(seen) >= 8
+
+
+def test_derivative_matches_parent_where_runs_rarely_go():
+    """What the pinned runs do not reach: an already unsafe state (the
+    monitor at the start), a flat interior maximizer (the fallback), a
+    tangential root (the parent's error and message) and opposed gradients
+    (the monitor's verdict)."""
+    cfg, model, h, path, mu_law, _ = _intersection()
+    ctx = make_context(cfg, model, h, path)
+    val = eval_pcbf(1.0, np.array([0.0, 1.0, 0.05, 1.0]), ctx)
+    assert val.maximizers.first.already_unsafe
+    for entry in val.maximizers.entries:
+        _assert_matches_parent(entry, ctx, val.grid)
+
+    flat = _FuncConstraint(
+        value=lambda t, x: np.full_like(np.asarray(t, dtype=float), -0.5),
+        grad_t=lambda t, x: 0.0,
+        grad_x=lambda t, x: np.zeros(1),
+    )
+    tangential = _FuncConstraint(
+        value=lambda t, x: 0.1 * (np.asarray(t, dtype=float) - 4.0) ** 3,
+        grad_t=lambda t, x: 0.3 * (t - 4.0) ** 2,
+        grad_x=lambda t, x: np.zeros(1),
+    )
+    opposed = _FuncConstraint(
+        value=lambda t, x: 1.0 - (t - 5.0) ** 2 + 0.0 * x[..., 0],
+        grad_t=lambda t, x: -2.0 * (t - 5.0),
+        grad_x=lambda t, x: np.array([t - 4.5]),
+    )
+    outcomes = []
+    for h, root_tol in [(flat, 1e-9), (tangential, 1e-12), (opposed, 1e-9)]:
+        ctx = _static_ctx(h, root_tol=root_tol)
+        val = eval_pcbf(0.0, np.zeros(1), ctx)
+        for entry in val.maximizers.entries + [
+                MaximizerEntry(5.0, -0.5, False, False, 5.0, True),
+                MaximizerEntry(9.0, 0.5, False, False, 4.0, False),
+                MaximizerEntry(10.0, 0.5, False, True, 4.0, False)]:
+            outcomes += [want for _, want in _assert_matches_parent(entry, ctx, val.grid)]
+    assert any(want[0] is TangentialCrossingError for want in outcomes)
+    assert any(len(want) == 5 and want[2] and "flat-maximum" in want[2] for want in outcomes)
+    assert any(len(want) == 5 and not want[1] for want in outcomes)

@@ -78,3 +78,36 @@ def test_finite_diff_jacobian_quadratic():
     jac = finite_diff_jacobian(func, x)
     exact = A + np.array([[2 * x[0], 0.0], [x[1], x[0]]])
     assert np.allclose(jac, exact, atol=1e-8)
+
+
+def _parent_finite_diff_jacobian(func, x, base_step=1e-6, rel_step=1e-7):
+    """finite_diff_jacobian as it was before it lost its unused base value
+    and step options (oracle)."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.atleast_1d(np.asarray(func(x), dtype=float))
+    jac = np.empty((f0.size, x.size))
+    for i in range(x.size):
+        d = max(base_step, rel_step * abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += d
+        xm[i] -= d
+        jac[:, i] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * d)
+    return jac
+
+
+def test_finite_diff_jacobian_is_bit_identical_to_its_parent_form():
+    rng = np.random.default_rng(5)
+
+    def scalar(x):
+        return float(np.sin(x[0]) * x[-1] + x @ x)
+
+    def vector(x):
+        return np.array([x[0] * x[1], np.exp(-x[2] ** 2), np.sqrt(x @ x)])
+
+    for scale in (1e-3, 1.0, 1e2, 1e4):  # steps from base (1e-6) to relative
+        x = rng.uniform(-scale, scale, 3)
+        for func, k in ((scalar, 1), (vector, 3)):
+            got = finite_diff_jacobian(func, x)
+            assert got.shape == (k, 3)
+            assert np.array_equal(got, _parent_finite_diff_jacobian(func, x))

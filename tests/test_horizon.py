@@ -17,8 +17,6 @@ from pcbf.scenarios import SeparationConstraint, StraightLane
 class _StaticModel(DynamicsModel):
     """State never moves; h then depends on time only."""
 
-    n = 1
-    m = 1
 
     def drift(self, t, x):
         return np.zeros_like(x)
@@ -68,7 +66,7 @@ def test_scan_grid_shape():
     assert grid.taus[-1] == 10.0
     assert len(grid.taus) == 201
     assert np.all(np.diff(grid.taus) > 0)
-    assert np.array_equal(grid.states[0], np.zeros(1))
+    assert np.array_equal(grid.h_values, np.sin(grid.taus))
 
 
 def test_sine_maximizers_refined():
@@ -383,8 +381,8 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
     hv = np.array(levels) + np.array(jitter[:len(levels)])
     taus = np.arange(len(hv), dtype=float)
     samples = _Samples(taus, hv)
-    grid = HorizonGrid(t=0.0, x=np.zeros(1), T=taus[-1], taus=taus, states=taus[:, None],
-                       h_values=hv, path=samples, h=samples)
+    grid = HorizonGrid(t=0.0, x=np.zeros(1), T=taus[-1], taus=taus, h_values=hv,
+                       path=samples, h=samples)
     brackets = {"one_pass": [], "sequential": []}
 
     def recording(key):

@@ -99,9 +99,6 @@ class TestAnalyticCarPath:
 
 
 class _CubicBlowup(DynamicsModel):
-    n = 1
-    m = 1
-
     def drift(self, t, x):
         return x ** 3
 
@@ -112,8 +109,6 @@ class _CubicBlowup(DynamicsModel):
 class _CountingLinear(DynamicsModel):
     """xdot = A x, counting calls to the drift (driven with u = 0 only)."""
 
-    n = 2
-    m = 1
     A = np.array([[0.0, 1.0], [-1.0, -0.2]])
 
     def __init__(self):
@@ -296,8 +291,6 @@ class TestOdePath:
 class _DrivenLinear(DynamicsModel):
     """xdot = A x + B u, driven below by a time-dependent nominal law."""
 
-    n = 2
-    m = 1
     A = np.array([[0.0, 1.0], [-1.0, -0.2]])
 
     def drift(self, t, x):

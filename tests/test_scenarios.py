@@ -165,7 +165,7 @@ def test_conjunction_precondition_enforced():
 def test_satellite_scenario_is_a_genuine_threat(satellite_setup):
     from pcbf.scenarios import zero_control_max_h
     cfg, model, h, path, mu_law, x0 = satellite_setup
-    assert zero_control_max_h(cfg, model, h, path) > 0.5 * cfg.params["rho"]
+    assert zero_control_max_h(cfg, h, path) > 0.5 * cfg.params["rho"]
 
 
 def _two_body_drift(mu_grav, x):

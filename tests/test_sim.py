@@ -20,13 +20,14 @@ from pcbf.core import (
     ConstraintFunction,
     DegenerateMaximizerError,
     InternalConsistencyError,
+    PropagationError,
     TangentialCrossingError,
     make_compatible_alpha,
     rk4,
 )
 from pcbf.horizon import MaximizerEntry
 from pcbf.paths import OdePath
-from pcbf.qp import build_cbf_constraint, solve_min_deviation
+from pcbf.qp import AffineConstraint, build_cbf_constraint, solve_min_deviation
 from pcbf.scenarios import CarPairModel, default_config
 from pcbf.simulate import (
     EcbfController,
@@ -162,6 +163,89 @@ def test_ecbf_step_calls_mu_and_h_once(monkeypatch):
     assert isinstance(ctrl, EcbfController)
     ctrl.step(0.0, x0)
     assert calls == {"mu": 1, "h": 1}
+
+
+def _parent_ecbf_u(ctrl, t, x):
+    """EcbfController.step's input with the hand-written central-difference
+    loop it had before it used finite_diff_jacobian (oracle)."""
+    x = np.asarray(x, dtype=float)
+    mu = np.asarray(ctrl._mu_law(t, x), dtype=float)
+    h_now = float(ctrl.h.value(t, x))
+    hdot = ctrl._hdot
+    dt = 1e-6
+    dpsi_dt = (hdot(t + dt, x) - hdot(t - dt, x)) / (2.0 * dt)
+    dpsi_dx = np.empty(x.size)
+    for i in range(x.size):
+        d = max(1e-6, 1e-7 * abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += d
+        xm[i] -= d
+        dpsi_dx[i] = (hdot(t, xp) - hdot(t, xm)) / (2.0 * d)
+    f = ctrl.model.drift(t, x)
+    g = ctrl.model.input_matrix(t, x)
+    bound = -ctrl.k1 * hdot(t, x) - ctrl.k2 * h_now - dpsi_dt - float(dpsi_dx @ f)
+    return np.asarray(solve_min_deviation(
+        mu, [AffineConstraint(row=dpsi_dx @ g, bound=bound)]).u, dtype=float)
+
+
+@pytest.mark.parametrize("fixture", ["intersection_ecbf", "intersection_left_ecbf",
+                                     "satellite_ecbf"])
+def test_ecbf_step_matches_parent_loop(fixture, request):
+    log = request.getfixturevalue(fixture).log
+    model, h, path, mu_law, _ = build_scenario(log.cfg)
+    ctrl = make_controller(log.cfg, model, h, path, mu_law)
+    ks = np.linspace(0, len(log.t) - 1, 50).astype(int)
+    active = 0
+    for k in ks:
+        t, x = float(log.t[k]), log.x[k]
+        dec = ctrl.step(t, x)
+        assert np.array_equal(dec.u, _parent_ecbf_u(ctrl, t, x))
+        active += bool(dec.active)
+    assert active > 0
+
+
+class _ScriptedController:
+    """Returns the given decisions in turn, then raises PropagationError."""
+
+    def __init__(self, decisions):
+        self.decisions = list(decisions)
+
+    def step(self, t, x):
+        if not self.decisions:
+            raise PropagationError("scripted end")
+        return self.decisions.pop(0)
+
+
+def test_run_log_is_built_from_the_step_records(monkeypatch):
+    mu = np.array([0.1, -0.1])
+    decs = [
+        simulate.StepDecision(u=mu, mu=mu, h=-1.0, h_star=0.25, case=CASE_INTERIOR,
+                              feasible=True, note="first"),
+        simulate.StepDecision(u=np.zeros(2), mu=mu, h=-0.5, h_star=-0.1,
+                              case=CASE_END_ROOT_BEFORE, feasible=False,
+                              slack=[0.5], active=[0], monitor_ok=False),
+        simulate.StepDecision(u=mu, mu=mu, h=-0.2, h_star=-0.2,
+                              case=CASE_BOUNDARY_ROOT_SELF, feasible=False,
+                              monitor_ok=False, note="third"),
+    ]
+    monkeypatch.setattr(simulate, "make_controller",
+                        lambda *args: _ScriptedController(decs))
+    cfg = _short_cfg()
+    log = run_closed_loop(cfg)
+    assert np.array_equal(log.t, [0.0, cfg.step, 2 * cfg.step])
+    assert log.x.shape == (3, 4) and np.array_equal(log.x[0], build_scenario(cfg)[4])
+    assert np.array_equal(log.u, [mu, np.zeros(2), mu])
+    assert np.array_equal(log.h, [-1.0, -0.5, -0.2])
+    assert np.array_equal(log.h_star, [0.25, -0.1, -0.2])
+    assert log.case == [CASE_INTERIOR, CASE_END_ROOT_BEFORE, CASE_BOUNDARY_ROOT_SELF]
+    assert log.feasible.tolist() == [True, False, False]
+    assert log.slack == [[], [0.5], []] and log.active == [[], [0], []]
+    assert log.step_ms.shape == (3,)
+    assert (log.monitor_violations, log.infeasible_steps) == (2, 2)
+    assert log.truncated and log.initial_h_star == 0.25
+    assert log.notes == ["initial barrier value positive: 0.25", "t=0.0: first",
+                         f"t={2 * cfg.step}: third",
+                         f"t={3 * cfg.step}: aborted (scripted end)"]
 
 
 class TestHysteresis:
