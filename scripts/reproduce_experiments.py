@@ -15,7 +15,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EXPERIMENTS = [
     ("intersection_cross", "pcbf,ecbf,none,nominal"),
     ("intersection_left_turn", "pcbf,ecbf,none,nominal"),
-    ("satellite", "pcbf,ecbf,none"),
+    ("satellite", "pcbf,ecbf,none,nominal"),
 ]
 
 

@@ -14,7 +14,8 @@ from typing import Protocol
 
 import numpy as np
 
-from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, finite_diff_jacobian, rk4
+from pcbf.core import (DynamicsModel, PropagationError, ConfigurationError,
+                       finite_diff_jacobian, rk4, rk4_one)
 
 
 class Path(Protocol):
@@ -59,17 +60,15 @@ class AnalyticCarPath:
 
     def evaluate_many(self, taus, t, x):
         taus = np.asarray(taus, dtype=float)
-        dt = taus - t
+        dt = (taus - t)[..., None]
         e = np.exp(-self.k * dt)
+        z, zdot, v = x[0::2], x[1::2], self.v
         out = np.empty(taus.shape + (4,))
-        for i in range(2):
-            z, zdot = x[2 * i], x[2 * i + 1]
-            v = self.v[i]
-            out[..., 2 * i] = z + v * dt + (zdot - v) / self.k * (1.0 - e)
-            out[..., 2 * i + 1] = v + (zdot - v) * e
+        out[..., 0::2] = z + v * dt + (zdot - v) / self.k * (1.0 - e)
+        out[..., 1::2] = v + (zdot - v) * e
         # the forecast at tau = t is the current state, exactly
-        at_t = dt == 0.0
-        if np.any(at_t):
+        at_t = dt[..., 0] == 0.0
+        if at_t.any():
             out[at_t] = x
         return out
 
@@ -113,15 +112,21 @@ class OdePath:
     partial steps, keyed by the step's inputs (t_k, rem), and leaves with
     them: a kept knot serves them to later queries and forecasts, and a knot
     whose start time moved no longer matches its keys.
+
+    Given field_one, the field of one state as floats making the field's own
+    operations in its order (TwoBodyModel.drift_one), the knot steps run on
+    Python floats through core.rk4_one and equal rk4's bit for bit, without
+    numpy's per-call cost; partial steps and the sensitivity stay on arrays.
     """
 
-    def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None):
+    def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None, field_one=None):
         if step <= 0:
             raise ConfigurationError(f"integration step must be positive, got {step}")
         self.model = model
         self.mu = mu
         self.step = float(step)
         self._jac = jacobian  # analytic closed-loop Jacobian, else central FD
+        self._field_one = field_one  # float field of one state for the knot steps
         self._key = None
         self._t0 = 0.0
         self._states: list[np.ndarray] = []
@@ -190,7 +195,10 @@ class OdePath:
         while len(states) <= k.max(initial=0):
             j = len(states) - 1
             tj = self._t0 + j * self.step
-            xn = rk4(self.field, tj, states[j], self.step)
+            if self._field_one is None:
+                xn = rk4(self.field, tj, states[j], self.step)
+            else:
+                xn = np.array(rk4_one(self._field_one, tj, states[j].tolist(), self.step))
             if not np.all(np.isfinite(xn)):
                 raise PropagationError(
                     f"non-finite state while propagating to tau={tj + self.step}",

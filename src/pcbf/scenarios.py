@@ -233,6 +233,19 @@ class TwoBodyModel(DynamicsModel):
         out[..., 3:] = -self.mu_grav * r / rn**3
         return out
 
+    def drift_one(self, t, y):
+        """drift of one state as 6 floats, bit for bit: |r|^2 summed left to
+        right as np.add.reduce sums three, and rn**3 by the np.power ufunc,
+        whose loop (SIMD where numpy has one) is the array power's; Python's
+        ** (libm pow) differs in the last bit on ~5% of states.  rn**3 = 0
+        takes drift itself, for numpy's inf or nan."""
+        x0, x1, x2, v0, v1, v2 = y
+        rn3 = float(np.power(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 3))
+        if rn3 == 0.0:
+            return tuple(self.drift(t, np.array(y, dtype=float)).tolist())
+        c = -self.mu_grav
+        return (v0, v1, v2, c * x0 / rn3, c * x1 / rn3, c * x2 / rn3)
+
     def input_matrix(self, t, x):
         return np.broadcast_to(self._G, np.shape(x)[:-1] + (6, 3))
 
@@ -306,20 +319,21 @@ def build_satellite(cfg: ScenarioConfig):
     debris0 = _circular_state(p["radius"], p["mu_grav"], inclination,
                               -theta0 - p["phase_offset"])
 
+    # a control-free nominal law: the closed-loop field and Jacobian are the drift's
     def mu(t, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (3,))
 
     t_end = cfg.duration + cfg.T + 10.0
     knots = np.arange(0.0, t_end + 1.0, 1.0)
-    debris_path = OdePath(model, mu, step=1.0)
+    debris_path = OdePath(model, mu, step=1.0, field_one=model.drift_one)
     debris_states = debris_path.evaluate_many(knots, 0.0, debris0)
     spline = CubicSpline(knots, debris_states[:, :3], axis=0)
 
     h = DebrisDistanceConstraint(spline, p["rho"])
 
-    # control-free nominal law, so the closed-loop Jacobian is the drift's
-    path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian)
+    path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian,
+                   field_one=model.drift_one)
 
     max_h = zero_control_max_h(cfg, h, path)
     if max_h <= 0.5 * p["rho"]:

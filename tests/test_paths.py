@@ -34,7 +34,37 @@ def _car_field(k, v):
     return field
 
 
+def _parent_car_evaluate_many(path, taus, t, x):
+    """AnalyticCarPath.evaluate_many as a Python loop over the two cars
+    (bit-identity oracle)."""
+    taus = np.asarray(taus, dtype=float)
+    dt = taus - t
+    e = np.exp(-path.k * dt)
+    out = np.empty(taus.shape + (4,))
+    for i in range(2):
+        z, zdot = x[2 * i], x[2 * i + 1]
+        v = path.v[i]
+        out[..., 2 * i] = z + v * dt + (zdot - v) / path.k * (1.0 - e)
+        out[..., 2 * i + 1] = v + (zdot - v) * e
+    at_t = dt == 0.0
+    if np.any(at_t):
+        out[at_t] = x
+    return out
+
+
 class TestAnalyticCarPath:
+    def test_evaluate_many_matches_parent_loop(self):
+        rng = np.random.default_rng(8)
+        for case in range(2000):
+            path = AnalyticCarPath(k=rng.uniform(0.1, 3.0), v=rng.uniform(-2.0, 2.0, 2))
+            x = rng.uniform(-20.0, 20.0, 4)
+            t = rng.uniform(0.0, 30.0)
+            taus = t + np.sort(rng.uniform(0.0, 10.0, 15))
+            taus[rng.integers(0, 15, case % 3)] = t  # rows at tau = t
+            assert np.array_equal(path.evaluate_many(taus, t, x),
+                                  _parent_car_evaluate_many(path, taus, t, x))
+        assert np.array_equal(path.evaluate(t, t, x), x)
+
     def test_initial_time_exact(self):
         path = AnalyticCarPath(k=1.3, v=np.array([1.0, 0.7]))
         x = np.array([0.2, -0.4, 1.1, 2.0])
@@ -460,3 +490,82 @@ class TestBatchedEvaluation:
         path = OdePath(_CubicBlowup(), lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         with pytest.raises(PropagationError):
             path.evaluate_many(np.array(taus), 0.0, np.array([x0]))
+
+
+def _sat_paths(step=1.0):
+    """A satellite path whose knots step on floats and one on arrays."""
+    model = TwoBodyModel(398600.4418)
+    mu = lambda t, x: np.zeros(x.shape[:-1] + (3,))
+    return (OdePath(model, mu, step=step, jacobian=model.drift_jacobian, field_one=model.drift_one),
+            OdePath(model, mu, step=step, jacobian=model.drift_jacobian))
+
+
+class TestFloatKnotChain:
+    """Knot steps on Python floats (field_one) equal those on arrays bit for
+    bit, and so does everything built on the knots."""
+
+    TAUS = np.array([0.0, 0.4, 1.0, 7.25, 30.0, 45.5, 120.0, 249.0, 250.0])
+
+    @staticmethod
+    def _assert_same(one, arr, taus, t, x):
+        assert np.array_equal(one.evaluate_many(taus, t, x), arr.evaluate_many(taus, t, x))
+        for tau in taus[::2]:
+            assert np.array_equal(one.state_sensitivity(tau, t, x),
+                                  arr.state_sensitivity(tau, t, x))
+
+    @pytest.mark.parametrize("x", [
+        satellite_initial_state(default_config("satellite")),
+        np.array([6800.0, 1200.0, -900.0, 0.5, 8.3, 1.1]),  # eccentric, inclined
+    ], ids=["pinned", "eccentric"])
+    def test_whole_horizon(self, x):
+        one, arr = _sat_paths()
+        t = 2.0
+        self._assert_same(one, arr, t + np.arange(0.0, 250.0, 0.37), t, x)
+        self._assert_same(one, arr, t + self.TAUS, t, x)
+        assert np.array_equal(np.array(one._states), np.array(arr._states))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_after_reuse(self, k):
+        one, arr = _sat_paths()
+        t, x = 2.0, _sat_state()
+        for path in (one, arr):
+            path.evaluate(t + 250.0, t, x)
+            path.state_sensitivity(t + 20.0, t, x)
+        t1 = t + k * one.step
+        x1 = one.evaluate(t1, t, x)
+        assert np.array_equal(x1, arr.evaluate(t1, t, x))
+        self._assert_same(one, arr, t1 + self.TAUS, t1, x1)
+        self._assert_same(one, _sat_paths()[1], t1 + self.TAUS, t1, x1)
+
+    def test_debris_path_and_built_path(self, monkeypatch):
+        """build_satellite with and without the float chain: the debris
+        spline and the controller path's forecast agree bit for bit."""
+        from pcbf import scenarios
+
+        cfg = default_config("satellite")
+        _, h_one, path_one, _ = scenarios.build_satellite(cfg)
+        monkeypatch.setattr(scenarios, "OdePath",
+                            lambda *a, field_one=None, **kw: OdePath(*a, **kw))
+        _, h_arr, path_arr, _ = scenarios.build_satellite(cfg)
+        assert path_one._field_one is not None and path_arr._field_one is None
+        assert np.array_equal(h_one.spline.c, h_arr.spline.c)
+        x0 = satellite_initial_state(cfg)
+        taus = np.arange(0.0, cfg.duration + cfg.step, 0.7)
+        assert np.array_equal(path_one.evaluate_many(taus, 0.0, x0),
+                              path_arr.evaluate_many(taus, 0.0, x0))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("x0", [
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],        # r = 0
+        [1e-200, 0.0, 0.0, 0.0, 0.0, 0.0],     # |r|^2 underflows to 0
+        [7000.0, 0.0, 0.0, 1e301, 0.0, 0.0],   # non-finite after many knots
+    ], ids=["r_zero", "r_underflow", "late_overflow"])
+    def test_nonfinite_knot_raises_alike(self, x0):
+        errors = []
+        for path in _sat_paths():
+            with pytest.raises(PropagationError) as err:
+                path.evaluate(3.0 + 100.0, 3.0, np.array(x0))
+            errors.append((str(err.value), err.value.tau))
+        assert errors[0] == errors[1]

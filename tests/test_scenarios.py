@@ -205,3 +205,27 @@ def test_two_body_model_is_bit_identical_to_its_plain_form():
     # a caller may write to the Jacobian it gets without touching the next one
     model.drift_jacobian(0.0, X[0])[:] = np.nan
     assert np.array_equal(model.drift_jacobian(0.0, X[1]), _two_body_jacobian(model.mu_grav, X[1]))
+
+
+def test_drift_one_is_bit_identical_to_drift():
+    """The float drift equals the array drift of each single state, with
+    whichever power loop numpy dispatches on this machine."""
+    model = TwoBodyModel(398600.4418)
+    rng = np.random.default_rng(12)
+    direction = rng.normal(size=(20000, 3))
+    radius = 10.0 ** rng.uniform(3.0, 5.0, (20000, 1))  # |r| from 1e3 to 1e5 km
+    X = np.hstack([radius * direction / np.linalg.norm(direction, axis=1, keepdims=True),
+                   rng.uniform(-10.0, 10.0, (20000, 3))])
+    one = np.array([model.drift_one(0.0, x) for x in X.tolist()])
+    assert np.array_equal(one, np.array([model.drift(0.0, x) for x in X]))
+    assert isinstance(model.drift_one(0.0, X[0].tolist())[3], float)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], [1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0]],
+                         ids=["r_zero", "r_underflow"])
+def test_drift_one_at_zero_radius_is_numpys(x):
+    model = TwoBodyModel(398600.4418)
+    assert np.array_equal(np.array(model.drift_one(0.0, x)), model.drift(0.0, np.array(x)),
+                          equal_nan=True)

@@ -24,6 +24,7 @@ from pcbf.core import (
     TangentialCrossingError,
     make_compatible_alpha,
     rk4,
+    rk4_one,
 )
 from pcbf.horizon import MaximizerEntry
 from pcbf.paths import OdePath
@@ -418,11 +419,13 @@ def test_activity_first_matches_full_qp(scenario, request, monkeypatch):
 def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monkeypatch):
     """Work bound of the satellite loop before its first intervention: each
     step follows the forecast, so after the first step every step grows the
-    forecast by one state knot (one RK4 step of a single state) and none
-    co-integrates the sensitivity."""
+    forecast by one state knot (one RK4 step of a single state, on floats or
+    on an array) and none co-integrates the sensitivity."""
     cfg, model, h, _, mu_law, x0 = satellite_setup
-    # a fresh path: the built one already holds a forecast to t = duration
-    path = OdePath(model, mu_law, step=cfg.step, jacobian=model.drift_jacobian)
+    # a fresh path built as build_satellite builds it: the built one already
+    # holds a forecast to t = duration
+    path = OdePath(model, mu_law, step=cfg.step, jacobian=model.drift_jacobian,
+                   field_one=model.drift_one)
     ctrl = make_controller(cfg, model, h, path, mu_law)
     knot_steps = []
 
@@ -431,7 +434,12 @@ def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monke
             knot_steps.append(t)
         return rk4(field, t, y, dt)
 
+    def counting_rk4_one(field, t, y, dt):
+        knot_steps.append(t)
+        return rk4_one(field, t, y, dt)
+
     monkeypatch.setattr(paths, "rk4", counting_rk4)
+    monkeypatch.setattr(paths, "rk4_one", counting_rk4_one)
     sensitivity_calls = []
     monkeypatch.setattr(path, "state_sensitivity", lambda *a: sensitivity_calls.append(a))
     x = x0

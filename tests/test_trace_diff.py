@@ -1,12 +1,21 @@
-"""scripts/trace_diff.py: byte comparison of two experiment trees, timings aside."""
+"""scripts/trace_diff.py: byte comparison of two experiment trees, timings
+aside; and scripts/reproduce_experiments.py, which writes those trees."""
 
 import importlib.util
 from pathlib import Path
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
-_spec = importlib.util.spec_from_file_location("trace_diff", _SCRIPT)
-trace_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(trace_diff)
+from pcbf.scenarios import CONTROLLERS, SCENARIOS
+
+
+def _load(name):
+    script = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+trace_diff = _load("trace_diff")
 
 _CSV = ("t,x0,Hstar,case,feasible,slack0,step_ms\n"
         "0,1.5,-0.25,I_interior,1,0,{ms0}\n"
@@ -48,3 +57,11 @@ def test_a_file_in_one_tree_only_is_a_difference(tmp_path):
     (new / "scenario" / "pcbf" / "notes.txt").unlink()
     (diff,) = trace_diff.diff_trees(old, new)
     assert diff.startswith("scenario/pcbf/notes.txt: only in")
+
+
+def test_experiments_cover_every_config_and_controller():
+    """A tree from reproduce_experiments.py holds every pinned config x
+    controller run, so trace_diff.py compares all of them."""
+    runs = [(scenario, c) for scenario, controllers in _load("reproduce_experiments").EXPERIMENTS
+            for c in controllers.split(",")]
+    assert sorted(runs) == sorted((s, c) for s in SCENARIOS for c in CONTROLLERS)
