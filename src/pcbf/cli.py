@@ -52,6 +52,15 @@ def parse_config(text: str) -> ScenarioConfig:
         return ConfigurationError(
             f"line {lineno}: key {key!r}: cannot parse {value!r} as {expected}")
 
+    def number(key, lineno, value):
+        try:
+            v = float(value)
+        except ValueError:
+            raise bad(key, lineno, value, "a number") from None
+        if not math.isfinite(v):
+            raise bad(key, lineno, value, "a finite number")
+        return v
+
     for key, (value, lineno) in raw.items():
         kind = _KEY_TYPES.get(key)
         if key.startswith("params."):
@@ -60,15 +69,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigurationError(
                     f"line {lineno}: key {key!r}: unknown parameter for scenario "
                     f"{scenario!r} (choices: {', '.join(sorted(cfg.params))})")
-            try:
-                cfg.params[pkey] = float(value)
-            except ValueError:
-                raise bad(key, lineno, value, "a number") from None
+            cfg.params[pkey] = number(key, lineno, value)
         elif kind == "float":
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError:
-                raise bad(key, lineno, value, "a number") from None
+            setattr(cfg, key, number(key, lineno, value))
         elif kind == "int":
             try:
                 setattr(cfg, key, int(value))

@@ -56,9 +56,9 @@ class DynamicsModel:
 class ConstraintFunction:
     """Scalar constraint h(t,x); the safe set is {x | h(t,x) <= 0}.
 
-    value must broadcast over leading batch axes of t and x.  Gradients are
-    supplied analytically per scenario and verified against finite
-    differences in tests.
+    value must broadcast over leading batch axes of t and x.  partials gives
+    (dh/dt, grad_x h) at one state from one evaluation of the geometry; both
+    are analytic per scenario and verified against finite differences in tests.
     """
 
     h_max: float
@@ -66,10 +66,7 @@ class ConstraintFunction:
     def value(self, t, x):
         raise NotImplementedError
 
-    def grad_t(self, t, x) -> float:
-        raise NotImplementedError
-
-    def grad_x(self, t, x) -> np.ndarray:
+    def partials(self, t, x) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
 
@@ -119,7 +116,7 @@ def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunctio
     With the quadratic margin the first branch meets alpha(m(lam)) = m'(lam)
     with equality; the second branch covers the gamma bound.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     h_max, T = margin.h_max, margin.T
     m_T = margin.value(T)

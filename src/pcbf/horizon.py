@@ -61,8 +61,8 @@ class HorizonGrid:
         if state is None:
             state = self.path.evaluate(tau, self.t, self.x)
         dp_dtau = self.path.field(tau, state)
-        grad_x = self.h.grad_x(tau, state)
-        dh_dtau = float(self.h.grad_t(tau, state) + grad_x @ dp_dtau)
+        dh_dt, grad_x = self.h.partials(tau, state)
+        dh_dtau = float(dh_dt + grad_x @ dp_dtau)
         return PathEvaluation(state, dp_dtau, grad_x, dh_dtau)
 
     def sensitivity(self, tau: float) -> np.ndarray:
@@ -108,7 +108,7 @@ def scan(path, h, t, x, T, N, two_level=False):
     if T <= 0:
         raise ConfigurationError(f"horizon T must be positive, got {T}")
     if N < 50:
-        raise ConfigurationError(f"grid sample count must be at least 50, got {N}")
+        raise ConfigurationError(f"grid sample count N must be at least 50, got {N}")
     taus = t + np.arange(N + 1) * (T / N)
     taus[-1] = t + T
     states = np.asarray(path.evaluate_many(taus, t, x))
@@ -183,6 +183,10 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
     are included when the sampled sequence is nonincreasing away from them,
     so the set is never empty.
     """
+    if not refine_tol > 0:
+        raise ConfigurationError(f"refine_tol must be positive, got {refine_tol}")
+    if not root_tol >= 0:
+        raise ConfigurationError(f"root_tol must be nonnegative, got {root_tol}")
     taus, hv = grid.taus, grid.h_values
     K = len(taus) - 1
     t, tend = grid.t, grid.t + grid.T

@@ -168,17 +168,14 @@ class SeparationConstraint(ConstraintFunction):
         d = np.linalg.norm(self._delta(x), axis=-1)
         return self.rho - d
 
-    def grad_t(self, t, x):
-        return 0.0
-
-    def grad_x(self, t, x):
+    def partials(self, t, x):
         delta = self._delta(x)
         d = max(float(np.linalg.norm(delta)), 1e-12)
         unit = delta / d
         g = np.zeros(4)
         g[0] = -float(unit @ self.lane1.tangent(np.asarray(x)[0]))
         g[2] = float(unit @ self.lane2.tangent(np.asarray(x)[2]))
-        return g
+        return 0.0, g
 
 
 def build_intersection(cfg: ScenarioConfig, lanes=None):
@@ -274,17 +271,12 @@ class DebrisDistanceConstraint(ConstraintFunction):
         d = np.linalg.norm(self._delta(t, x), axis=-1)
         return self.rho - d
 
-    def grad_t(self, t, x):
-        delta = self._delta(t, x)
-        d = max(float(np.linalg.norm(delta)), 1e-12)
-        return float(delta @ self.vel_spline(t)) / d
-
-    def grad_x(self, t, x):
+    def partials(self, t, x):
         delta = self._delta(t, x)
         d = max(float(np.linalg.norm(delta)), 1e-12)
         g = np.zeros(6)
         g[:3] = -delta / d
-        return g
+        return float(delta @ self.vel_spline(t)) / d, g
 
 
 def _circular_state(a, mu_grav, inclination, angle):
@@ -297,11 +289,15 @@ def _circular_state(a, mu_grav, inclination, angle):
     return np.concatenate([r, v])
 
 
+def _node_angle(p) -> float:
+    """Orbit angle covered from t = 0 to the node (a, 0, 0) at conjunction."""
+    n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
+    return n_rate * p["conjunction_time"]
+
+
 def satellite_initial_state(cfg: ScenarioConfig) -> np.ndarray:
     p = cfg.params
-    n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
-    theta0 = n_rate * p["conjunction_time"]
-    return _circular_state(p["radius"], p["mu_grav"], 0.0, -theta0)
+    return _circular_state(p["radius"], p["mu_grav"], 0.0, -_node_angle(p))
 
 
 def build_satellite(cfg: ScenarioConfig):
@@ -313,11 +309,9 @@ def build_satellite(cfg: ScenarioConfig):
     """
     p = cfg.params
     model = TwoBodyModel(p["mu_grav"])
-    n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
-    theta0 = n_rate * p["conjunction_time"]
     inclination = math.radians(p["inclination_deg"])
     debris0 = _circular_state(p["radius"], p["mu_grav"], inclination,
-                              -theta0 - p["phase_offset"])
+                              -_node_angle(p) - p["phase_offset"])
 
     # a control-free nominal law: the closed-loop field and Jacobian are the drift's
     def mu(t, x):

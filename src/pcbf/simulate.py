@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcbf.barrier import (
-    CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
     CASE_INTERIOR,
     AffineDerivative,
@@ -88,25 +87,19 @@ class PcbfController:
 
     def _held_case(self, entry, t) -> str:
         """Keep the previous structural case while the first maximizer sits
-        within a band of the boundary that separates the two formulas."""
+        within a band of the boundary that separates the two formulas: the
+        horizon end between the interior case and either boundary case, h = 0
+        between the two boundary cases."""
         raw = classify_case(entry)
         prev = self._prev_case
         if prev is None or prev == raw or entry.already_unsafe:
             return raw
-        band_t = 2.0 * self.ctx.grid_step
-        band_h = 1e-6 * self.ctx.h.h_max
-        near_end = (t + self.ctx.T - entry.tau) <= band_t
-        near_zero = abs(entry.h_value) <= band_h
-        pair = {raw, prev}
-        if pair == {CASE_INTERIOR, CASE_END_ROOT_BEFORE} and near_end:
-            if prev == CASE_END_ROOT_BEFORE and entry.root_is_self:
-                return raw  # earlier-root formula needs an earlier root
-            return prev
-        if pair == {CASE_INTERIOR, CASE_BOUNDARY_ROOT_SELF} and near_end:
-            return prev
-        if pair == {CASE_END_ROOT_BEFORE, CASE_BOUNDARY_ROOT_SELF} and near_zero:
-            if prev == CASE_END_ROOT_BEFORE and entry.root_is_self:
-                return raw
+        if CASE_INTERIOR in (raw, prev):
+            near = (t + self.ctx.T - entry.tau) <= 2.0 * self.ctx.grid_step
+        else:
+            near = abs(entry.h_value) <= 1e-6 * self.ctx.h.h_max
+        # the earlier-root formula needs an earlier root
+        if near and not (prev == CASE_END_ROOT_BEFORE and entry.root_is_self):
             return prev
         return raw
 
@@ -193,7 +186,8 @@ class EcbfController:
         self._mu_law = mu_law
 
     def _hdot(self, t, x):
-        return float(self.h.grad_t(t, x) + self.h.grad_x(t, x) @ self.model.drift(t, x))
+        dh_dt, grad_x = self.h.partials(t, x)
+        return float(dh_dt + grad_x @ self.model.drift(t, x))
 
     def step(self, t, x) -> StepDecision:
         x = np.asarray(x, dtype=float)
@@ -283,6 +277,10 @@ def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):
 
 
 def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
+    if not cfg.step > 0:
+        raise ConfigurationError(f"step must be positive, got {cfg.step}")
+    if not cfg.duration >= 0:
+        raise ConfigurationError(f"duration must be nonnegative, got {cfg.duration}")
     model, h, path, mu_law, x0 = build_scenario(cfg)
     controller = make_controller(cfg, model, h, path, mu_law)
 

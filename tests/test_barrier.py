@@ -41,18 +41,16 @@ class _StaticModel(DynamicsModel):
 class _FuncConstraint(ConstraintFunction):
     """h(t, x) from explicit callables, for synthetic oracles."""
 
-    def __init__(self, value, grad_t, grad_x, h_max=1.0):
-        self._v, self._gt, self._gx = value, grad_t, grad_x
+    def __init__(self, value, dh_dt, grad_x, h_max=1.0):
+        self._v, self._dt, self._gx = value, dh_dt, grad_x
         self.h_max = h_max
 
     def value(self, t, x):
         return self._v(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
 
-    def grad_t(self, t, x):
-        return float(self._gt(t, np.asarray(x, dtype=float)))
-
-    def grad_x(self, t, x):
-        return np.atleast_1d(self._gx(t, np.asarray(x, dtype=float)))
+    def partials(self, t, x):
+        x = np.asarray(x, dtype=float)
+        return float(self._dt(t, x)), np.atleast_1d(self._gx(t, x))
 
 
 def _static_ctx(h, T=10.0, N=200, root_tol=1e-9):
@@ -127,7 +125,7 @@ def test_maximizer_sensitivity_quadratic_oracle():
     so its state sensitivity is exactly one."""
     h = _FuncConstraint(
         value=lambda t, x: -((t - x[..., 0]) ** 2),
-        grad_t=lambda t, x: -2.0 * (t - x[0]),
+        dh_dt=lambda t, x: -2.0 * (t - x[0]),
         grad_x=lambda t, x: np.array([2.0 * (t - x[0])]),
     )
     ctx = _static_ctx(h)
@@ -140,7 +138,7 @@ def test_maximizer_sensitivity_quadratic_oracle():
 def test_maximizer_sensitivity_flat_maximum_raises():
     h = _FuncConstraint(
         value=lambda t, x: np.full_like(np.asarray(t, dtype=float), -0.5),
-        grad_t=lambda t, x: 0.0,
+        dh_dt=lambda t, x: 0.0,
         grad_x=lambda t, x: np.zeros(1),
     )
     ctx = _static_ctx(h)
@@ -154,7 +152,7 @@ def test_tangential_root_raises():
     """h = 0.1 (tau - 4)^3 crosses zero with zero slope at the root."""
     h = _FuncConstraint(
         value=lambda t, x: 0.1 * (np.asarray(t, dtype=float) - 4.0) ** 3,
-        grad_t=lambda t, x: 0.3 * (t - 4.0) ** 2,
+        dh_dt=lambda t, x: 0.3 * (t - 4.0) ** 2,
         grad_x=lambda t, x: np.zeros(1),
     )
     ctx = _static_ctx(h, root_tol=1e-12)
@@ -287,8 +285,8 @@ def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
             finally:
                 del grid.evaluation
             assert sorted(seen) == sorted([entry.tau, entry.root_eta])
-            gx_tau = h.grad_x(entry.tau, grid.evaluation(entry.tau).state)
-            gx_eta = h.grad_x(entry.root_eta, grid.evaluation(entry.root_eta).state)
+            gx_tau = h.partials(entry.tau, grid.evaluation(entry.tau).state)[1]
+            gx_eta = h.partials(entry.root_eta, grid.evaluation(entry.root_eta).state)[1]
             assert deriv.aligned == (float(np.dot(gx_tau, gx_eta)) >= 0.0)
             assert inner_product_monitor(gx_tau, gx_eta) == deriv.aligned
             checked += 1
@@ -300,7 +298,7 @@ def test_inner_product_monitor_flags_opposed_gradients():
     with grad_x h = tau - 4.5 the gradients there point apart."""
     h = _FuncConstraint(
         value=lambda t, x: 1.0 - (t - 5.0) ** 2 + 0.0 * x[..., 0],
-        grad_t=lambda t, x: -2.0 * (t - 5.0),
+        dh_dt=lambda t, x: -2.0 * (t - 5.0),
         grad_x=lambda t, x: np.array([t - 4.5]),
     )
     ctx = _static_ctx(h)
@@ -318,15 +316,16 @@ def test_inner_product_monitor_flags_opposed_gradients():
 def _parent_evaluation(grid, tau):
     state = grid.path.evaluate(tau, grid.t, grid.x)
     dp_dtau = grid.path.field(tau, state)
-    dh_dtau = float(grid.h.grad_t(tau, state) + grid.h.grad_x(tau, state) @ dp_dtau)
+    dh_dt, grad_x = grid.h.partials(tau, state)
+    dh_dtau = float(dh_dt + grad_x @ dp_dtau)
     return state, dp_dtau, dh_dtau
 
 
 def _parent_root_sensitivity_C1(eta, ctx, grid):
     state, dp_dtau, _ = _parent_evaluation(grid, eta)
-    row_h = ctx.h.grad_x(eta, state)
+    dh_dt, row_h = ctx.h.partials(eta, state)
     advect = float(row_h @ dp_dtau)
-    bracket = float(ctx.h.grad_t(eta, state)) + advect
+    bracket = float(dh_dt) + advect
     if abs(bracket) < 1e-8 * (1.0 + abs(advect)):
         raise TangentialCrossingError(
             f"root at eta={eta} is tangential (dh/dtau={bracket:.3e})"
@@ -347,7 +346,8 @@ def _parent_maximizer_sensitivity(tau, ctx, grid):
         )
 
     def F_of_state(y):
-        return float(ctx.h.grad_t(tau, y) + ctx.h.grad_x(tau, y) @ ctx.path.field(tau, y))
+        dh_dt, grad_x = ctx.h.partials(tau, y)
+        return float(dh_dt + grad_x @ ctx.path.field(tau, y))
 
     def sensitivity():
         dp_dx = grid.sensitivity(tau)
@@ -375,18 +375,18 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
     mprime = ctx.margin.derivative
 
     def grad_at(tau):
-        return ctx.h.grad_x(tau, _parent_evaluation(grid, tau)[0])
+        return ctx.h.partials(tau, _parent_evaluation(grid, tau)[0])[1]
 
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
-        row_h = ctx.h.grad_x(t, x)
-        c0 = float(ctx.h.grad_t(t, x) + row_h @ ctx.path.field(t, x))
+        dh_dt, row_h = ctx.h.partials(t, x)
+        c0 = float(dh_dt + row_h @ ctx.path.field(t, x))
         row = np.asarray(row_h @ g, dtype=float).ravel()
         aligned = entry.root_is_self or _parent_inner_product_monitor(
             entry, grad_at(entry.tau), row_h)
         return AffineDerivative(constant=c0, build_row=lambda: row, aligned=aligned)
 
     state, _, dh_dtau = _parent_evaluation(grid, entry.tau)
-    row_h = ctx.h.grad_x(entry.tau, state)
+    row_h = ctx.h.partials(entry.tau, state)[1]
 
     def row_h_phi():
         return row_h @ grid.sensitivity(entry.tau)
@@ -494,17 +494,17 @@ def test_derivative_matches_parent_where_runs_rarely_go():
 
     flat = _FuncConstraint(
         value=lambda t, x: np.full_like(np.asarray(t, dtype=float), -0.5),
-        grad_t=lambda t, x: 0.0,
+        dh_dt=lambda t, x: 0.0,
         grad_x=lambda t, x: np.zeros(1),
     )
     tangential = _FuncConstraint(
         value=lambda t, x: 0.1 * (np.asarray(t, dtype=float) - 4.0) ** 3,
-        grad_t=lambda t, x: 0.3 * (t - 4.0) ** 2,
+        dh_dt=lambda t, x: 0.3 * (t - 4.0) ** 2,
         grad_x=lambda t, x: np.zeros(1),
     )
     opposed = _FuncConstraint(
         value=lambda t, x: 1.0 - (t - 5.0) ** 2 + 0.0 * x[..., 0],
-        grad_t=lambda t, x: -2.0 * (t - 5.0),
+        dh_dt=lambda t, x: -2.0 * (t - 5.0),
         grad_x=lambda t, x: np.array([t - 4.5]),
     )
     outcomes = []

@@ -182,6 +182,20 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
+    ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
+    ("params.k", "inf"), ("params.rho", "-inf")])
+def test_main_run_rejects_bad_value(key, value, tmp_path, capsys):
+    """A value a run cannot use exits 2 at once, naming its key, where it
+    once hung, raised a traceback or ran on silently."""
+    cfg = _write_cfg(tmp_path, f"scenario = intersection_cross\n{key} = {value}\n")
+    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:")
+    assert f"key {key!r}" in err or f"{key} must" in err
+
+
 def test_verbose_env_var_reports_progress(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path, "scenario = intersection_cross\nduration = 2\n")
     out = tmp_path / "out"

@@ -32,6 +32,8 @@ def test_alpha_rejects_negative_gamma():
     m = make_default_margin(1.0, 10.0)
     with pytest.raises(ConfigurationError):
         make_compatible_alpha(m, -1.0)
+    with pytest.raises(ConfigurationError, match="gamma"):
+        make_compatible_alpha(m, float("nan"))
 
 
 @given(h_max=st.floats(1e-3, 1e3), T=st.floats(1e-2, 1e3),

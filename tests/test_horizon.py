@@ -34,11 +34,8 @@ class _TimeOnlyConstraint(ConstraintFunction):
     def value(self, t, x):
         return self.func(np.asarray(t, dtype=float))
 
-    def grad_t(self, t, x):
-        return float(self.dfunc(t))
-
-    def grad_x(self, t, x):
-        return np.zeros(1)
+    def partials(self, t, x):
+        return float(self.dfunc(t)), np.zeros(1)
 
 
 def _static_path():
@@ -58,6 +55,16 @@ def test_scan_rejects_bad_arguments():
         scan(_static_path(), h, 0.0, np.zeros(1), -1.0, 200)
     with pytest.raises(ConfigurationError):
         scan(_static_path(), h, 0.0, np.zeros(1), 10.0, 10)
+
+
+@pytest.mark.parametrize("refine_tol, root_tol, key", [
+    (0.0, 1e-9, "refine_tol"), (-1e-6, 1e-9, "refine_tol"), (float("nan"), 1e-9, "refine_tol"),
+    (1e-6, -1.0, "root_tol"), (1e-6, float("nan"), "root_tol")])
+def test_find_maximizers_rejects_bad_tolerances(refine_tol, root_tol, key):
+    """A zero refine_tol would never end the golden-section search."""
+    grid = _scan_time_only(np.sin, np.cos)
+    with pytest.raises(ConfigurationError, match=key):
+        find_maximizers(grid, refine_tol=refine_tol, root_tol=root_tol)
 
 
 def test_scan_grid_shape():

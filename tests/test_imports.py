@@ -1,12 +1,15 @@
-"""Every name imported in the package, its tests and scripts is read."""
+"""Every name imported in the package, its tests and scripts is read, and
+every private function, method or class of the package is referenced."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def _unused_imports(source):
@@ -37,3 +40,55 @@ def test_scan_flags_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_private_defs(sources):
+    """(module, name, line) of each _-prefixed function, method or class
+    defined in sources, a {module: source} map, that no module there names,
+    as a plain name, an attribute or an imported name; dunders are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return sorted(
+        (module, node.name, node.lineno)
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in named)
+
+
+def test_scan_flags_unreferenced_private_defs():
+    a = textwrap.dedent("""\
+        def _dead():
+            pass
+
+
+        def _imported():
+            pass
+
+
+        class _Gone:
+            def __init__(self):
+                self._called()
+
+            def _called(self):
+                pass
+
+            def _stale(self):
+                pass
+        """)
+    b = "from a import _imported\n"
+    assert _unreferenced_private_defs({"a": a, "b": b}) == [
+        ("a", "_Gone", 9), ("a", "_dead", 1), ("a", "_stale", 16)]
+
+
+def test_no_unreferenced_private_defs_in_src():
+    assert _unreferenced_private_defs(
+        {str(p.relative_to(ROOT)): p.read_text() for p in SRC}) == []

@@ -155,11 +155,8 @@ class _FirstCoordinate(ConstraintFunction):
     def value(self, t, x):
         return np.asarray(x)[..., 0] - 10.0
 
-    def grad_t(self, t, x):
-        return 0.0
-
-    def grad_x(self, t, x):
-        return np.array([1.0, 0.0])
+    def partials(self, t, x):
+        return 0.0, np.array([1.0, 0.0])
 
 
 def _sat_path(step=1.0):

@@ -18,6 +18,7 @@ from pcbf.scenarios import (
     intersection_initial_state,
     satellite_initial_state,
 )
+from pcbf.simulate import build_scenario
 
 
 def test_default_config_rejects_unknown_names():
@@ -103,11 +104,11 @@ def test_separation_gradients_match_finite_difference(scenario):
                             rng.uniform(-15, 15, 1), rng.uniform(-2, 2, 1)])
         if abs(float(h.value(0.0, x)) - h.h_max) < 1e-3:
             continue  # gradient is undefined at exact coincidence
-        grad = h.grad_x(0.0, x)
+        dh_dt, grad = h.partials(0.0, x)
         fd = finite_diff_jacobian(lambda y: np.atleast_1d(h.value(0.0, y)), x)[0]
         hv = abs(float(h.value(0.0, x)))
         assert np.max(np.abs(grad - fd)) <= max(1e-6, 1e-5 * hv)
-        assert h.grad_t(0.0, x) == 0.0
+        assert dh_dt == 0.0
 
 
 def test_satellite_gradients_match_finite_difference(satellite_setup):
@@ -116,13 +117,67 @@ def test_satellite_gradients_match_finite_difference(satellite_setup):
     for _ in range(1000):
         t = float(rng.uniform(0.0, 600.0))
         x = x0 + np.concatenate([rng.uniform(-100, 100, 3), rng.uniform(-0.1, 0.1, 3)])
-        grad = h.grad_x(t, x)
+        dh_dt, grad = h.partials(t, x)
         fd = finite_diff_jacobian(lambda y: np.atleast_1d(h.value(t, y)), x)[0]
         hv = abs(float(h.value(t, x)))
         assert np.max(np.abs(grad - fd)) <= max(1e-6, 1e-5 * hv)
         d = 1e-4
         fd_t = (float(h.value(t + d, x)) - float(h.value(t - d, x))) / (2 * d)
-        assert h.grad_t(t, x) == pytest.approx(fd_t, abs=1e-5)
+        assert dh_dt == pytest.approx(fd_t, abs=1e-5)
+
+
+# The two partials of each constraint as they were before one partials call
+# returned both, kept as oracles: partials must return their bits.
+
+def _parent_separation_grad_x(h, t, x):
+    delta = h._delta(x)
+    d = max(float(np.linalg.norm(delta)), 1e-12)
+    unit = delta / d
+    g = np.zeros(4)
+    g[0] = -float(unit @ h.lane1.tangent(np.asarray(x)[0]))
+    g[2] = float(unit @ h.lane2.tangent(np.asarray(x)[2]))
+    return g
+
+
+def _parent_debris_grad_t(h, t, x):
+    delta = h._delta(t, x)
+    d = max(float(np.linalg.norm(delta)), 1e-12)
+    return float(delta @ h.vel_spline(t)) / d
+
+
+def _parent_debris_grad_x(h, t, x):
+    delta = h._delta(t, x)
+    d = max(float(np.linalg.norm(delta)), 1e-12)
+    g = np.zeros(6)
+    g[:3] = -delta / d
+    return g
+
+
+@pytest.mark.parametrize("fixture", ["intersection_pcbf", "intersection_left_pcbf",
+                                     "satellite_pcbf"])
+def test_partials_match_parent_bit_for_bit(fixture, request):
+    """At every logged state of the pinned pcbf runs."""
+    log = request.getfixturevalue(fixture).log
+    h = build_scenario(log.cfg)[1]
+    if isinstance(h, SeparationConstraint):
+        grad_t, grad_x = (lambda h, t, x: 0.0), _parent_separation_grad_x
+    else:
+        grad_t, grad_x = _parent_debris_grad_t, _parent_debris_grad_x
+    for t, x in zip(log.t.tolist(), log.x):
+        dh_dt, g = h.partials(t, x)
+        assert type(dh_dt) is float and dh_dt == grad_t(h, t, x)
+        assert np.array_equal(g, grad_x(h, t, x))
+
+
+def test_debris_partials_call_each_spline_once(satellite_setup, monkeypatch):
+    """One position-spline and one velocity-spline call per partials."""
+    cfg, model, h, path, mu_law, x0 = satellite_setup
+    calls = []
+    for name in ("spline", "vel_spline"):
+        spline = getattr(h, name)
+        monkeypatch.setattr(h, name, lambda t, s=spline, n=name: calls.append(n) or s(t))
+    h.partials(120.5, x0)
+    assert sorted(calls) == ["spline", "vel_spline"]
 
 
 def test_two_body_jacobian_matches_finite_difference():

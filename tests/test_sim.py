@@ -1,6 +1,7 @@
 """Closed-loop harness: logging, determinism, controller plumbing."""
 
 import dataclasses
+import itertools
 import types
 
 import numpy as np
@@ -11,6 +12,7 @@ from pcbf.barrier import (
     CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
     CASE_INTERIOR,
+    classify_case,
     derivative_affine,
     eval_pcbf,
 )
@@ -124,11 +126,8 @@ class _ConstantConstraint(ConstraintFunction):
     def value(self, t, x):
         return self.c
 
-    def grad_t(self, t, x):
-        return 0.0
-
-    def grad_x(self, t, x):
-        return np.zeros(np.shape(x)[-1])
+    def partials(self, t, x):
+        return 0.0, np.zeros(np.shape(x)[-1])
 
 
 @pytest.mark.parametrize("c, feasible, note", [(1.0, False, "zero constraint row"),
@@ -292,6 +291,55 @@ class TestHysteresis:
         # the held formula needs a root strictly before the maximizer,
         # which this entry does not have
         assert ctrl._held_case(entry, 0.0) != CASE_END_ROOT_BEFORE
+
+    def test_matches_parent_on_every_combination(self, intersection_setup):
+        """Each previous case against entries of every flag combination,
+        inside, at and beyond both bands."""
+        ctrl, ctx = self._controller(intersection_setup)
+        band_t, band_h = 2.0 * ctx.grid_step, 1e-6 * ctx.h.h_max
+        held = 0
+        for prev, tau, h_value, *flags in itertools.product(
+                (None, CASE_INTERIOR, CASE_END_ROOT_BEFORE, CASE_BOUNDARY_ROOT_SELF),
+                (10.0 - 0.5 * band_t, 10.0 - band_t, 10.0 - 1.5 * band_t, 5.0),
+                (0.1, -2.0 * band_h, band_h, -0.5 * band_h),
+                *[(False, True)] * 4):
+            at_start, at_end, root_is_self, already_unsafe = flags
+            entry = MaximizerEntry(tau, h_value, at_start, at_end, 3.0, root_is_self,
+                                   already_unsafe)
+            ctrl._prev_case = prev
+            try:
+                want = _parent_held_case(ctrl, entry, 0.0)
+            except InternalConsistencyError:
+                with pytest.raises(InternalConsistencyError):
+                    ctrl._held_case(entry, 0.0)
+                continue
+            assert ctrl._held_case(entry, 0.0) == want
+            held += want != classify_case(entry)
+        assert held >= 40
+
+
+def _parent_held_case(ctrl, entry, t):
+    """PcbfController._held_case as it was written pair by pair (oracle)."""
+    raw = classify_case(entry)
+    prev = ctrl._prev_case
+    if prev is None or prev == raw or entry.already_unsafe:
+        return raw
+    band_t = 2.0 * ctrl.ctx.grid_step
+    band_h = 1e-6 * ctrl.ctx.h.h_max
+    near_end = (t + ctrl.ctx.T - entry.tau) <= band_t
+    near_zero = abs(entry.h_value) <= band_h
+    pair = {raw, prev}
+    if pair == {CASE_INTERIOR, CASE_END_ROOT_BEFORE} and near_end:
+        if prev == CASE_END_ROOT_BEFORE and entry.root_is_self:
+            return raw
+        return prev
+    if pair == {CASE_INTERIOR, CASE_BOUNDARY_ROOT_SELF} and near_end:
+        return prev
+    if pair == {CASE_END_ROOT_BEFORE, CASE_BOUNDARY_ROOT_SELF} and near_zero:
+        if prev == CASE_END_ROOT_BEFORE and entry.root_is_self:
+            return raw
+        return prev
+    return raw
 
 
 def test_pcbf_controller_step_fields(intersection_setup):
@@ -464,7 +512,7 @@ def test_activity_first_with_slack_rows(alpha_value, active, monkeypatch):
 
     h = _FuncConstraint(
         value=lambda t, x: 0.2 * np.sin(2.0 * t) - 0.5 + 0.1 * x[..., 0],
-        grad_t=lambda t, x: 0.4 * np.cos(2.0 * t),
+        dh_dt=lambda t, x: 0.4 * np.cos(2.0 * t),
         grad_x=lambda t, x: np.array([0.1]),
     )
     ctx = _static_ctx(h)
