@@ -7,11 +7,11 @@ intersection, a debris conjunction that genuinely requires intervention).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
 from pcbf.paths import AnalyticCarPath, OdePath
@@ -178,9 +178,16 @@ class SeparationConstraint(ConstraintFunction):
         return 0.0, g
 
 
+def _check_positive(p, *keys):
+    for key in keys:
+        if not p[key] > 0:
+            raise ConfigurationError(f"params.{key} must be positive, got {p[key]}")
+
+
 def build_intersection(cfg: ScenarioConfig, lanes=None):
     """Returns (model, constraint, path, nominal control law)."""
     p = cfg.params
+    _check_positive(p, "rho")
     k, v1, v2 = p["k"], p["v1"], p["v2"]
     if lanes is None:
         lane1 = StraightLane((1.0, 0.0))
@@ -254,12 +261,105 @@ class TwoBodyModel(DynamicsModel):
         return jac
 
 
+class DebrisSpline:
+    """Not-a-knot cubic spline through 3-D positions at knots, and its
+    velocity: SciPy's CubicSpline(knots, y, axis=0) and its derivative(),
+    bit for bit, without importing SciPy.
+
+    The system is CubicSpline's (n > 3, not-a-knot at both ends), built in
+    its order, and solved as reference LAPACK dgtsv solves it for
+    solve_banded((1, 1), ...).  A system that would need a row interchange
+    is rejected; uniform knots never need one.  c and vel_c are
+    CubicSpline's c and derivative().c.  Both evaluations follow PPoly's
+    compiled loop: the interval is searchsorted(knots[1:-1], t, 'right')
+    (find_interval with extrapolation, NaN in the last interval), and a
+    cubic sums (((0.0 + c3) + c2 s) + c1 (s s)) + c0 ((s s) s).
+    """
+
+    def __init__(self, knots, y):
+        x = np.asarray(knots, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if len(x) < 4:
+            raise ValueError(f"a not-a-knot spline needs 4 or more knots, got {len(x)}")
+        dx = np.diff(x)
+        dxr = dx[:, None]
+        slope = np.diff(y, axis=0) / dxr
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        dxl = dx.tolist()
+        diag = [dxl[1]] + (2 * (dx[:-1] + dx[1:])).tolist() + [dxl[-2]]
+        upper = [float(x[2] - x[0])] + dxl[:-1]
+        lower = dxl[1:] + [float(x[-1] - x[-3])]
+        s = np.array(_solve_tridiagonal(lower, diag, upper, b.T.tolist())).T
+        # CubicHermiteSpline's coefficients, and PPoly.derivative's
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+        self.vel_c = self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+
+        self._breaks = x[1:-1]
+        pos = np.stack((*self.c[:3], 0.0 + self.c[3]), axis=-1)
+        vel = np.stack((*self.vel_c[:2], 0.0 + self.vel_c[2]), axis=-1)
+        # the array path's table, (5, 3, n - 1): c0, c1, c2, 0.0 + c3 and the
+        # interval's start, each per component, so that one gather serves a call
+        self._table = np.ascontiguousarray(np.concatenate(
+            (pos.transpose(2, 1, 0), np.broadcast_to(x[:-1], (1, 3, len(x) - 1)))))
+        self._inner = self._breaks.tolist()
+        self._starts = x[:-1].tolist()
+        self._segments = list(zip(pos.tolist(), vel.tolist()))
+
+    def __call__(self, t):
+        """Positions at t, an array or a scalar, as (..., 3)."""
+        t = np.asarray(t, dtype=float)
+        c0, c1, c2, c3, start = self._table.take(self._breaks.searchsorted(t, "right"), 2)
+        s = t - start
+        ss = s * s
+        return (((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)).T
+
+    def state(self, t):
+        """(position, velocity) at one float t, each a list of 3 floats,
+        from one interval lookup."""
+        i = bisect.bisect_right(self._inner, t)
+        s = t - self._starts[i]
+        ss = s * s
+        sss = ss * s
+        pos, vel = self._segments[i]
+        return ([((c3 + c2 * s) + c1 * ss) + c0 * sss for c0, c1, c2, c3 in pos],
+                [(d2 + d1 * s) + d0 * ss for d0, d1, d2 in vel])
+
+
+def _solve_tridiagonal(dl, d, du, columns):
+    """Solutions of the tridiagonal system with sub-, main and
+    super-diagonals dl, d, du for each right-hand side in columns, by
+    reference LAPACK dgtsv's elimination and back substitution on Python
+    floats, so with its roundings, for a system needing no row interchange."""
+    n = len(d)
+    d = list(d)
+    facts = []
+    for i in range(n - 1):
+        if not abs(d[i]) >= abs(dl[i]):
+            raise ValueError(f"the spline system needs a row interchange at row {i}")
+        facts.append(dl[i] / d[i])
+        d[i + 1] = d[i + 1] - facts[i] * du[i]
+    for b in columns:
+        for i, fact in enumerate(facts):
+            b[i + 1] = b[i + 1] - fact * b[i]
+        b[-1] = b[-1] / d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            # dgtsv zeroes DL(I) as it eliminates, and still subtracts DL(I) B(I+2)
+            b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    return columns
+
+
 class DebrisDistanceConstraint(ConstraintFunction):
     """h = rho - ||r1 - r2(t)|| against an interpolated debris trajectory."""
 
-    def __init__(self, debris_spline: CubicSpline, rho):
+    def __init__(self, debris_spline: DebrisSpline, rho):
         self.spline = debris_spline
-        self.vel_spline = debris_spline.derivative()
         self.rho = float(rho)
         self.h_max = float(rho)
 
@@ -268,15 +368,18 @@ class DebrisDistanceConstraint(ConstraintFunction):
         return x[..., :3] - self.spline(t)
 
     def value(self, t, x):
-        d = np.linalg.norm(self._delta(t, x), axis=-1)
-        return self.rho - d
+        d = self._delta(t, x)
+        # np.linalg.norm's own sum for real input, without its wrapper
+        return self.rho - np.sqrt(np.add.reduce(d * d, axis=-1))
 
     def partials(self, t, x):
-        delta = self._delta(t, x)
-        d = max(float(np.linalg.norm(delta)), 1e-12)
+        pos, vel = self.spline.state(t)
+        delta = np.asarray(x, dtype=float)[:3] - pos
+        # np.linalg.norm of a vector is the square root of its dot product
+        d = max(math.sqrt(delta.dot(delta)), 1e-12)
         g = np.zeros(6)
         g[:3] = -delta / d
-        return float(delta @ self.vel_spline(t)) / d, g
+        return float(delta @ vel) / d, g
 
 
 def _circular_state(a, mu_grav, inclination, angle):
@@ -291,6 +394,7 @@ def _circular_state(a, mu_grav, inclination, angle):
 
 def _node_angle(p) -> float:
     """Orbit angle covered from t = 0 to the node (a, 0, 0) at conjunction."""
+    _check_positive(p, "mu_grav", "radius")
     n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
     return n_rate * p["conjunction_time"]
 
@@ -298,6 +402,25 @@ def _node_angle(p) -> float:
 def satellite_initial_state(cfg: ScenarioConfig) -> np.ndarray:
     p = cfg.params
     return _circular_state(p["radius"], p["mu_grav"], 0.0, -_node_angle(p))
+
+
+def _zero_thrust(t, x):
+    """The satellite's nominal law: no thrust, so the closed-loop field and
+    Jacobian are the drift's."""
+    x = np.asarray(x, dtype=float)
+    return np.zeros(x.shape[:-1] + (3,))
+
+
+def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
+    """(knots, positions): the debris propagated once over the mission
+    window, at 1 s knots."""
+    p = cfg.params
+    debris0 = _circular_state(p["radius"], p["mu_grav"], math.radians(p["inclination_deg"]),
+                              -_node_angle(p) - p["phase_offset"])
+    t_end = cfg.duration + cfg.T + 10.0
+    knots = np.arange(0.0, t_end + 1.0, 1.0)
+    debris_path = OdePath(model, _zero_thrust, step=1.0, field_one=model.drift_one)
+    return knots, debris_path.evaluate_many(knots, 0.0, debris0)[:, :3]
 
 
 def build_satellite(cfg: ScenarioConfig):
@@ -308,25 +431,10 @@ def build_satellite(cfg: ScenarioConfig):
     violate the safe set; otherwise the scenario construction is rejected.
     """
     p = cfg.params
+    _check_positive(p, "rho")
     model = TwoBodyModel(p["mu_grav"])
-    inclination = math.radians(p["inclination_deg"])
-    debris0 = _circular_state(p["radius"], p["mu_grav"], inclination,
-                              -_node_angle(p) - p["phase_offset"])
-
-    # a control-free nominal law: the closed-loop field and Jacobian are the drift's
-    def mu(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3,))
-
-    t_end = cfg.duration + cfg.T + 10.0
-    knots = np.arange(0.0, t_end + 1.0, 1.0)
-    debris_path = OdePath(model, mu, step=1.0, field_one=model.drift_one)
-    debris_states = debris_path.evaluate_many(knots, 0.0, debris0)
-    spline = CubicSpline(knots, debris_states[:, :3], axis=0)
-
-    h = DebrisDistanceConstraint(spline, p["rho"])
-
-    path = OdePath(model, mu, step=cfg.step, jacobian=model.drift_jacobian,
+    h = DebrisDistanceConstraint(DebrisSpline(*debris_knots(cfg, model)), p["rho"])
+    path = OdePath(model, _zero_thrust, step=cfg.step, jacobian=model.drift_jacobian,
                    field_one=model.drift_one)
 
     max_h = zero_control_max_h(cfg, h, path)
@@ -335,7 +443,7 @@ def build_satellite(cfg: ScenarioConfig):
             f"configured orbits do not conjunct: zero-control max h = {max_h:.3f} "
             f"<= 0.5 rho"
         )
-    return model, h, path, mu
+    return model, h, path, _zero_thrust
 
 
 def zero_control_max_h(cfg: ScenarioConfig, h, path) -> float:

@@ -53,7 +53,7 @@ def test_unsafe_states_have_positive_predictive_value():
     cfg.two_level = False  # the dense pass is unnecessary for a point query
     ctx = make_context(cfg, model, h, path)
     x_sat = satellite_initial_state(cfg)
-    debris0 = np.concatenate([h.spline(0.0), h.vel_spline(0.0)])
+    debris0 = np.concatenate(h.spline.state(0.0))
     half = B // 2
     Xs = np.empty((B, 6))
     Xs[:half, :3] = x_sat[:3] + rng.uniform(-5, 5, (half, 3))

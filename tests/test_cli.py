@@ -182,14 +182,23 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
+_BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
     ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
-    ("params.k", "inf"), ("params.rho", "-inf")])
-def test_main_run_rejects_bad_value(key, value, tmp_path, capsys):
+    ("params.k", "inf"), ("params.rho", "-inf"), ("params.rho", "-1")]] + [
+    ("satellite", key, value) for key, value in [
+        ("params.radius", "-7000"), ("params.radius", "0"), ("params.mu_grav", "-1"),
+        ("params.rho", "-1")]]
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value", _BAD_VALUES,
+    ids=[f"{k}-{v}" if s == "intersection_cross" else f"{s}-{k}-{v}"
+         for s, k, v in _BAD_VALUES])
+def test_main_run_rejects_bad_value(scenario, key, value, tmp_path, capsys):
     """A value a run cannot use exits 2 at once, naming its key, where it
     once hung, raised a traceback or ran on silently."""
-    cfg = _write_cfg(tmp_path, f"scenario = intersection_cross\n{key} = {value}\n")
+    cfg = _write_cfg(tmp_path, f"scenario = {scenario}\n{key} = {value}\n")
     rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error:")

@@ -2,6 +2,9 @@
 every private function, method or class of the package is referenced."""
 
 import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -92,3 +95,25 @@ def test_scan_flags_unreferenced_private_defs():
 def test_no_unreferenced_private_defs_in_src():
     assert _unreferenced_private_defs(
         {str(p.relative_to(ROOT)): p.read_text() for p in SRC}) == []
+
+
+def test_library_imports_no_scipy():
+    """A fresh interpreter imports pcbf.cli, then builds the three pinned
+    scenarios and their controllers, without importing scipy."""
+    code = textwrap.dedent("""\
+        import sys
+        from pathlib import Path
+        import pcbf.cli, pcbf.simulate
+        for path in sorted(Path("configs").glob("*.txt")):
+            cfg = pcbf.cli.parse_config(path.read_text())
+            model, h, path, mu_law, x0 = pcbf.simulate.build_scenario(cfg)
+            pcbf.simulate.make_controller(cfg, model, h, path, mu_law)
+            print(cfg.scenario)
+        print("scipy" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["intersection_cross", "intersection_left_turn", "satellite",
+                           "False"]

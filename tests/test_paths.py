@@ -536,7 +536,8 @@ class TestFloatKnotChain:
 
     def test_debris_path_and_built_path(self, monkeypatch):
         """build_satellite with and without the float chain: the debris
-        spline and the controller path's forecast agree bit for bit."""
+        spline's position and velocity coefficients and the controller
+        path's forecast agree bit for bit."""
         from pcbf import scenarios
 
         cfg = default_config("satellite")
@@ -546,6 +547,7 @@ class TestFloatKnotChain:
         _, h_arr, path_arr, _ = scenarios.build_satellite(cfg)
         assert path_one._field_one is not None and path_arr._field_one is None
         assert np.array_equal(h_one.spline.c, h_arr.spline.c)
+        assert np.array_equal(h_one.spline.vel_c, h_arr.spline.vel_c)
         x0 = satellite_initial_state(cfg)
         taus = np.arange(0.0, cfg.duration + cfg.step, 0.7)
         assert np.array_equal(path_one.evaluate_many(taus, 0.0, x0),

@@ -1,19 +1,26 @@
 """Scenario geometry, dynamics, and constraint gradients."""
 
+import bisect
 import math
+import types
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from pcbf import scenarios
 from pcbf.core import ConfigurationError, finite_diff_jacobian
+from pcbf.paths import OdePath
 from pcbf.scenarios import (
     CarPairModel,
+    DebrisSpline,
     LeftTurnLane,
     SeparationConstraint,
     StraightLane,
     TwoBodyModel,
     build_intersection,
     build_satellite,
+    debris_knots,
     default_config,
     intersection_initial_state,
     satellite_initial_state,
@@ -139,14 +146,21 @@ def _parent_separation_grad_x(h, t, x):
     return g
 
 
-def _parent_debris_grad_t(h, t, x):
-    delta = h._delta(t, x)
+def _parent_debris_splines(cfg):
+    """The parent's debris position spline, scipy's CubicSpline on the
+    debris knots, and its velocity spline."""
+    spline = CubicSpline(*debris_knots(cfg, TwoBodyModel(cfg.params["mu_grav"])), axis=0)
+    return spline, spline.derivative()
+
+
+def _parent_debris_grad_t(splines, t, x):
+    delta = np.asarray(x, dtype=float)[..., :3] - splines[0](t)
     d = max(float(np.linalg.norm(delta)), 1e-12)
-    return float(delta @ h.vel_spline(t)) / d
+    return float(delta @ splines[1](t)) / d
 
 
-def _parent_debris_grad_x(h, t, x):
-    delta = h._delta(t, x)
+def _parent_debris_grad_x(splines, t, x):
+    delta = np.asarray(x, dtype=float)[..., :3] - splines[0](t)
     d = max(float(np.linalg.norm(delta)), 1e-12)
     g = np.zeros(6)
     g[:3] = -delta / d
@@ -156,28 +170,148 @@ def _parent_debris_grad_x(h, t, x):
 @pytest.mark.parametrize("fixture", ["intersection_pcbf", "intersection_left_pcbf",
                                      "satellite_pcbf"])
 def test_partials_match_parent_bit_for_bit(fixture, request):
-    """At every logged state of the pinned pcbf runs."""
+    """At every logged state of the pinned pcbf runs; the debris oracle
+    evaluates scipy's splines, as the parent did."""
     log = request.getfixturevalue(fixture).log
     h = build_scenario(log.cfg)[1]
     if isinstance(h, SeparationConstraint):
-        grad_t, grad_x = (lambda h, t, x: 0.0), _parent_separation_grad_x
+        ref, grad_t, grad_x = h, (lambda h, t, x: 0.0), _parent_separation_grad_x
     else:
+        ref = _parent_debris_splines(log.cfg)
         grad_t, grad_x = _parent_debris_grad_t, _parent_debris_grad_x
     for t, x in zip(log.t.tolist(), log.x):
         dh_dt, g = h.partials(t, x)
-        assert type(dh_dt) is float and dh_dt == grad_t(h, t, x)
-        assert np.array_equal(g, grad_x(h, t, x))
+        assert type(dh_dt) is float and dh_dt == grad_t(ref, t, x)
+        assert np.array_equal(g, grad_x(ref, t, x))
+
+
+def test_debris_value_matches_parent_bit_for_bit(satellite_pcbf):
+    """value on every logged state at once, and on each alone, against
+    scipy's spline and np.linalg.norm, as the parent computed it."""
+    log = satellite_pcbf.log
+    h = build_scenario(log.cfg)[1]
+    spline = _parent_debris_splines(log.cfg)[0]
+    parent = h.rho - np.linalg.norm(log.x[:, :3] - spline(log.t), axis=-1)
+    assert h.value(log.t, log.x).tobytes() == parent.tobytes()
+    for t, x, want in zip(log.t.tolist()[::7], log.x[::7], parent[::7]):
+        assert h.value(t, x) == want
 
 
 def test_debris_partials_call_each_spline_once(satellite_setup, monkeypatch):
-    """One position-spline and one velocity-spline call per partials."""
+    """One interval lookup per partials: one state call, which evaluates
+    the position and the velocity there; the array path is not taken."""
     cfg, model, h, path, mu_law, x0 = satellite_setup
-    calls = []
-    for name in ("spline", "vel_spline"):
-        spline = getattr(h, name)
-        monkeypatch.setattr(h, name, lambda t, s=spline, n=name: calls.append(n) or s(t))
+    calls, spline = [], h.spline
+
+    class Recording:
+        def __call__(self, t):
+            calls.append("array")
+            return spline(t)
+
+        def state(self, t):
+            calls.append("state")
+            return spline.state(t)
+
+    def bisect_right(a, t):
+        calls.append("lookup")
+        return bisect.bisect_right(a, t)
+
+    monkeypatch.setattr(h, "spline", Recording())
+    monkeypatch.setattr(scenarios, "bisect", types.SimpleNamespace(bisect_right=bisect_right))
     h.partials(120.5, x0)
-    assert sorted(calls) == ["spline", "vel_spline"]
+    assert calls == ["state", "lookup"]
+
+
+# DebrisSpline against its oracle, scipy's CubicSpline, byte for byte so that
+# signed zeros and NaNs count.
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _eccentric_track():
+    """An orbit with e = 0.44 from perigee, over one period at 20 s knots."""
+    model = TwoBodyModel(398600.4418)
+    path = OdePath(model, lambda t, x: np.zeros(3), step=20.0, field_one=model.drift_one)
+    knots = np.arange(0.0, 14000.0, 20.0)
+    return knots, path.evaluate_many(knots, 0.0, np.array([7000.0, 0, 0, 0, 9.0, 1.0]))[:, :3]
+
+
+def _pinned_track():
+    cfg = default_config("satellite")
+    return debris_knots(cfg, TwoBodyModel(cfg.params["mu_grav"]))
+
+
+def _random_track(n, spacing, scale, seed):
+    rng = np.random.default_rng(seed)
+    return 3.0 + spacing * np.arange(n), scale * (1.0 + rng.normal(size=(n, 3)))
+
+
+_TRACKS = {
+    "pinned": _pinned_track,
+    "eccentric": _eccentric_track,
+    **{f"short-{n}": (lambda n=n: _random_track(n, 0.3 if n % 2 else 1.0, 1.0, n))
+       for n in range(4, 11)},
+    "large-r": lambda: _random_track(300, 0.5, 1e9, 11),
+    "small-r": lambda: _random_track(40, 7.0, 1e-6, 12),
+}
+
+
+def _assert_is_scipys(knots, y, ts):
+    ours, theirs = DebrisSpline(knots, y), CubicSpline(knots, y, axis=0)
+    vel = theirs.derivative()
+    assert _same_bytes(ours.c, theirs.c) and _same_bytes(ours.vel_c, vel.c)
+    assert _same_bytes(ours(ts), theirs(ts))
+    states = [ours.state(t) for t in ts.tolist()]
+    assert _same_bytes([p for p, _ in states], theirs(ts))
+    assert _same_bytes([v for _, v in states], vel(ts))
+    for t in ts[::13]:  # numpy scalars, as the search hands them over
+        assert _same_bytes(ours(t), theirs(t))
+        pos, v = ours.state(t)
+        assert _same_bytes(pos, theirs(t)) and _same_bytes(v, vel(t))
+
+
+@pytest.mark.parametrize("track", sorted(_TRACKS))
+def test_debris_spline_is_scipys_bit_for_bit(track):
+    knots, y = _TRACKS[track]()
+    a, b = knots[0], knots[-1]
+    _assert_is_scipys(knots, y, np.concatenate([
+        knots, (knots[:-1] + knots[1:]) / 2, np.nextafter(knots, -np.inf),
+        [a, b, a - 7.5, b + 7.5, np.nextafter(b, np.inf), -0.0, np.nan],
+        np.random.default_rng(0).uniform(a - 3, b + 3, 500)]))
+
+
+_SUBNORMAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1.5e-323, 1.0]
+# two tracks where a zero's sign shows: the evaluation's 0.0 + c3, and the
+# 0.0 * B(I+2) that dgtsv still subtracts for its zeroed DL(I)
+_SIGNED_ZERO_TRACKS = [
+    [[-0.0, -5e-324, 0.0], [1e-323, -1.5e-323, 0.0], [-0.0, 1e-323, 1e-323],
+     [-0.0, -1.5e-323, -5e-324], [-1.5e-323, 1e-323, 0.0]],
+    [[5e-324, 0.0, -0.0], [-5e-324, -0.0, 1e-323], [0.0, -5e-324, 0.0],
+     [-0.0, -1.5e-323, -1.5e-323], [0.0, 5e-324, -1.5e-323], [-5e-324, 1e-323, -0.0]],
+]
+
+
+def test_debris_spline_signed_zeros_are_scipys():
+    """Short tracks of signed zeros and subnormals at 0.3 s knots, where
+    sums and products round to a zero whose sign depends on the order of
+    each operation."""
+    rng = np.random.default_rng(14)
+    tracks = _SIGNED_ZERO_TRACKS + [rng.choice(_SUBNORMAL_VALUES, size=(n, 3))
+                                    for n in rng.integers(4, 9, 300)]
+    for y in tracks:
+        knots = 0.3 * np.arange(len(y))
+        _assert_is_scipys(knots, np.array(y),
+                          np.concatenate([knots, knots + 0.1, [-1.0, knots[-1] + 1.0]]))
+
+
+def test_debris_spline_rejects_what_it_cannot_match():
+    with pytest.raises(ValueError, match="4 or more knots"):
+        DebrisSpline([0.0, 1.0, 2.0], np.zeros((3, 3)))
+    # the second row's pivot, dx0 + dx1 = 2, is smaller than dx2 = 8
+    with pytest.raises(ValueError, match="row interchange at row 1"):
+        DebrisSpline([0.0, 1.0, 2.0, 10.0, 11.0], np.ones((5, 3)))
 
 
 def test_two_body_jacobian_matches_finite_difference():
