@@ -1,5 +1,5 @@
-"""Command-line interface: run one closed-loop simulation, compare
-controllers on a scenario, or run a quick self-check.
+"""Command-line interface: run one closed-loop simulation, or compare
+controllers on a scenario.
 
 Config files are flat `key = value` text; dotted keys (params.k) set scenario
 parameters.  parse_config(serialize_config(cfg)) returns an equal config.
@@ -235,51 +235,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    import pcbf.core as core
-    from pcbf.barrier import eval_pcbf
-    from pcbf.paths import AnalyticCarPath
-    from pcbf.qp import AffineConstraint, solve_min_deviation
-    from pcbf.scenarios import intersection_initial_state
-    from pcbf.simulate import build_scenario, make_context
-
-    failures = []
-
-    def check(name, ok):
-        print(f"{'ok' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    margin = core.make_default_margin(1.0, 10.0)
-    alpha = core.make_compatible_alpha(margin, 4.0)
-    lam = np.linspace(1e-3, 10.0, 200)
-    check("margin compatibility alpha(m(lam)) >= m'(lam)",
-          bool(np.all([alpha.value(margin.value(l)) >= margin.derivative(l) - 1e-12
-                       for l in lam])))
-    check("alpha(m(T)) >= gamma", alpha.value(margin.value(10.0)) >= 4.0 - 1e-12)
-
-    path = AnalyticCarPath(k=1.0, v=np.array([1.0, 1.0]))
-    x = np.array([0.0, 0.0, 0.0, 0.0])
-    p1 = path.evaluate(1.0, 0.0, x)
-    check("car path closed form", abs(p1[0] - math.exp(-1.0)) < 1e-12
-          and abs(p1[1] - (1.0 - math.exp(-1.0))) < 1e-12)
-
-    res = solve_min_deviation(np.array([2.0, 2.0]),
-                              [AffineConstraint(np.array([1.0, 0.0]), 0.0),
-                               AffineConstraint(np.array([0.0, 1.0]), 1.0)])
-    check("min-deviation projection", np.allclose(res.u, [0.0, 1.0], atol=1e-10))
-
-    cfg = default_config("intersection_cross")
-    model, h, path, mu_law, x0 = build_scenario(cfg)
-    ctx = make_context(cfg, model, h, path)
-    val = eval_pcbf(0.0, intersection_initial_state(cfg), ctx)
-    check("intersection barrier evaluates finite", math.isfinite(val.h_star))
-    check("initial state inside predicted safe set", val.h_star <= 0.0)
-
-    print(f"{len(failures)} failure(s)")
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pcbf", description="Predictive safety-filter simulations")
@@ -295,9 +250,6 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--controllers", default="pcbf,ecbf,none")
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_self = sub.add_parser("selftest", help="quick built-in checks")
-    p_self.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
+from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, rk4_one
 from pcbf.paths import AnalyticCarPath, OdePath
 
 SCENARIOS = ("intersection_cross", "intersection_left_turn", "satellite")
@@ -184,26 +184,18 @@ def _check_positive(p, *keys):
             raise ConfigurationError(f"params.{key} must be positive, got {p[key]}")
 
 
-def build_intersection(cfg: ScenarioConfig, lanes=None):
+def build_intersection(cfg: ScenarioConfig):
     """Returns (model, constraint, path, nominal control law)."""
     p = cfg.params
     _check_positive(p, "rho")
     k, v1, v2 = p["k"], p["v1"], p["v2"]
-    if lanes is None:
-        lane1 = StraightLane((1.0, 0.0))
-        if cfg.scenario == "intersection_left_turn":
-            lane2 = LeftTurnLane(p["turn_radius"])
-        else:
-            lane2 = StraightLane((0.0, 1.0))
-        lanes = (lane1, lane2)
-    for lane in lanes:
-        zs = np.linspace(-20.0, 20.0, 101)
-        speeds = np.linalg.norm(lane.tangent(zs), axis=-1)
-        if np.max(np.abs(speeds - 1.0)) > 1e-9:
-            raise ConfigurationError("lane parameterization is not unit-speed")
+    if cfg.scenario == "intersection_left_turn":
+        lane2 = LeftTurnLane(p["turn_radius"])
+    else:
+        lane2 = StraightLane((0.0, 1.0))
 
     model = CarPairModel()
-    h = SeparationConstraint(lanes[0], lanes[1], p["rho"])
+    h = SeparationConstraint(StraightLane((1.0, 0.0)), lane2, p["rho"])
     path = AnalyticCarPath(k=k, v=np.array([v1, v2]))
     return model, h, path, path.nominal_control
 
@@ -395,7 +387,13 @@ def _circular_state(a, mu_grav, inclination, angle):
 def _node_angle(p) -> float:
     """Orbit angle covered from t = 0 to the node (a, 0, 0) at conjunction."""
     _check_positive(p, "mu_grav", "radius")
-    n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
+    try:
+        n_rate = math.sqrt(p["mu_grav"] / p["radius"] ** 3)
+    except (OverflowError, ZeroDivisionError):  # radius**3 overflows or underflows to 0
+        n_rate = math.inf
+    if n_rate == math.inf:
+        raise ConfigurationError(f"params.radius must give a finite orbit rate with "
+                                 f"params.mu_grav = {p['mu_grav']}, got {p['radius']}")
     return n_rate * p["conjunction_time"]
 
 
@@ -419,8 +417,13 @@ def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
                               -_node_angle(p) - p["phase_offset"])
     t_end = cfg.duration + cfg.T + 10.0
     knots = np.arange(0.0, t_end + 1.0, 1.0)
-    debris_path = OdePath(model, _zero_thrust, step=1.0, field_one=model.drift_one)
-    return knots, debris_path.evaluate_many(knots, 0.0, debris0)[:, :3]
+    states = [debris0.tolist()]
+    for t in knots[:-1].tolist():
+        states.append(rk4_one(model.drift_one, t, states[-1], 1.0))
+        if not all(map(math.isfinite, states[-1])):
+            raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
+                                     f"{p['mu_grav']} (non-finite state at t = {t + 1.0})")
+    return knots, np.array(states)[:, :3]
 
 
 def build_satellite(cfg: ScenarioConfig):

@@ -188,7 +188,8 @@ _BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("params.k", "inf"), ("params.rho", "-inf"), ("params.rho", "-1")]] + [
     ("satellite", key, value) for key, value in [
         ("params.radius", "-7000"), ("params.radius", "0"), ("params.mu_grav", "-1"),
-        ("params.rho", "-1")]]
+        ("params.rho", "-1"), ("params.radius", "1e200"), ("params.radius", "1e150"),
+        ("params.radius", "1e-300"), ("params.radius", "1e-105"), ("params.mu_grav", "1e300")]]
 
 
 @pytest.mark.parametrize(
@@ -215,10 +216,3 @@ def test_verbose_env_var_reports_progress(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PCBF_VERBOSE", "0")
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-
-
-def test_main_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failure(s)" in out
-    assert "FAIL" not in out

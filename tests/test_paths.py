@@ -535,19 +535,26 @@ class TestFloatKnotChain:
         self._assert_same(one, _sat_paths()[1], t1 + self.TAUS, t1, x1)
 
     def test_debris_path_and_built_path(self, monkeypatch):
-        """build_satellite with and without the float chain: the debris
-        spline's position and velocity coefficients and the controller
-        path's forecast agree bit for bit."""
+        """The debris knots equal an array-stepped OdePath's, and
+        build_satellite's controller path forecasts alike with and without
+        the float chain, bit for bit."""
         from pcbf import scenarios
 
         cfg = default_config("satellite")
-        _, h_one, path_one, _ = scenarios.build_satellite(cfg)
+        model = TwoBodyModel(cfg.params["mu_grav"])
+        knots, debris = scenarios.debris_knots(cfg, model)
+        p = cfg.params
+        debris0 = scenarios._circular_state(
+            p["radius"], p["mu_grav"], math.radians(p["inclination_deg"]),
+            -scenarios._node_angle(p) - p["phase_offset"])
+        reference = OdePath(model, scenarios._zero_thrust, step=1.0)
+        assert np.array_equal(debris, reference.evaluate_many(knots, 0.0, debris0)[:, :3])
+
+        _, _, path_one, _ = scenarios.build_satellite(cfg)
         monkeypatch.setattr(scenarios, "OdePath",
                             lambda *a, field_one=None, **kw: OdePath(*a, **kw))
-        _, h_arr, path_arr, _ = scenarios.build_satellite(cfg)
+        _, _, path_arr, _ = scenarios.build_satellite(cfg)
         assert path_one._field_one is not None and path_arr._field_one is None
-        assert np.array_equal(h_one.spline.c, h_arr.spline.c)
-        assert np.array_equal(h_one.spline.vel_c, h_arr.spline.vel_c)
         x0 = satellite_initial_state(cfg)
         taus = np.arange(0.0, cfg.duration + cfg.step, 0.7)
         assert np.array_equal(path_one.evaluate_many(taus, 0.0, x0),

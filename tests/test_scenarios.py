@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from pcbf import scenarios
@@ -51,9 +52,12 @@ class TestLanes:
             assert np.allclose(lane.tangent(z_joint - 1e-9),
                                lane.tangent(z_joint + 1e-9), atol=1e-8)
 
-    def test_left_turn_unit_speed(self):
-        lane = LeftTurnLane(4.5)
-        zs = np.linspace(-10.0, 20.0, 500)
+    @pytest.mark.parametrize("radius", [0.1, 4.5, 1000.0])
+    def test_left_turn_unit_speed(self, radius):
+        """Any radius a config can give makes an arc-length lane: the
+        approach, the whole arc and the exit, scaled with the radius."""
+        lane = LeftTurnLane(radius)
+        zs = np.linspace(-10.0, 20.0, 500) * (radius / 4.5)
         speeds = np.linalg.norm(lane.tangent(zs), axis=-1)
         assert np.max(np.abs(speeds - 1.0)) < 1e-12
         # arc length consistency: chord length over small steps equals dz
@@ -70,24 +74,6 @@ class TestLanes:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ConfigurationError):
             LeftTurnLane(0.0)
-
-
-class _ScaledLane:
-    """Deliberately non-arc-length parameterization."""
-
-    def point(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([2.0 * z, np.zeros_like(z)], axis=-1)
-
-    def tangent(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(np.array([2.0, 0.0]), z.shape + (2,))
-
-
-def test_build_intersection_rejects_non_unit_lane():
-    cfg = default_config("intersection_cross")
-    with pytest.raises(ConfigurationError, match="unit-speed"):
-        build_intersection(cfg, lanes=(_ScaledLane(), StraightLane((0.0, 1.0))))
 
 
 def test_separation_constraint_coincidence_and_bound():
@@ -349,6 +335,28 @@ def test_conjunction_precondition_enforced():
     cfg.params["phase_offset"] = 5e-3  # debris far behind: no close approach
     with pytest.raises(ConfigurationError, match="conjunct"):
         build_satellite(cfg)
+
+
+# log-uniform over [1e-300, 1e300]: far past where radius**3 leaves float
+# range (radius above about 5.6e102 or below about 1.7e-108) and where the
+# debris propagation overflows
+_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(radius=_EXTREME, mu_grav=_EXTREME)
+def test_extreme_orbit_values_build_or_are_config_errors(radius, mu_grav):
+    """Any positive finite radius and mu_grav either build the satellite
+    scenario or raise ConfigurationError, never another exception."""
+    cfg = default_config("satellite")
+    cfg.params.update(radius=radius, mu_grav=mu_grav)
+    try:
+        build_scenario(cfg)
+    except ConfigurationError:
+        pass
 
 
 def test_satellite_scenario_is_a_genuine_threat(satellite_setup):
