@@ -93,11 +93,13 @@ class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
 
     The path holds one forecast from the last (t, x) asked about, keyed by t
-    and the exact bytes of x: state knots every `step` seconds, grown up to
-    the latest time asked for, and the sensitivity dp/dx at the knots,
-    co-integrated through Phidot = A Phi (A the closed-loop Jacobian,
-    analytic if given, else central differences) only up to the latest knot
-    asked for.
+    and the exact bytes of x: state knots every `step` seconds in one
+    (n_knots, dim) array, grown in one loop up to the latest time asked for,
+    and the sensitivity dp/dx at the knots, co-integrated through
+    Phidot = A Phi (A the closed-loop Jacobian, analytic if given, else
+    central differences) only up to the latest knot asked for.  A Phi step
+    takes A at the stage states of the state's own RK4 step and steps Phi
+    alone, the same floats as one RK4 step of the stacked [x, vec Phi].
 
     A new key whose x is byte-equal to knot k >= 1 (the plant followed the
     forecast) keeps the knots from k on, and the sensitivity restarts at the
@@ -117,6 +119,8 @@ class OdePath:
     operations in its order (TwoBodyModel.drift_one), the knot steps run on
     Python floats through core.rk4_one and equal rk4's bit for bit, without
     numpy's per-call cost; partial steps and the sensitivity stay on arrays.
+    A non-finite knot raises PropagationError; the finite knots before it
+    stay held.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None, field_one=None):
@@ -129,7 +133,7 @@ class OdePath:
         self._field_one = field_one  # float field of one state for the knot steps
         self._key = None
         self._t0 = 0.0
-        self._states: list[np.ndarray] = []
+        self._states = np.empty((0, 0))  # (n_knots, dim)
         self._partials: list[dict] = []  # per knot: (t_k, rem) -> partial-step state
         self._phis: list[np.ndarray] = []
 
@@ -148,12 +152,17 @@ class OdePath:
             return self._jac(t, x)
         return finite_diff_jacobian(lambda y: self.field(t, y), x)
 
-    def _joint(self, t, y):
-        """Field of the stacked [x, vec Phi]: the state's own field and the
-        variational equation Phidot = A Phi."""
-        n = self._states[0].size
-        x, phi = y[:n], y[n:].reshape(n, n)
-        return np.concatenate([self.field(t, x), (self._jacobian(t, x) @ phi).ravel()])
+    def _phi_step(self, t, x, phi, dt):
+        """Phi after one RK4 step of Phidot = A Phi from (t, x, phi), with A
+        taken at the stage states of the RK4 step of x."""
+        x2 = x + dt / 2 * self.field(t, x)
+        x3 = x + dt / 2 * self.field(t + dt / 2, x2)
+        x4 = x + dt * self.field(t + dt / 2, x3)
+        K1 = self._jacobian(t, x) @ phi
+        K2 = self._jacobian(t + dt / 2, x2) @ (phi + dt / 2 * K1)
+        K3 = self._jacobian(t + dt / 2, x3) @ (phi + dt / 2 * K2)
+        K4 = self._jacobian(t + dt, x4) @ (phi + dt * K3)
+        return phi + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
 
     def _forecast(self, t, x):
         """Make the held forecast the one from (t, x), keeping what it shares
@@ -165,7 +174,7 @@ class OdePath:
             return
         self._key = key
         states, t0, step = self._states, self._t0, self.step
-        k = round((t - t0) / step) if states else 0
+        k = round((t - t0) / step) if len(states) else 0
         if 1 <= k < len(states) and states[k].tobytes() == key[1]:
             # knot k + j + 1 came from an RK4 step started at the time compared
             j = np.arange(len(states) - k - 1)
@@ -173,7 +182,7 @@ class OdePath:
             self._states = states[k:k + keep]
             self._partials = self._partials[k:k + keep]
         else:
-            self._states = [x.copy()]
+            self._states = x[None].copy()
             self._partials = [{}]
         self._t0 = t
         self._phis = [np.eye(x.size)]
@@ -191,27 +200,28 @@ class OdePath:
         t_k = self._t0 + k * self.step
         rem = taus - t_k
         rem[rem < 1e-12 * np.maximum(1.0, np.abs(taus))] = 0.0
-        states = self._states
-        while len(states) <= k.max(initial=0):
-            j = len(states) - 1
-            tj = self._t0 + j * self.step
-            if self._field_one is None:
-                xn = rk4(self.field, tj, states[j], self.step)
-            else:
-                xn = np.array(rk4_one(self._field_one, tj, states[j].tolist(), self.step))
-            if not np.all(np.isfinite(xn)):
-                raise PropagationError(
-                    f"non-finite state while propagating to tau={tj + self.step}",
-                    tau=tj + self.step,
-                )
-            states.append(xn)
-            self._partials.append({})
+        one, n = self._field_one, len(self._states)
+        y = self._states[-1].tolist() if one else self._states[-1]
+        grown = []
+        try:
+            for j in range(n - 1, k.max(initial=0)):
+                tj = self._t0 + j * self.step
+                y = rk4_one(one, tj, y, self.step) if one else rk4(self.field, tj, y, self.step)
+                if not all(map(math.isfinite, y)):
+                    raise PropagationError(
+                        f"non-finite state while propagating to tau={tj + self.step}",
+                        tau=tj + self.step,
+                    )
+                grown.append(y)
+        finally:
+            if grown:
+                self._states = np.concatenate([self._states, grown])
+                self._partials += [{} for _ in grown]
         return k, t_k, rem
 
     def _at(self, taus, t):
         k, t_k, rem = self._knots(taus, t)
-        lo, hi = (k.min(), k.max() + 1) if k.size else (0, 1)
-        out = np.array(self._states[lo:hi])[k - lo]
+        out = self._states[k]
         off = np.flatnonzero(rem)
         if off.size:
             memos = [self._partials[j] for j in k[off].tolist()]
@@ -241,16 +251,10 @@ class OdePath:
         self._forecast(t, x)
         (k,), (t_k,), (rem,) = self._knots([tau], t)
         states, phis = self._states, self._phis
-        n = states[0].size
-
-        def joint_step(j, t_j, dt):
-            y = rk4(self._joint, t_j, np.concatenate([states[j], phis[j].ravel()]), dt)
-            return y[n:].reshape(n, n)
-
         while len(phis) <= k:
             j = len(phis) - 1
-            phis.append(joint_step(j, self._t0 + j * self.step, self.step))
-        return phis[k] if rem == 0.0 else joint_step(k, t_k, rem)
+            phis.append(self._phi_step(self._t0 + j * self.step, states[j], phis[j], self.step))
+        return phis[k] if rem == 0.0 else self._phi_step(t_k, states[k], phis[k], rem)
 
     def nominal_control(self, t, x):
         return self.mu(t, x)

@@ -247,9 +247,10 @@ class TwoBodyModel(DynamicsModel):
 
     def drift_jacobian(self, t, x):
         r = np.asarray(x, dtype=float)[:3]
-        rn = np.linalg.norm(r)
+        rn = math.sqrt(r.dot(r))  # np.linalg.norm and np.outer, without their wrappers
+        rn = rn if rn < 1e61 else np.float64(rn)  # rn**5 overflows to inf, not OverflowError
         jac = self._JAC.copy()
-        jac[3:, :3] = self.mu_grav * (3.0 * np.outer(r, r) / rn**5 - self._EYE / rn**3)
+        jac[3:, :3] = self.mu_grav * (3.0 * (r[:, None] * r) / rn**5 - self._EYE / rn**3)
         return jac
 
 

@@ -47,6 +47,10 @@ _DERIV_ERRORS = (TangentialCrossingError, DegenerateMaximizerError,
 # relative room by which c0 must undercut alpha(-H) for a row to count as
 # slack at u = mu without building it; nearer ties solve the full QP
 _TIE_MARGIN = 1e-6
+# most control steps in one run: each step keeps about 1-3 kB of records and
+# takes at least 0.1 ms, so 10**6 steps (1400x the pinned runs) already hold
+# gigabytes and run for minutes
+_MAX_STEPS = 10**6
 
 
 @dataclass
@@ -281,6 +285,9 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
         raise ConfigurationError(f"step must be positive, got {cfg.step}")
     if not cfg.duration >= 0:
         raise ConfigurationError(f"duration must be nonnegative, got {cfg.duration}")
+    if not cfg.duration / cfg.step <= _MAX_STEPS:
+        raise ConfigurationError(f"step must give at most {_MAX_STEPS} steps over duration "
+                                 f"{cfg.duration}, got {cfg.step}")
     model, h, path, mu_law, x0 = build_scenario(cfg)
     controller = make_controller(cfg, model, h, path, mu_law)
 

@@ -185,8 +185,10 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
 _BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
     ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
-    ("params.k", "inf"), ("params.rho", "-inf"), ("params.rho", "-1")]] + [
+    ("params.k", "inf"), ("params.rho", "-inf"), ("params.rho", "-1"), ("step", "1e-300"),
+    ("step", "1e-320")]] + [
     ("satellite", key, value) for key, value in [
+        ("step", "1e-300"),
         ("params.radius", "-7000"), ("params.radius", "0"), ("params.mu_grav", "-1"),
         ("params.rho", "-1"), ("params.radius", "1e200"), ("params.radius", "1e150"),
         ("params.radius", "1e-300"), ("params.radius", "1e-105"), ("params.mu_grav", "1e300")]]

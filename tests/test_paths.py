@@ -136,6 +136,21 @@ class _CubicBlowup(DynamicsModel):
         return np.ones(x.shape[:-1] + (1, 1))
 
 
+class _CountingCubic(_CubicBlowup):
+    """xdot = x^3 as x * x * x, with its float twin, counting field calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def drift(self, t, x):
+        self.calls += 1
+        return x * x * x
+
+    def drift_one(self, t, y):
+        self.calls += 1
+        return [a * a * a for a in y]
+
+
 class _CountingLinear(DynamicsModel):
     """xdot = A x, counting calls to the drift (driven with u = 0 only)."""
 
@@ -283,18 +298,19 @@ class TestOdePath:
         states = path.evaluate_many(knots, t, x)
         assert np.array_equal(states[-1], end)
         assert model.calls == 4 * K
-        # the sensitivity re-uses the state knots: only the joint steps up
-        # to knot 3 evaluate the field, and only once
+        # the sensitivity re-uses the state knots: only the Phi steps up to
+        # knot 3 evaluate the field, once each for the stage states x2, x3
+        # and x4 of the state's RK4 step
         path.state_sensitivity(knots[3], t, x)
-        assert model.calls == 4 * K + 4 * 3
+        assert model.calls == 4 * K + 3 * 3
         path.state_sensitivity(knots[2], t, x)
         path.evaluate(knots[5], t, x)
-        assert model.calls == 4 * K + 4 * 3
+        assert model.calls == 4 * K + 3 * 3
         # a new (t, x) starts a new forecast, which replaces the old one
         path.evaluate(knots[1], t, x + 1e-3)
-        assert model.calls == 4 * K + 4 * 3 + 4
+        assert model.calls == 4 * K + 3 * 3 + 4
         path.evaluate(knots[1], t, x)
-        assert model.calls == 4 * K + 4 * 3 + 8
+        assert model.calls == 4 * K + 3 * 3 + 8
 
     def test_off_knot_evaluation_steps_once(self):
         """An off-knot horizon evaluation away from the scan grid makes one
@@ -562,6 +578,28 @@ class TestFloatKnotChain:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_knot_mid_block_keeps_the_knots_before_it(self):
+        """A float knot going non-finite deep inside one block of growth
+        raises with the array chain's tau, and the finite knots stepped
+        before it stay held."""
+        t, x0, zero = 0.0, np.array([0.1]), lambda t, x: np.zeros(x.shape[:-1] + (1,))
+        arr = OdePath(_CountingCubic(), zero, step=0.5)
+        with pytest.raises(PropagationError) as want:
+            arr.evaluate(t + 100.0, t, x0)
+        model = _CountingCubic()
+        one = OdePath(model, zero, step=0.5, field_one=model.drift_one)
+        with pytest.raises(PropagationError) as got:
+            one.evaluate(t + 100.0, t, x0)
+        assert (str(got.value), got.value.tau) == (str(want.value), want.value.tau)
+        assert 10.0 < got.value.tau < 100.0  # after many finite knots of the block
+        calls = model.calls
+        last = one.evaluate(got.value.tau - 0.5, t, x0)
+        assert model.calls == calls
+        assert np.isfinite(last).all()
+        assert np.array_equal(one._states, arr._states)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.parametrize("x0", [
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],        # r = 0
@@ -575,3 +613,48 @@ class TestFloatKnotChain:
                 path.evaluate(3.0 + 100.0, 3.0, np.array(x0))
             errors.append((str(err.value), err.value.tau))
         assert errors[0] == errors[1]
+
+
+def _stacked_sensitivity(path, tau, t, x):
+    """dp(tau; t, x)/dx as the stacked step made it (oracle): state knots by
+    rk4 on arrays, and Phi by rk4 on [x, vec Phi] with the joint field
+    [f + g mu, vec(A Phi)], started at each state knot."""
+    n, s = x.size, path.step
+
+    def joint(t_j, y):
+        state, phi = y[:n], y[n:].reshape(n, n)
+        return np.concatenate([path.field(t_j, state), (path._jacobian(t_j, state) @ phi).ravel()])
+
+    def phi_step(t_j, state, phi, dt):
+        return rk4(joint, t_j, np.concatenate([state, phi.ravel()]), dt)[n:].reshape(n, n)
+
+    k = math.floor((tau - t) / s + 1e-9)
+    rem = tau - (t + k * s)
+    state, phi = x, np.eye(n)
+    for j in range(k):
+        phi = phi_step(t + j * s, state, phi, s)
+        state = rk4(path.field, t + j * s, state, s)
+    return phi if rem < 1e-12 * max(1.0, tau) else phi_step(t + k * s, state, phi, rem)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (_sat_paths()[0], _sat_state(), 2.0),
+    lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5]), 0.3),
+], ids=["satellite", "time_dependent"])
+def test_phi_step_equals_stacked_step(make):
+    """Phi stepped alone along the state's RK4 stages equals the stacked
+    step bit for bit, at knots and off them, fresh and after a reuse: the
+    satellite with its analytic Jacobian and float knots, and a driven
+    linear system (u != 0) with a time-dependent law and central
+    differences."""
+    path, x, t = make()
+    s = path.step
+    offsets = s * np.array([0.0, 1.0, 0.25, 5.0, 3.5, 17.0, 12.75, 2.0])
+    for tau in t + offsets:
+        assert np.array_equal(path.state_sensitivity(tau, t, x),
+                              _stacked_sensitivity(path, tau, t, x))
+    t1 = t + 3 * s
+    x1 = path.evaluate(t1, t, x)
+    for tau in t1 + offsets:
+        assert np.array_equal(path.state_sensitivity(tau, t1, x1),
+                              _stacked_sensitivity(path, tau, t1, x1))

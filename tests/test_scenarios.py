@@ -376,7 +376,8 @@ def _two_body_drift(mu_grav, x):
 
 
 def _two_body_jacobian(mu_grav, x):
-    """The two-body drift Jacobian built from fresh blocks (oracle)."""
+    """The two-body drift Jacobian built from fresh blocks through
+    np.linalg.norm and np.outer (oracle)."""
     r = x[:3]
     rn = np.linalg.norm(r)
     jac = np.zeros((6, 6))
@@ -398,6 +399,7 @@ def test_two_body_model_is_bit_identical_to_its_plain_form():
     for x in X[:50]:
         assert np.array_equal(model.drift(0.0, x), _two_body_drift(model.mu_grav, x))
         assert np.array_equal(model.input_matrix(0.0, x), g)
+    for x in X:
         assert np.array_equal(model.drift_jacobian(0.0, x), _two_body_jacobian(model.mu_grav, x))
     # a caller may write to the Jacobian it gets without touching the next one
     model.drift_jacobian(0.0, X[0])[:] = np.nan
@@ -425,4 +427,17 @@ def test_drift_one_is_bit_identical_to_drift():
 def test_drift_one_at_zero_radius_is_numpys(x):
     model = TwoBodyModel(398600.4418)
     assert np.array_equal(np.array(model.drift_one(0.0, x)), model.drift(0.0, np.array(x)),
+                          equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], [1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0],
+                               [1e62, 3e61, 0.0, 1.0, 2.0, 3.0], [1e200, 0.0, 0.0, 1.0, 2.0, 3.0]],
+                         ids=["r_zero", "r_underflow", "rn5_overflow", "rr_overflow"])
+def test_drift_jacobian_at_extreme_radius_is_numpys(x):
+    model = TwoBodyModel(398600.4418)
+    x = np.array(x)
+    assert np.array_equal(model.drift_jacobian(0.0, x), _two_body_jacobian(model.mu_grav, x),
                           equal_nan=True)
