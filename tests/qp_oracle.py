@@ -54,6 +54,13 @@ def _sweep(center, half, points, mu, hard, slack, best):
     return best, found
 
 
+def penalized_objective(u, mu, constraints):
+    """||u - mu||^2 plus w * max(0, a.u - b)^2 for each slacked row."""
+    _, slack = _split(constraints)
+    return float(np.sum((u - mu) ** 2)) + sum(
+        w * max(0.0, float(a @ u) - b) ** 2 for a, b, w in slack)
+
+
 def grid_search(mu, constraints):
     """Best penalized objective and point found by hierarchical dense search,
     finishing with local sweeps at 1e-3 and finer resolution."""

@@ -228,7 +228,7 @@ def test_filter_matches_independent_oracles():
         u_ref = slsqp_reference(mu, cons)
         u_err = float(np.max(np.abs(res.u - u_ref)))
         worst_u, worst_dev = max(worst_u, u_err), max(worst_dev, dev_err)
-        if u_err > 2e-3 or dev_err > 2e-3:
+        if u_err > 1e-6 or dev_err > 2e-3:
             fails += 1
     _report("filter matches grid search and scipy on 200 random problems",
             fails == 0,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +209,20 @@ def test_main_run_rejects_bad_value(scenario, key, value, tmp_path, capsys):
     assert f"key {key!r}" in err or f"{key} must" in err
 
 
-def test_verbose_env_var_reports_progress(tmp_path, capsys, monkeypatch):
-    cfg = _write_cfg(tmp_path, "scenario = intersection_cross\nduration = 2\n")
-    out = tmp_path / "out"
-    monkeypatch.setenv("PCBF_VERBOSE", "1")
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "run.csv" in err
-    monkeypatch.setenv("PCBF_VERBOSE", "0")
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+_UNSAFE_START = {
+    "mu_grav-1e-10": "duration = 5\nparams.mu_grav = 1e-10\n",
+    "radius-1e62": "duration = 3\nparams.radius = 1e62\nparams.mu_grav = 1e56\n"
+                   "params.phase_offset = 0\nparams.conjunction_time = 100\n"}
+
+
+@pytest.mark.parametrize("text", _UNSAFE_START.values(), ids=_UNSAFE_START)
+def test_main_run_rejects_unsafe_initial_state(text, tmp_path, capsys):
+    """A satellite config whose initial state already violates the
+    constraint exits 2 at once, where its maximizer search once ran for
+    minutes."""
+    cfg = _write_cfg(tmp_path, f"scenario = satellite\n{text}")
+    start = time.perf_counter()
+    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: the initial state must be safe")

@@ -10,7 +10,7 @@ from pcbf.qp import (
 )
 
 
-from qp_oracle import random_instance, slsqp_reference
+from qp_oracle import grid_search, penalized_objective, random_instance, slsqp_reference
 
 
 def test_hand_worked_projection():
@@ -76,6 +76,56 @@ def test_hard_row_beats_slack():
     assert res.feasible
 
 
+def test_active_set_indexes_constraints():
+    """active_set counts every row, slacked ones included: a binding slacked
+    row first and a binding hard row second give [1]."""
+    res = solve_min_deviation(
+        np.array([2.0, 2.0]),
+        [AffineConstraint(np.array([1.0, 0.0]), 0.0, slack_weight=10.0),
+         AffineConstraint(np.array([0.0, 1.0]), 1.0)])
+    assert np.allclose(res.u, [2.0 / 11.0, 1.0], atol=1e-12)
+    assert res.active_set == [1]
+    assert res.slack_values == pytest.approx([2.0 / 11.0], rel=1e-12)
+
+
+def test_three_slacked_rows_reach_the_optimum():
+    """One hard row and three slacked rows at the controller's weight: the
+    optimum pays two penalties, which guessing the violated rows from the
+    last iterate never reached (it stopped at objective 8.335)."""
+    mu = np.array([-1.77, 1.31, 1.98])
+    cons = [AffineConstraint(np.array([0.34, -0.03, -0.81]), 0.25),
+            AffineConstraint(np.array([-0.42, -0.76, -0.5]), 0.24, slack_weight=1e3),
+            AffineConstraint(np.array([-0.78, -0.96, -0.05]), 0.22, slack_weight=1e3),
+            AffineConstraint(np.array([-0.12, 0.42, 0.9]), 0.04, slack_weight=1e3)]
+    res = solve_min_deviation(mu, cons)
+    assert res.feasible
+    assert np.max(np.abs(res.u - slsqp_reference(mu, cons))) <= 1e-6
+    best, _ = grid_search(mu, cons)
+    assert best == pytest.approx(6.6004, abs=1e-4)
+    assert penalized_objective(res.u, mu, cons) == pytest.approx(best, abs=1e-6)
+    assert res.slack_values == [max(0.0, float(c.row @ res.u) - c.bound) for c in cons[1:]]
+
+
+def test_hard_row_with_many_slacked_rows_is_optimal():
+    """200 instances of one hard row and 3-6 slacked rows (w = 1e3): the hard
+    row holds and no penalized objective exceeds SLSQP's.  SLSQP may overshoot
+    the hard row by ~1e-5 on stiff instances, so it can read slightly lower."""
+    rng = np.random.default_rng(2024)
+    m = 3
+    for _ in range(200):
+        k = int(rng.integers(3, 7))
+        mu = rng.uniform(-2, 2, m)
+        cons = [AffineConstraint(rng.uniform(-1, 1, m), float(rng.uniform(-1, 1)))]
+        cons += [AffineConstraint(rng.uniform(-1, 1, m), float(rng.uniform(-1.5, 0.5)),
+                                  slack_weight=1e3) for _ in range(k)]
+        res = solve_min_deviation(mu, cons)
+        assert res.feasible
+        assert float(cons[0].row @ res.u) <= cons[0].bound + 1e-9 * (1.0 + abs(cons[0].bound))
+        ref = slsqp_reference(mu, cons)
+        assert (penalized_objective(res.u, mu, cons)
+                <= penalized_objective(ref, mu, cons) * (1.0 + 1e-4))
+
+
 def test_matches_independent_solver_on_random_instances():
     """The 200-instance grid-search comparison lives in the acceptance suite;
     this is a quick spot check against the scipy reference."""
@@ -85,7 +135,7 @@ def test_matches_independent_solver_on_random_instances():
         res = solve_min_deviation(mu, cons)
         assert res.feasible
         ref = slsqp_reference(mu, cons)
-        assert np.max(np.abs(res.u - ref)) <= 2e-3
+        assert np.max(np.abs(res.u - ref)) <= 1e-6
 
 
 def test_complementarity_and_tightness():
