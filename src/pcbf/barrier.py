@@ -24,7 +24,8 @@ from pcbf.core import (
     MarginFunction,
     TangentialCrossingError,
 )
-from pcbf.horizon import HorizonGrid, MaximizerEntry, MaximizerSet, find_maximizers, scan
+from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
+                          find_maximizers, scan)
 from pcbf.paths import Path
 
 CASE_INTERIOR = "I_interior"
@@ -42,8 +43,6 @@ class PcbfContext:
     margin: MarginFunction
     T: float
     N: int
-    refine_tol: float = 1e-6
-    root_tol: float = 1e-9
     two_level: bool = False
 
     @property
@@ -95,7 +94,7 @@ class AffineDerivative:
 def eval_pcbf(t, x, ctx: PcbfContext) -> PcbfValue:
     """Scan the horizon, locate maximizers, and assemble the barrier value."""
     grid = ctx.scan(t, x)
-    mset = find_maximizers(grid, ctx.refine_tol, ctx.root_tol)
+    mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
     h_vector = [e.h_value - ctx.margin.value(e.root_eta - t) for e in mset.entries]
     return PcbfValue(h_star=h_vector[0], h_vector=h_vector,
                      case_label=classify_case(mset.first), grid=grid, maximizers=mset)

@@ -203,11 +203,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     names = [c.strip() for c in args.controllers.split(",") if c.strip()]
-    for name in names:
-        if name not in CONTROLLERS:
-            raise ConfigurationError(f"unknown controller {name!r}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not names or len(set(names)) < len(names) or not set(names) <= set(CONTROLLERS):
+        raise ConfigurationError(f"--controllers must name distinct controllers out of "
+                                 f"{', '.join(CONTROLLERS)}, got {args.controllers!r}")
+    out_dir = Path(args.out)  # made by the first run
     # one run at a time, so each run's step_ms is its own
     table = [_run_one(replace(cfg, controller=name, params=dict(cfg.params)),
                       out_dir / name)

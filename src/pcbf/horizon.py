@@ -18,6 +18,8 @@ from pcbf.core import ConfigurationError
 from pcbf.paths import Path
 
 _PLATEAU_TOL = 1e-12
+REFINE_TOL = 1e-6       # golden section: final bracket width, s
+ROOT_TOL = 1e-9         # bisection: |h| at which a midpoint is the root
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
 _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
 _LOOKAHEAD = 4          # search steps evaluated ahead per batch (<= 15 probes)

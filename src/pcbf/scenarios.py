@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +18,24 @@ from pcbf.paths import AnalyticCarPath, OdePath
 
 SCENARIOS = ("intersection_cross", "intersection_left_turn", "satellite")
 CONTROLLERS = ("pcbf", "ecbf", "none", "nominal")
+# longest duration + T on the satellite: its debris track has one knot per second, each
+# ~27 us and 2.3 kB to build, so a 5e4 s window (50x the pinned one) builds in ~2 s, 150 MB
+_MAX_DEBRIS_WINDOW = 5e4
 
 
 @dataclass
 class ScenarioConfig:
     scenario: str
-    controller: str = "pcbf"
-    T: float = 10.0
-    N: int = 200
-    duration: float = 30.0
-    step: float = 0.05
-    refine_tol: float = 1e-6
-    root_tol: float = 1e-9
-    gamma: float = 4.0
-    slack_weight: float = 1e3
-    ecbf_k1: float = 2.0
-    ecbf_k2: float = 1.0
-    two_level: bool = False
-    params: dict = field(default_factory=dict)
+    controller: str
+    T: float
+    N: int
+    duration: float
+    step: float
+    gamma: float
+    ecbf_k1: float
+    ecbf_k2: float
+    two_level: bool
+    params: dict
 
 
 _INTERSECTION_PARAMS = {
@@ -66,18 +66,12 @@ def default_config(scenario: str, controller: str = "pcbf") -> ScenarioConfig:
     if controller not in CONTROLLERS:
         raise ConfigurationError(f"unknown controller {controller!r}")
     if scenario.startswith("intersection"):
-        return ScenarioConfig(
-            scenario=scenario, controller=controller,
-            T=10.0, N=200, duration=30.0, step=0.05,
-            gamma=4.0, ecbf_k1=2.0, ecbf_k2=0.05,
-            params=dict(_INTERSECTION_PARAMS),
-        )
-    return ScenarioConfig(
-        scenario=scenario, controller=controller,
-        T=250.0, N=250, duration=700.0, step=1.0,
-        gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, two_level=True,
-        params=dict(_SATELLITE_PARAMS),
-    )
+        return ScenarioConfig(scenario, controller, T=10.0, N=200, duration=30.0, step=0.05,
+                              gamma=4.0, ecbf_k1=2.0, ecbf_k2=0.05, two_level=False,
+                              params=dict(_INTERSECTION_PARAMS))
+    return ScenarioConfig(scenario, controller, T=250.0, N=250, duration=700.0, step=1.0,
+                          gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, two_level=True,
+                          params=dict(_SATELLITE_PARAMS))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +181,10 @@ def _check_positive(p, *keys):
 def build_intersection(cfg: ScenarioConfig):
     """Returns (model, constraint, path, nominal control law)."""
     p = cfg.params
-    _check_positive(p, "rho")
+    _check_positive(p, "rho", "k")
     k, v1, v2 = p["k"], p["v1"], p["v2"]
     if cfg.scenario == "intersection_left_turn":
+        _check_positive(p, "turn_radius")
         lane2 = LeftTurnLane(p["turn_radius"])
     else:
         lane2 = StraightLane((0.0, 1.0))
@@ -436,6 +431,9 @@ def build_satellite(cfg: ScenarioConfig):
     """
     p = cfg.params
     _check_positive(p, "rho")
+    if not 0 < cfg.T <= _MAX_DEBRIS_WINDOW - cfg.duration:
+        raise ConfigurationError(f"T must be positive with duration + T <= {_MAX_DEBRIS_WINDOW:g}"
+                                 f" s on the satellite, got T = {cfg.T}, duration = {cfg.duration}")
     model = TwoBodyModel(p["mu_grav"])
     h = DebrisDistanceConstraint(DebrisSpline(*debris_knots(cfg, model)), p["rho"])
     path = OdePath(model, _zero_thrust, step=cfg.step, jacobian=model.drift_jacobian,

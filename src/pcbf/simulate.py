@@ -47,6 +47,8 @@ _DERIV_ERRORS = (TangentialCrossingError, DegenerateMaximizerError,
 # relative room by which c0 must undercut alpha(-H) for a row to count as
 # slack at u = mu without building it; nearer ties solve the full QP
 _TIE_MARGIN = 1e-6
+# quadratic penalty on the slack of each row after the first (hard) one
+SLACK_WEIGHT = 1e3
 # most control steps in one run: each step keeps about 1-3 kB of records and
 # takes at least 0.1 ms, so 10**6 steps (1400x the pinned runs) already hold
 # gigabytes and run for minutes
@@ -83,10 +85,9 @@ class PcbfController:
     a zero row in the interior case is noted only where rows are built.
     """
 
-    def __init__(self, ctx: PcbfContext, alpha, slack_weight: float = 1e3):
+    def __init__(self, ctx: PcbfContext, alpha):
         self.ctx = ctx
         self.alpha = alpha
-        self.slack_weight = float(slack_weight)
         self._prev_case: str | None = None
 
     def _held_case(self, entry, t) -> str:
@@ -154,7 +155,7 @@ class PcbfController:
             if active:  # builds the row, which may add to its diagnostics
                 constraints.append(build_cbf_constraint(
                     val.h_vector[idx], deriv, self.alpha, mu,
-                    slack_weight=None if idx == 0 else self.slack_weight))
+                    slack_weight=None if idx == 0 else SLACK_WEIGHT))
             if deriv.diagnostics:
                 notes.append(deriv.diagnostics)
         monitor_ok = all(d.aligned for _, d in rows)
@@ -267,15 +268,14 @@ def build_scenario(cfg: ScenarioConfig):
 def make_context(cfg: ScenarioConfig, model, h, path) -> PcbfContext:
     margin = make_default_margin(h.h_max, cfg.T)
     return PcbfContext(model=model, path=path, h=h, margin=margin,
-                       T=cfg.T, N=cfg.N, refine_tol=cfg.refine_tol,
-                       root_tol=cfg.root_tol, two_level=cfg.two_level)
+                       T=cfg.T, N=cfg.N, two_level=cfg.two_level)
 
 
 def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):
     if cfg.controller == "pcbf":
         ctx = make_context(cfg, model, h, path)
         alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
-        return PcbfController(ctx, alpha, cfg.slack_weight)
+        return PcbfController(ctx, alpha)
     if cfg.controller == "ecbf":
         return EcbfController(h, (cfg.ecbf_k1, cfg.ecbf_k2), model, mu_law)
     if cfg.controller in ("none", "nominal"):

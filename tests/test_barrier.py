@@ -25,7 +25,7 @@ from pcbf.core import (
     TangentialCrossingError,
     make_default_margin,
 )
-from pcbf.horizon import MaximizerEntry, find_root_before
+from pcbf.horizon import REFINE_TOL, ROOT_TOL, MaximizerEntry, find_maximizers, find_root_before
 from pcbf.paths import OdePath
 from pcbf.simulate import build_scenario, make_context
 
@@ -53,13 +53,12 @@ class _FuncConstraint(ConstraintFunction):
         return float(self._dt(t, x)), np.atleast_1d(self._gx(t, x))
 
 
-def _static_ctx(h, T=10.0, N=200, root_tol=1e-9):
+def _static_ctx(h, T=10.0, N=200):
     model = _StaticModel()
     path = OdePath(model, lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
                    step=0.05)
     margin = make_default_margin(h.h_max, T)
-    return PcbfContext(model=model, path=path, h=h, margin=margin, T=T, N=N,
-                       root_tol=root_tol)
+    return PcbfContext(model=model, path=path, h=h, margin=margin, T=T, N=N)
 
 
 def _fd_hstar_rate(ctx, model, t, x, u, d=1e-4):
@@ -75,7 +74,7 @@ def _eval_hp(tau, t, ctx, grid):
     """Predicted safety at horizon time tau: h along the path minus the
     margin in the time until the path first becomes unsafe."""
     h_tau = float(grid.h_many([tau])[0])
-    root = find_root_before(grid, tau, h_tau, ctx.root_tol)
+    root = find_root_before(grid, tau, h_tau, ROOT_TOL)
     return h_tau - ctx.margin.value(root.eta - t)
 
 
@@ -155,10 +154,10 @@ def test_tangential_root_raises():
         dh_dt=lambda t, x: 0.3 * (t - 4.0) ** 2,
         grad_x=lambda t, x: np.zeros(1),
     )
-    ctx = _static_ctx(h, root_tol=1e-12)
+    ctx = _static_ctx(h)
     x = np.zeros(1)
     grid = ctx.scan(0.0, x)
-    root = find_root_before(grid, 9.0, grid.h_many([9.0])[0], ctx.root_tol)
+    root = find_root_before(grid, 9.0, grid.h_many([9.0])[0], 1e-12)
     assert root.eta == pytest.approx(4.0, abs=1e-3)
     with pytest.raises(TangentialCrossingError):
         root_sensitivity_C1(root.eta, grid)
@@ -508,14 +507,14 @@ def test_derivative_matches_parent_where_runs_rarely_go():
         grad_x=lambda t, x: np.array([t - 4.5]),
     )
     outcomes = []
-    for h, root_tol in [(flat, 1e-9), (tangential, 1e-12), (opposed, 1e-9)]:
-        ctx = _static_ctx(h, root_tol=root_tol)
-        val = eval_pcbf(0.0, np.zeros(1), ctx)
-        for entry in val.maximizers.entries + [
+    for h, root_tol in [(flat, ROOT_TOL), (tangential, 1e-12), (opposed, ROOT_TOL)]:
+        ctx = _static_ctx(h)
+        grid = ctx.scan(0.0, np.zeros(1))
+        for entry in find_maximizers(grid, REFINE_TOL, root_tol).entries + [
                 MaximizerEntry(5.0, -0.5, False, False, 5.0, True),
                 MaximizerEntry(9.0, 0.5, False, False, 4.0, False),
                 MaximizerEntry(10.0, 0.5, False, True, 4.0, False)]:
-            outcomes += [want for _, want in _assert_matches_parent(entry, ctx, val.grid)]
+            outcomes += [want for _, want in _assert_matches_parent(entry, ctx, grid)]
     assert any(want[0] is TangentialCrossingError for want in outcomes)
     assert any(len(want) == 5 and want[2] and "flat-maximum" in want[2] for want in outcomes)
     assert any(len(want) == 5 and not want[1] for want in outcomes)

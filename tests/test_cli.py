@@ -3,6 +3,7 @@
 import csv
 import math
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from pcbf.cli import (
     write_csv,
 )
 from pcbf.core import ConfigurationError
-from pcbf.scenarios import SCENARIOS, default_config
+from pcbf.scenarios import SCENARIOS, ScenarioConfig, default_config
 from pcbf.simulate import run_closed_loop
 
 
@@ -61,6 +62,15 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="line 2.*unknown key 'seed'"):
             parse_config("scenario = satellite\nseed = 0\n")
 
+    @pytest.mark.parametrize("line", ["refine_tol = 1e-06", "root_tol = 1e-09",
+                                      "slack_weight = 1000.0"])
+    def test_search_and_slack_constants_are_unknown_keys(self, line):
+        """The search tolerances and the slack weight are module constants,
+        not config keys, so an old config that sets one exits 2."""
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigurationError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"scenario = satellite\n{line}\n")
+
     def test_unknown_param_names_line_and_choices(self):
         with pytest.raises(ConfigurationError, match="line 2.*'params.k'.*rho"):
             parse_config("scenario = satellite\nparams.k = 1\n")
@@ -94,6 +104,32 @@ class TestParseConfig:
 def test_pinned_config_is_serialized_default(name):
     configs = Path(__file__).resolve().parent.parent / "configs"
     assert (configs / f"{name}.txt").read_text() == serialize_config(default_config(name))
+
+
+def _schema_tables():
+    """The keys in the first column of each table of docs/config_schema.md."""
+    doc = Path(__file__).resolve().parent.parent / "docs" / "config_schema.md"
+    tables, rows = [], None
+    for line in doc.read_text().splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        if rows is None:
+            rows = []
+            tables.append(rows)
+        cell = line.split("|")[1].strip()
+        if cell.startswith("`"):
+            rows.append(cell.strip("`"))
+    return tables
+
+
+def test_schema_doc_lists_exactly_the_config_keys():
+    """One row per top-level key and per scenario parameter, no more."""
+    top, intersection, satellite = _schema_tables()
+    assert top == [f.name for f in fields(ScenarioConfig) if f.name != "params"]
+    for name in ("intersection_cross", "intersection_left_turn"):
+        assert sorted(intersection) == sorted(f"params.{k}" for k in default_config(name).params)
+    assert sorted(satellite) == sorted(f"params.{k}" for k in default_config("satellite").params)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +212,18 @@ def test_main_compare_rejects_unknown_controller(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("controllers", [",", " ", "none,none", "pcbf,none,pcbf"])
+def test_main_compare_rejects_empty_or_repeated_controllers(controllers, tmp_path, capsys):
+    """No run starts: an empty list would write a bare table, and a repeated
+    name would run twice into one directory."""
+    cfg = _write_cfg(tmp_path, "scenario = intersection_cross\nduration = 2\n")
+    out = tmp_path / "x"
+    rc = main(["compare", "--config", cfg, "--out", str(out), "--controllers", controllers])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --controllers must name distinct")
+    assert not out.exists()
+
+
 def test_main_bad_config_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "T = 10\n")
     rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -186,8 +234,9 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
 _BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
     ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
-    ("params.k", "inf"), ("params.rho", "-inf"), ("params.rho", "-1"), ("step", "1e-300"),
-    ("step", "1e-320")]] + [
+    ("params.k", "inf"), ("params.k", "0"), ("params.k", "-1"), ("params.rho", "-inf"),
+    ("params.rho", "-1"), ("step", "1e-300"), ("step", "1e-320")]] + [
+    ("intersection_left_turn", "params.turn_radius", "0")] + [
     ("satellite", key, value) for key, value in [
         ("step", "1e-300"),
         ("params.radius", "-7000"), ("params.radius", "0"), ("params.mu_grav", "-1"),
@@ -207,6 +256,26 @@ def test_main_run_rejects_bad_value(scenario, key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error:")
     assert f"key {key!r}" in err or f"{key} must" in err
+
+
+_BAD_DEBRIS_WINDOWS = {
+    "T--1000": "T = -1000\n", "T--100-ecbf": "T = -100\ncontroller = ecbf\n",
+    "T-1e5": "T = 1e5\n", "duration-1e8": "step = 100\nduration = 1e8\n"}
+
+
+@pytest.mark.parametrize("text", _BAD_DEBRIS_WINDOWS.values(), ids=_BAD_DEBRIS_WINDOWS)
+def test_main_run_rejects_bad_debris_window(text, tmp_path, capsys):
+    """The satellite's debris track spans duration + T + 10 s at one knot
+    per second.  A window that is too short or too long exits 2 at once,
+    where it once failed in the spline, ran on an extrapolated track, or
+    built knots for minutes."""
+    cfg = _write_cfg(tmp_path, f"scenario = satellite\n{text}")
+    start = time.perf_counter()
+    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: T must be positive with duration + T <= 50000 s on the satellite")
 
 
 _UNSAFE_START = {

@@ -33,6 +33,7 @@ from pcbf.paths import OdePath
 from pcbf.qp import AffineConstraint, build_cbf_constraint, solve_min_deviation
 from pcbf.scenarios import CarPairModel, default_config
 from pcbf.simulate import (
+    SLACK_WEIGHT,
     EcbfController,
     PcbfController,
     build_scenario,
@@ -381,7 +382,7 @@ def _full_step(ctrl, t, x):
             continue
         constraints.append(build_cbf_constraint(
             val.h_vector[idx], deriv, ctrl.alpha, mu,
-            slack_weight=None if idx == 0 else ctrl.slack_weight))
+            slack_weight=None if idx == 0 else SLACK_WEIGHT))
         if deriv.diagnostics:
             notes.append(deriv.diagnostics)
     res = solve_min_deviation(mu, constraints)
