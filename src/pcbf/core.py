@@ -22,10 +22,6 @@ class ConfigurationError(ValueError):
 class PropagationError(RuntimeError):
     """Numerical propagation produced a non-finite state."""
 
-    def __init__(self, message: str, tau: float | None = None):
-        super().__init__(message)
-        self.tau = tau
-
 
 class TangentialCrossingError(RuntimeError):
     """Root of h along the path is not transversal; sensitivity undefined."""

@@ -209,9 +209,7 @@ class OdePath:
                 y = rk4_one(one, tj, y, self.step) if one else rk4(self.field, tj, y, self.step)
                 if not all(map(math.isfinite, y)):
                     raise PropagationError(
-                        f"non-finite state while propagating to tau={tj + self.step}",
-                        tau=tj + self.step,
-                    )
+                        f"non-finite state while propagating to tau={tj + self.step}")
                 grown.append(y)
         finally:
             if grown:
@@ -233,7 +231,7 @@ class OdePath:
                 bad = rows[~np.isfinite(y).all(axis=1)]
                 if bad.size:
                     tau = float(np.asarray(taus, dtype=float)[bad[0]])
-                    raise PropagationError(f"non-finite state at tau={tau}", tau=tau)
+                    raise PropagationError(f"non-finite state at tau={tau}")
                 for n, state in zip(miss, y):
                     memos[n][keys[n]] = state
             out[off] = [memo[key] for memo, key in zip(memos, keys)]

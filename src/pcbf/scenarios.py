@@ -414,11 +414,12 @@ def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
     t_end = cfg.duration + cfg.T + 10.0
     knots = np.arange(0.0, t_end + 1.0, 1.0)
     states = [debris0.tolist()]
-    for t in knots[:-1].tolist():
-        states.append(rk4_one(model.drift_one, t, states[-1], 1.0))
-        if not all(map(math.isfinite, states[-1])):
-            raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
-                                     f"{p['mu_grav']} (non-finite state at t = {t + 1.0})")
+    with np.errstate(all="ignore"):  # a non-finite state is reported below
+        for t in knots[:-1].tolist():
+            states.append(rk4_one(model.drift_one, t, states[-1], 1.0))
+            if not all(map(math.isfinite, states[-1])):
+                raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
+                                         f"{p['mu_grav']} (non-finite state at t = {t + 1.0})")
     return knots, np.array(states)[:, :3]
 
 

@@ -235,7 +235,7 @@ _BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
     ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
     ("params.k", "inf"), ("params.k", "0"), ("params.k", "-1"), ("params.rho", "-inf"),
-    ("params.rho", "-1"), ("step", "1e-300"), ("step", "1e-320")]] + [
+    ("params.rho", "-1"), ("step", "1e-300"), ("step", "1e-320"), ("N", "100000000")]] + [
     ("intersection_left_turn", "params.turn_radius", "0")] + [
     ("satellite", key, value) for key, value in [
         ("step", "1e-300"),

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcbf import horizon
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
-from pcbf.horizon import (HorizonGrid, MaximizerEntry, MaximizerSet, _bisect_root, _golden_max,
+from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
+                          _bisect_root, _golden_max,
                           find_maximizers, find_root_before, scan)
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import SeparationConstraint, StraightLane
@@ -180,6 +181,114 @@ def test_two_level_scan_inserts_dense_samples():
     assert dense.taus[0] == 0.0 and dense.taus[-1] == 10.0
     assert np.all(np.diff(dense.taus) > 0)
     assert np.allclose(dense.h_values, func(dense.taus))
+
+
+class _Clock:
+    """A path whose state is time itself."""
+
+    def evaluate_many(self, taus, t, x):
+        return np.array(taus, dtype=float)[:, None]
+
+
+class _Envelope(ConstraintFunction):
+    """h of the state tau: the upper envelope of peaks (p, a, s_left,
+    s_right), each a - s |tau - p|^q with s = s_left before p and s_right
+    after it."""
+
+    h_max = 1.0
+
+    def __init__(self, q, peaks):
+        self.q = q
+        self.p, self.a, self.s_left, self.s_right = map(np.array, zip(*peaks))
+
+    def value(self, t, x):
+        d = x[..., :1] - self.p
+        return np.max(self.a - np.where(d < 0, self.s_left, self.s_right) * np.abs(d) ** self.q,
+                      axis=-1)
+
+
+def _check_two_level_samples(grid, h, t, T, N):
+    """N + 1 coarse samples plus _REFINE_FACTOR - 1 for each interval with a
+    hot endpoint, none closer than one dense step."""
+    coarse = t + np.arange(N + 1) * (T / N)
+    coarse[-1] = t + T
+    hot = h.value(coarse, coarse[:, None]) >= -horizon._THREAT_FRACTION * h.h_max
+    refined = int(np.count_nonzero(hot[:-1] | hot[1:]))
+    assert len(grid.taus) == N + 1 + (horizon._REFINE_FACTOR - 1) * refined
+    step = T / N / (horizon._REFINE_FACTOR if refined else 1)
+    assert np.diff(grid.taus).min() >= step * (1 - 1e-9)
+    assert np.array_equal(grid.h_values, h.value(grid.taus, grid.taus[:, None]))
+
+
+# The stand-in of a hot satellite step: a tent rising at slope 0.3 to its
+# peak at 450.3125 and falling at 0.5, scanned from t = 411 over T = 250.
+_TENT = (411.0, 250.0, 250, True, 1, [(450.3125, 0.0, 0.3, 0.5)], [450.3125])
+
+
+def test_two_level_scan_refines_each_hot_interval_once():
+    """The four intervals with an endpoint at 449, 450 or 451 are refined
+    once each, so no two samples nearly coincide and the tent has one
+    maximizer."""
+    t, T, N, two_level, q, peaks, _ = _TENT
+    h = _Envelope(q, peaks)
+    grid = scan(_Clock(), h, t, np.zeros(1), T, N, two_level)
+    entries = find_maximizers(grid, REFINE_TOL, ROOT_TOL).entries
+    assert len(entries) == 1 and abs(entries[0].tau - 450.3125) <= REFINE_TOL
+    assert len(grid.taus) == 251 + 4 * 49
+    _check_two_level_samples(grid, h, t, T, N)
+
+
+@st.composite
+def _peaked_horizons(draw):
+    """(t, T, N, two_level, q, peaks, interior peak times): h the envelope of
+    tents (q = 1) or parabolas (q = 2) of one slope s, peaked >= 3 coarse
+    steps apart and >= 2 from the horizon ends, with heights in [-2, 1].
+    Neighbour heights differ so little that each peak keeps >= 1.5 steps on
+    either side.  A peak may sit at or beyond a horizon end, which then is a
+    maximizer."""
+    N = draw(st.integers(50, 300))
+    T = draw(st.floats(10.0, 300.0))
+    t = draw(st.floats(0.0, 1000.0))
+    two_level, q = draw(st.booleans()), draw(st.sampled_from([1, 2]))
+    ds = T / N
+    s = draw(st.floats(0.05, 2.0)) / min(ds, 1.0) ** q  # >= 0.05 in a step or a second
+    units = [draw(st.floats(2.0, N - 2.0))]
+    for gap in draw(st.lists(st.floats(3.0, 40.0), max_size=4)):
+        if units[-1] + gap > N - 2.0:
+            break
+        units.append(units[-1] + gap)
+    before = draw(st.none() | st.floats(0.0, 5.0))  # steps before t
+    after = draw(st.none() | st.floats(0.0, 5.0))  # steps after t + T
+    units = ([min(-before, units[0] - 3.0)] if before is not None else []) + units + (
+        [max(N + after, units[-1] + 3.0)] if after is not None else [])
+
+    heights = [draw(st.floats(-2.0, 1.0))]
+    for u0, u1 in zip(units, units[1:]):
+        # within reach, the two cross >= 1.5 steps from either peak
+        reach = max(s * (((u1 - u0 - 1.5) * ds) ** q - (1.5 * ds) ** q), 0.0)
+        heights.append(min(max(heights[-1] + draw(st.floats(-1.0, 1.0)) * reach, -2.0), 1.0))
+    peaks = [(t + u * ds, a, s, s) for u, a in zip(units, heights)]
+    interior = [p for p, *_ in peaks if t < p < t + T]
+    return t, T, N, two_level, q, peaks, interior
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_peaked_horizons())
+@example(case=_TENT)
+def test_maximizers_are_the_drawn_peaks(case):
+    """Every peak at the claimed resolution is found within REFINE_TOL, and
+    every maximizer entry is one of them or a horizon end."""
+    t, T, N, two_level, q, peaks, interior = case
+    h = _Envelope(q, peaks)
+    grid = scan(_Clock(), h, t, np.zeros(1), T, N, two_level)
+    entries = find_maximizers(grid, REFINE_TOL, ROOT_TOL).entries
+    taus = np.array([e.tau for e in entries])
+    for p in interior:
+        assert np.abs(taus - p).min() <= REFINE_TOL
+    for e in entries:
+        assert e.at_start or e.at_end or min(abs(e.tau - p) for p in interior) <= REFINE_TOL
+    if two_level:
+        _check_two_level_samples(grid, h, t, T, N)
 
 
 # -- batched lookahead against the sequential searches ------------------------

@@ -46,9 +46,42 @@ def test_a_changed_digit_is_reported_with_its_row(tmp_path, capsys):
     assert trace_diff.diff_trees(old, new) == [
         "scenario/pcbf/run.csv row 2:\n"
         "  - 0.05,1.625,-0.125,I_interior,1,0\n"
-        "  + 0.05,1.626,-0.125,I_interior,1,0"]
+        "  + 0.05,1.626,-0.125,I_interior,1,0\n"
+        f"  x0: largest |delta| {1.626 - 1.625!r} at row 2\n"
+        "  rows whose case or feasible changed: none"]
     assert trace_diff.main([str(old), str(new)]) == 1
     assert "run.csv row 2" in capsys.readouterr().out
+
+
+def test_largest_delta_per_column_and_changed_cases_are_listed(tmp_path):
+    """Each numeric column that moved gets its largest |delta| and that
+    row; a changed case or feasible lists its row."""
+    old = _tree(tmp_path / "old", "0.51", "0.73")
+    new = _tree(tmp_path / "new", "0.51", "0.73")
+    run = new / "scenario" / "pcbf" / "run.csv"
+    run.write_text(run.read_text()
+                   .replace("0,1.5,-0.25,I_interior,1", "0,1.5,-0.5,I_interior,0")
+                   .replace("1.625,-0.125,I_interior", "1.625,-0.375,III_boundary_root_self"))
+    (diff,) = trace_diff.diff_trees(old, new)
+    assert diff.splitlines()[3:] == [
+        "  Hstar: largest |delta| 0.25 at row 1",
+        "  feasible: largest |delta| 1.0 at row 1",
+        "  rows whose case or feasible changed: 1, 2"]
+
+
+def test_summary_lists_every_moved_key(tmp_path):
+    old = _tree(tmp_path / "old", "0.51", "0.73")
+    new = _tree(tmp_path / "new", "0.9", "0.73")
+    summary = new / "scenario" / "pcbf" / "summary.txt"
+    summary.write_text(summary.read_text().replace("steps = 2", "steps = 3")
+                       .replace("safe = true", "safe = false") + "final_h = -1\n")
+    (diff,) = trace_diff.diff_trees(old, new)
+    assert diff == ("scenario/pcbf/summary.txt row 0:\n"
+                    "  - steps = 2\n"
+                    "  + steps = 3\n"
+                    "  final_h: None -> -1\n"
+                    "  safe: true -> false\n"
+                    "  steps: 2 -> 3")
 
 
 def test_a_file_in_one_tree_only_is_a_difference(tmp_path):
