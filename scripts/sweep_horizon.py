@@ -3,6 +3,8 @@
 the filter intervenes, the accumulated deviation, and the safety margin.
 
 Shorter horizons act later and harder; long horizons act early and gently.
+
+    python3 scripts/sweep_horizon.py --horizons 4,14
 """
 
 import argparse
@@ -13,11 +15,11 @@ from pcbf.scenarios import default_config
 from pcbf.simulate import run_closed_loop
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizons", default="4,6,8,10,14",
                     help="comma-separated horizon lengths in seconds")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     print(f"{'T':>6} {'first_action_t':>15} {'total_deviation':>16} "
           f"{'max_h':>12} {'mean_step_ms':>13}")
     for T in (float(v) for v in args.horizons.split(",")):

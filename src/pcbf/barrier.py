@@ -19,7 +19,6 @@ import numpy as np
 from pcbf.core import (
     ConstraintFunction,
     DegenerateMaximizerError,
-    DynamicsModel,
     InternalConsistencyError,
     MarginFunction,
     TangentialCrossingError,
@@ -37,7 +36,6 @@ CASE_BOUNDARY_ROOT_SELF = "III_boundary_root_self"
 class PcbfContext:
     """Everything needed to evaluate the barrier at a (t, x) pair."""
 
-    model: DynamicsModel
     path: Path
     h: ConstraintFunction
     margin: MarginFunction
@@ -68,13 +66,14 @@ class PcbfValue:
 class AffineDerivative:
     """d/dt of the barrier as constant + row . (u - mu).
 
-    Only the row needs the state sensitivity dp/dx.  derivative_affine sets
-    the constant and makes every check that can fail at once; `build_row`
-    builds the row on its first read.  So a caller that finds the barrier
-    condition c0 <= alpha(-H) slack at u = mu from the constant alone never
-    co-integrates the sensitivity.  Reading the row adds to `diagnostics`
-    the breach of a zero row where the formula assumes a nonzero one.
-    `aligned` is the inner-product monitor's verdict.
+    Only the row needs the path's input response dp/dx g, which puts it in
+    input coordinates.  derivative_affine sets the constant and makes every
+    check that can fail at once; `build_row` builds the row on its first
+    read.  So a caller that finds the barrier condition c0 <= alpha(-H)
+    slack at u = mu from the constant alone never co-integrates the
+    sensitivity.  Reading the row adds to `diagnostics` the breach of a zero
+    row where the formula assumes a nonzero one.  `aligned` is the
+    inner-product monitor's verdict.
     """
 
     constant: float
@@ -118,8 +117,9 @@ def root_sensitivity_C1(eta, grid: HorizonGrid) -> tuple[Callable[[], np.ndarray
 
     Requires the crossing to be transversal: the total tau-derivative of h
     at the root must be bounded away from zero.  That check is made at
-    once; the result is (C1, grad): C1() builds the sensitivity from dp/dx
-    at the root, grad is the constraint gradient there.
+    once; the result is (C1, grad): C1() builds the sensitivity along the
+    input directions from dp/dx g at the root, grad is the constraint
+    gradient there.
     """
     ev = grid.evaluation(eta)
     advect = float(ev.grad_x @ ev.dp_dtau)
@@ -135,13 +135,13 @@ def maximizer_sensitivity(tau, ctx: PcbfContext,
     """Sensitivity of an interior maximizer time to the initial state via the
     implicit function theorem on F(tau, x) = d/dtau h(tau, p(tau; t, x)).
 
-    dF/dtau comes from a central difference over tau; dF/dx from central
-    differences of F with the state perturbation transported through the
-    path sensitivity, so no re-propagation is needed.  The flat-maximum
-    check is made at once; the result is a function that builds the
-    sensitivity from dp/dx at tau.
+    dF/dtau comes from a central difference over tau; dF/dx g from central
+    differences of F along the m columns of dp/dx g at tau, one fixed input
+    step each, so no re-propagation is needed.  The flat-maximum check is
+    made at once; the result is a function that builds the sensitivity
+    along the input directions.
     """
-    t, x = grid.t, grid.x
+    t = grid.t
     step = ctx.grid_step
     lo = max(tau - step, t)
     hi = min(tau + step, t + ctx.T)
@@ -153,14 +153,11 @@ def maximizer_sensitivity(tau, ctx: PcbfContext,
         )
 
     def sensitivity():
-        dp_dx = grid.sensitivity(tau)
-        dF_dx = np.empty(x.size)
-        for i in range(x.size):
-            d = max(1e-6, 1e-7 * abs(x[i]))
-            dp = dp_dx[:, i] * d
-            dF_dx[i] = (grid.evaluation(tau, ev.state + dp).dh_dtau
-                        - grid.evaluation(tau, ev.state - dp).dh_dtau) / (2.0 * d)
-        return -dF_dx / dF_dtau
+        d = 1e-6  # input step
+        dF_du = [(grid.evaluation(tau, ev.state + dp).dh_dtau
+                  - grid.evaluation(tau, ev.state - dp).dh_dtau) / (2.0 * d)
+                 for dp in (grid.sensitivity(tau) * d).T]
+        return -np.array(dF_du) / dF_dtau
 
     return sensitivity
 
@@ -176,19 +173,18 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
     """
     if case is None:
         case = classify_case(entry)
-    t, x = grid.t, grid.x
-    g = ctx.model.input_matrix(t, x)
+    t = grid.t
     mprime = ctx.margin.derivative
 
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
         # Barrier equals h(t, x) here; differentiate it directly.
-        ev = grid.evaluation(t, x)
-        row = np.asarray(ev.grad_x @ g, dtype=float).ravel()
+        ev = grid.evaluation(t, grid.x)
         # an entry that is not its own root is already unsafe: its root is
         # the start, where the state is x
         aligned = entry.root_is_self or inner_product_monitor(
             grid.evaluation(entry.tau).grad_x, ev.grad_x)
-        return AffineDerivative(constant=ev.dh_dtau, build_row=lambda: row, aligned=aligned)
+        return AffineDerivative(constant=ev.dh_dtau, aligned=aligned,
+                                build_row=lambda: ev.grad_x @ grid.sensitivity(t))
 
     ev = grid.evaluation(entry.tau)
     row_h = ev.grad_x
@@ -202,8 +198,7 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
         c0 = ev.dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
         aligned = entry.root_is_self or inner_product_monitor(
             row_h, grid.evaluation(entry.root_eta).grad_x)
-        return AffineDerivative(constant=float(c0), aligned=aligned,
-                                build_row=lambda: np.asarray(row_h_phi() @ g).ravel())
+        return AffineDerivative(constant=float(c0), aligned=aligned, build_row=row_h_phi)
 
     lam = entry.root_eta - t
     diagnostics = None
@@ -212,14 +207,14 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
         try:
             C = maximizer_sensitivity(entry.tau, ctx, grid)
         except DegenerateMaximizerError as exc:
-            C = lambda: np.zeros(x.size)
+            C = lambda: 0.0
             diagnostics = f"flat-maximum fallback: {exc}"
     else:
         C, row_h_eta = root_sensitivity_C1(entry.root_eta, grid)
         aligned = inner_product_monitor(row_h, row_h_eta)
 
     def row():
-        return np.asarray((row_h_phi() - mprime(lam) * C()) @ g).ravel()
+        return row_h_phi() - mprime(lam) * C()
 
     if case == CASE_END_ROOT_BEFORE:
         # the horizon endpoint slides with t, so its time derivative is one

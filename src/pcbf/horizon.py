@@ -72,7 +72,7 @@ class HorizonGrid:
         return PathEvaluation(state, dp_dtau, grad_x, dh_dtau)
 
     def sensitivity(self, tau: float) -> np.ndarray:
-        """dp(tau; t, x)/dx."""
+        """dp(tau; t, x)/dx g(t, x), the path's input response."""
         return self.path.state_sensitivity(tau, self.t, self.x)
 
 
@@ -112,8 +112,8 @@ def scan(path, h, t, x, T, N, two_level=False):
     lo + k T/N/_REFINE_FACTOR for k = 1 .. _REFINE_FACTOR - 1, so narrow
     violation spikes are resolved without a uniformly fine grid.
     """
-    if T <= 0:
-        raise ConfigurationError(f"horizon T must be positive, got {T}")
+    if not 0 < T < np.inf:  # NaN included
+        raise ConfigurationError(f"horizon T must be positive and finite, got {T}")
     if not 50 <= N <= _MAX_N:
         raise ConfigurationError(f"grid sample count N must be in [50, {_MAX_N}], got {N}")
     taus = t + np.arange(N + 1) * (T / N)
@@ -184,7 +184,9 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
     Interior discrete maxima are refined by golden-section search; a plateau
     of equal values contributes only its first time; the horizon boundaries
     are included when the sampled sequence is nonincreasing away from them,
-    so the set is never empty.
+    so the set is never empty.  A peak is found only if it is a discrete
+    maximum of the samples: after a narrow lopsided trough the samples may
+    fall monotonically through it, however far it lies from the next peak.
     """
     if not refine_tol > 0:
         raise ConfigurationError(f"refine_tol must be positive, got {refine_tol}")

@@ -3,8 +3,8 @@
 Two implementations: a closed form for the double-integrator car pair, and a
 fixed-step RK4 flow for arbitrary dynamics under a nominal control law.  Both
 satisfy the Path protocol: the state forecast, the closed-loop vector field
-that is its tau-derivative, and the sensitivity of the forecast to the initial
-state, which the barrier derivative formulas consume.
+that is its tau-derivative, and the forecast's response to the input
+directions, dp/dx g(t, x), which the barrier derivative formulas consume.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class Path(Protocol):
         along its leading axes, and tau then one time per state."""
 
     def state_sensitivity(self, tau, t, x) -> np.ndarray:
-        """dp(tau; t, x)/dx."""
+        """dp(tau; t, x)/dx g(t, x): the n x m response of the forecast to the
+        input directions at (t, x), g(t, x) itself at tau = t."""
 
     def nominal_control(self, t, x) -> np.ndarray:
         """The nominal law mu(t, x)."""
@@ -48,7 +49,7 @@ class AnalyticCarPath:
     """
 
     def __init__(self, k: float, v: np.ndarray):
-        if k <= 0:
+        if not k > 0:
             raise ConfigurationError(f"car path gain k must be positive, got {k}")
         self.k = float(k)
         self.v = np.asarray(v, dtype=float)
@@ -77,13 +78,10 @@ class AnalyticCarPath:
         return np.stack([y[..., 1], mu[..., 0], y[..., 3], mu[..., 1]], axis=-1)
 
     def state_sensitivity(self, tau, t, x):
-        dt = tau - t
-        e = math.exp(-self.k * dt)
-        phi = np.zeros((4, 4))
-        block = np.array([[1.0, (1.0 - e) / self.k], [0.0, e]])
-        phi[0:2, 0:2] = block
-        phi[2:4, 2:4] = block
-        return phi
+        # input i drives car i's speed: column i is dp/dzdot_i
+        e = math.exp(-self.k * (tau - t))
+        a = (1.0 - e) / self.k
+        return np.array([[a, 0.0], [e, 0.0], [0.0, a], [0.0, e]])
 
     def nominal_control(self, t, x):
         return self.k * (self.v - x[..., 1::2])
@@ -95,17 +93,18 @@ class OdePath:
     The path holds one forecast from the last (t, x) asked about, keyed by t
     and the exact bytes of x: state knots every `step` seconds in one
     (n_knots, dim) array, grown in one loop up to the latest time asked for,
-    and the sensitivity dp/dx at the knots, co-integrated through
-    Phidot = A Phi (A the closed-loop Jacobian, analytic if given, else
-    central differences) only up to the latest knot asked for.  A Phi step
-    takes A at the stage states of the state's own RK4 step and steps Phi
-    alone, the same floats as one RK4 step of the stacked [x, vec Phi].
+    and the input response Phi = dp/dx g(t, x) at the knots.  Phi is n x m:
+    it starts at g(t, x) and is co-integrated through Phidot = A Phi (A the
+    closed-loop Jacobian, analytic if given, else central differences) only
+    up to the latest knot asked for.  A Phi step takes A at the stage states
+    of the state's own RK4 step and steps Phi alone, the same floats as one
+    RK4 step of the stacked [x, vec Phi].
 
     A new key whose x is byte-equal to knot k >= 1 (the plant followed the
-    forecast) keeps the knots from k on, and the sensitivity restarts at the
-    identity.  Knot k+j+1 is kept only while the start time of the RK4 step
-    that produced it, t0 + (k+j) step, equals the fresh t + j step bit for
-    bit, so a time-dependent field gets exactly a fresh forecast's states.
+    forecast) keeps the knots from k on, and Phi restarts at g(t, x).  Knot
+    k+j+1 is kept only while the start time of the RK4 step that produced
+    it, t0 + (k+j) step, equals the fresh t + j step bit for bit, so a
+    time-dependent field gets exactly a fresh forecast's states.
     Any other key starts afresh.
 
     A time between knots takes one partial RK4 step from the knot before it;
@@ -124,7 +123,7 @@ class OdePath:
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None, field_one=None):
-        if step <= 0:
+        if not step > 0:
             raise ConfigurationError(f"integration step must be positive, got {step}")
         self.model = model
         self.mu = mu
@@ -185,7 +184,7 @@ class OdePath:
             self._states = x[None].copy()
             self._partials = [{}]
         self._t0 = t
-        self._phis = [np.eye(x.size)]
+        self._phis = [self.model.input_matrix(t, x)]
 
     def _knots(self, taus, t):
         """(k, t_k, rem) for each tau: the last knot at or before it, that

@@ -98,7 +98,7 @@ class LeftTurnLane:
     origin, straight exit heading west.  Arc-length parameterized, C1."""
 
     def __init__(self, radius):
-        if radius <= 0:
+        if not radius > 0:
             raise ConfigurationError(f"turn radius must be positive, got {radius}")
         self.R = float(radius)
         self._arc_len = self.R * math.pi / 2.0

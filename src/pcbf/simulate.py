@@ -265,15 +265,15 @@ def build_scenario(cfg: ScenarioConfig):
     return model, h, path, mu_law, x0
 
 
-def make_context(cfg: ScenarioConfig, model, h, path) -> PcbfContext:
+def make_context(cfg: ScenarioConfig, h, path) -> PcbfContext:
     margin = make_default_margin(h.h_max, cfg.T)
-    return PcbfContext(model=model, path=path, h=h, margin=margin,
-                       T=cfg.T, N=cfg.N, two_level=cfg.two_level)
+    return PcbfContext(path=path, h=h, margin=margin, T=cfg.T, N=cfg.N,
+                       two_level=cfg.two_level)
 
 
 def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):
     if cfg.controller == "pcbf":
-        ctx = make_context(cfg, model, h, path)
+        ctx = make_context(cfg, h, path)
         alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
         return PcbfController(ctx, alpha)
     if cfg.controller == "ecbf":

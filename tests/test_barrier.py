@@ -54,11 +54,10 @@ class _FuncConstraint(ConstraintFunction):
 
 
 def _static_ctx(h, T=10.0, N=200):
-    model = _StaticModel()
-    path = OdePath(model, lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
+    path = OdePath(_StaticModel(), lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
                    step=0.05)
     margin = make_default_margin(h.h_max, T)
-    return PcbfContext(model=model, path=path, h=h, margin=margin, T=T, N=N)
+    return PcbfContext(path=path, h=h, margin=margin, T=T, N=N)
 
 
 def _fd_hstar_rate(ctx, model, t, x, u, d=1e-4):
@@ -80,7 +79,7 @@ def _eval_hp(tau, t, ctx, grid):
 
 def test_value_consistency_intersection():
     cfg, model, h, path, mu_law, x0 = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     for t, x in [(0.0, x0), (3.0, np.array([-9.0, 1.0, -8.2, 1.1])),
                  (6.0, np.array([-4.0, 0.7, -5.0, 1.0]))]:
         val = eval_pcbf(t, x, ctx)
@@ -164,11 +163,12 @@ def test_tangential_root_raises():
 
 
 def test_root_sensitivity_matches_rescan(intersection_pcbf):
-    """Perturb the first state coordinate and re-run the root search; the
-    finite-difference root shift must match the analytic sensitivity."""
+    """Perturb the state along each input direction (column of g) and re-run
+    the root search; the finite-difference root shift must match the
+    analytic sensitivity."""
     log = intersection_pcbf.log
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     k = log.case.index(CASE_END_ROOT_BEFORE)
     t, x = float(log.t[k]), log.x[k]
     val = eval_pcbf(t, x, ctx)
@@ -176,21 +176,18 @@ def test_root_sensitivity_matches_rescan(intersection_pcbf):
     assert first.root_eta < first.tau
     C1 = root_sensitivity_C1(first.root_eta, val.grid)[0]()
     d = 1e-4
-    for i in (0, 1):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += d
-        xm[i] -= d
-        eta_p = eval_pcbf(t, xp, ctx).maximizers.first.root_eta
-        eta_m = eval_pcbf(t, xm, ctx).maximizers.first.root_eta
+    for j, g_j in enumerate(model.input_matrix(t, x).T):
+        eta_p = eval_pcbf(t, x + d * g_j, ctx).maximizers.first.root_eta
+        eta_m = eval_pcbf(t, x - d * g_j, ctx).maximizers.first.root_eta
         fd = (eta_p - eta_m) / (2 * d)
-        assert C1[i] == pytest.approx(fd, rel=1e-3, abs=1e-6)
+        assert C1[j] == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
 
 def test_already_unsafe_derivative_is_direct_h_rate():
     """With the cars overlapping and separating, the barrier equals h(t, x)
     and its derivative reduces to the instantaneous chain rule."""
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     x = np.array([0.0, 1.0, 0.05, 1.0])
     t = 1.0
     val = eval_pcbf(t, x, ctx)
@@ -210,7 +207,7 @@ def test_derivative_matches_finite_difference(case, intersection_pcbf):
     oracle; the acceptance suite covers 50+ states per case."""
     log = intersection_pcbf.log
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     n = len(log.t)
     checked = 0
     for k in range(n):
@@ -241,7 +238,7 @@ def test_inner_product_monitor_self_root(intersection_pcbf, monkeypatch):
     boundary formula at the horizon end."""
     log = intersection_pcbf.log
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
 
     def monitor(grad_tau, grad_eta):
         raise AssertionError("monitor called for a self-root entry")
@@ -264,7 +261,7 @@ def test_inner_product_monitor_reads_derivative_evaluations(intersection_pcbf):
     it equals the inner product of freshly evaluated gradients."""
     log = intersection_pcbf.log
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     checked = 0
     for k in range(0, len(log.t), 3):
         t, x = float(log.t[k]), log.x[k]
@@ -310,7 +307,8 @@ def test_inner_product_monitor_flags_opposed_gradients():
 
 
 # The derivative functions as they were before they shared one path-
-# evaluation record, kept as oracles: the library must return their bits.
+# evaluation record, kept as oracles on the path's input response
+# (grid.sensitivity is dp/dx g): the library must return their bits.
 
 def _parent_evaluation(grid, tau):
     state = grid.path.evaluate(tau, grid.t, grid.x)
@@ -349,13 +347,13 @@ def _parent_maximizer_sensitivity(tau, ctx, grid):
         return float(dh_dt + grad_x @ ctx.path.field(tau, y))
 
     def sensitivity():
-        dp_dx = grid.sensitivity(tau)
-        dF_dx = np.empty(x.size)
-        for i in range(x.size):
-            d = max(1e-6, 1e-7 * abs(x[i]))
-            dp = dp_dx[:, i] * d
-            dF_dx[i] = (F_of_state(state + dp) - F_of_state(state - dp)) / (2.0 * d)
-        return -dF_dx / dF_dtau
+        dp_du = grid.sensitivity(tau)
+        dF_du = np.empty(dp_du.shape[1])
+        for j in range(dp_du.shape[1]):
+            d = 1e-6
+            dp = dp_du[:, j] * d
+            dF_du[j] = (F_of_state(state + dp) - F_of_state(state - dp)) / (2.0 * d)
+        return -dF_du / dF_dtau
 
     return sensitivity
 
@@ -370,7 +368,6 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
     if case is None:
         case = classify_case(entry)
     t, x = grid.t, grid.x
-    g = ctx.model.input_matrix(t, x)
     mprime = ctx.margin.derivative
 
     def grad_at(tau):
@@ -379,7 +376,7 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
         dh_dt, row_h = ctx.h.partials(t, x)
         c0 = float(dh_dt + row_h @ ctx.path.field(t, x))
-        row = np.asarray(row_h @ g, dtype=float).ravel()
+        row = row_h @ grid.sensitivity(t)
         aligned = entry.root_is_self or _parent_inner_product_monitor(
             entry, grad_at(entry.tau), row_h)
         return AffineDerivative(constant=c0, build_row=lambda: row, aligned=aligned)
@@ -396,7 +393,7 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
         aligned = entry.root_is_self or _parent_inner_product_monitor(
             entry, row_h, grad_at(entry.root_eta))
         return AffineDerivative(constant=float(c0), aligned=aligned,
-                                build_row=lambda: np.asarray(row_h_phi() @ g).ravel())
+                                build_row=row_h_phi)
 
     lam = entry.root_eta - t
     diagnostics = None
@@ -405,14 +402,14 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
         try:
             C = _parent_maximizer_sensitivity(entry.tau, ctx, grid)
         except DegenerateMaximizerError as exc:
-            C = lambda: np.zeros(x.size)
+            C = lambda: np.zeros(row_h_phi().shape)
             diagnostics = f"flat-maximum fallback: {exc}"
     else:
         C, row_h_eta = _parent_root_sensitivity_C1(entry.root_eta, ctx, grid)
         aligned = _parent_inner_product_monitor(entry, row_h, row_h_eta)
 
     def row():
-        return np.asarray((row_h_phi() - mprime(lam) * C()) @ g).ravel()
+        return row_h_phi() - mprime(lam) * C()
 
     if case == CASE_END_ROOT_BEFORE:
         return AffineDerivative(constant=float(dh_dtau + mprime(lam)),
@@ -467,7 +464,7 @@ def test_derivative_matches_parent_bit_for_bit(fixture, request):
     hysteresis can hold."""
     log = request.getfixturevalue(fixture).log
     model, h, path, mu_law, _ = build_scenario(log.cfg)
-    ctx = make_context(log.cfg, model, h, path)
+    ctx = make_context(log.cfg, h, path)
     seen = set()
     for k in range(0, len(log.t), 10):
         val = eval_pcbf(float(log.t[k]), log.x[k], ctx)
@@ -485,7 +482,7 @@ def test_derivative_matches_parent_where_runs_rarely_go():
     tangential root (the parent's error and message) and opposed gradients
     (the monitor's verdict)."""
     cfg, model, h, path, mu_law, _ = _intersection()
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     val = eval_pcbf(1.0, np.array([0.0, 1.0, 0.05, 1.0]), ctx)
     assert val.maximizers.first.already_unsafe
     for entry in val.maximizers.entries:

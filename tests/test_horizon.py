@@ -12,7 +12,7 @@ from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, Max
                           _bisect_root, _golden_max,
                           find_maximizers, find_root_before, scan)
 from pcbf.paths import AnalyticCarPath, OdePath
-from pcbf.scenarios import SeparationConstraint, StraightLane
+from pcbf.scenarios import LeftTurnLane, SeparationConstraint, StraightLane
 
 
 class _StaticModel(DynamicsModel):
@@ -56,6 +56,23 @@ def test_scan_rejects_bad_arguments():
         scan(_static_path(), h, 0.0, np.zeros(1), -1.0, 200)
     with pytest.raises(ConfigurationError):
         scan(_static_path(), h, 0.0, np.zeros(1), 10.0, 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scan(_static_path(), _TimeOnlyConstraint(np.sin, np.cos), 0.0, np.zeros(1),
+                 math.nan, 200),
+    lambda: scan(_static_path(), _TimeOnlyConstraint(np.sin, np.cos), 0.0, np.zeros(1),
+                 math.inf, 200),
+    lambda: OdePath(_StaticModel(), None, step=math.nan),
+    lambda: AnalyticCarPath(k=math.nan, v=np.array([1.0, 1.0])),
+    lambda: LeftTurnLane(math.nan),
+], ids=["scan_T_nan", "scan_T_inf", "ode_step_nan", "car_k_nan", "turn_radius_nan"])
+def test_positivity_guards_reject_nan(build):
+    """Each positivity guard is written `not x > 0`, so NaN (and, for the
+    horizon, an infinite T) is a configuration error at once rather than an
+    IndexError far from its cause."""
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 @pytest.mark.parametrize("refine_tol, root_tol, key", [

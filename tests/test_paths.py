@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError, rk4
 from pcbf.horizon import scan
 from pcbf.paths import AnalyticCarPath, OdePath
-from pcbf.scenarios import TwoBodyModel, default_config, satellite_initial_state
+from pcbf.scenarios import CarPairModel, TwoBodyModel, default_config, satellite_initial_state
 
 
 def _independent_rk4(field, t0, x0, t1, n_steps=2000):
@@ -109,18 +109,19 @@ class TestAnalyticCarPath:
             assert np.allclose(d, closed, atol=1e-12)
 
     def test_sensitivity_matches_finite_difference(self):
+        """dp/dx g against differences of evaluate along g's columns; at
+        tau = t it is g bit for bit."""
         path = AnalyticCarPath(k=1.1, v=np.array([1.0, 1.0]))
         x = np.array([0.4, 0.9, -1.2, 0.1])
         tau = 2.3
         phi = path.state_sensitivity(tau, 0.0, x)
-        assert np.array_equal(path.state_sensitivity(0.0, 0.0, x), np.eye(4))
-        fd = np.empty((4, 4))
-        for i in range(4):
-            d = 1e-6
-            xp, xm = x.copy(), x.copy()
-            xp[i] += d
-            xm[i] -= d
-            fd[:, i] = (path.evaluate(tau, 0.0, xp) - path.evaluate(tau, 0.0, xm)) / (2 * d)
+        g = CarPairModel().input_matrix(0.0, x)
+        assert np.array_equal(path.state_sensitivity(0.0, 0.0, x), g)
+        d = 1e-6
+        fd = np.column_stack([(path.evaluate(tau, 0.0, x + d * g_j)
+                               - path.evaluate(tau, 0.0, x - d * g_j)) / (2 * d)
+                              for g_j in g.T])
+        assert phi.shape == (4, 2)
         assert np.max(np.abs(phi - fd)) <= 1e-7 * np.linalg.norm(phi)
 
     def test_rejects_bad_gain(self):
@@ -152,7 +153,7 @@ class _CountingCubic(_CubicBlowup):
 
 
 class _CountingLinear(DynamicsModel):
-    """xdot = A x, counting calls to the drift (driven with u = 0 only)."""
+    """xdot = A x + B u, counting calls to the drift (driven with u = 0 only)."""
 
     A = np.array([[0.0, 1.0], [-1.0, -0.2]])
 
@@ -162,6 +163,9 @@ class _CountingLinear(DynamicsModel):
     def drift(self, t, x):
         self.calls += 1
         return x @ self.A.T
+
+    def input_matrix(self, t, x):
+        return np.broadcast_to(np.array([[0.0], [1.0]]), np.shape(x)[:-1] + (2, 1))
 
 
 class _FirstCoordinate(ConstraintFunction):
@@ -188,10 +192,10 @@ def _sat_state(rng=None):
 
 class TestOdePath:
     def test_initial_time_exact(self):
-        _, path = _sat_path()
+        model, path = _sat_path()
         x = _sat_state()
         assert np.array_equal(path.evaluate(2.0, 2.0, x), x)
-        assert np.array_equal(path.state_sensitivity(2.0, 2.0, x), np.eye(6))
+        assert np.array_equal(path.state_sensitivity(2.0, 2.0, x), model.input_matrix(2.0, x))
 
     def test_tau_before_t_rejected(self):
         _, path = _sat_path()
@@ -227,20 +231,20 @@ class TestOdePath:
             assert np.linalg.norm(direct - relay) <= 1e-6 * (1.0 + np.linalg.norm(direct))
 
     def test_sensitivity_matches_finite_difference(self):
-        _, path = _sat_path()
+        """dp/dx g against differences of evaluate along g's columns."""
+        model, path = _sat_path()
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = _sat_state() + np.concatenate([rng.uniform(-50, 50, 3),
                                                rng.uniform(-0.05, 0.05, 3)])
             tau = rng.uniform(1.0, 60.0)
             phi = path.state_sensitivity(tau, 0.0, x)
-            fd = np.empty((6, 6))
-            for i in range(6):
-                d = max(1e-4, 1e-6 * abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += d
-                xm[i] -= d
-                fd[:, i] = (path.evaluate(tau, 0.0, xp) - path.evaluate(tau, 0.0, xm)) / (2 * d)
+            g = model.input_matrix(0.0, x)
+            d = 1e-4
+            fd = np.column_stack([(path.evaluate(tau, 0.0, x + d * g_j)
+                                   - path.evaluate(tau, 0.0, x - d * g_j)) / (2 * d)
+                                  for g_j in g.T])
+            assert phi.shape == (6, 3)
             assert np.max(np.abs(phi - fd)) <= 1e-4 * np.linalg.norm(phi)
 
     def test_orbital_energy_conserved_over_one_orbit(self):
@@ -618,21 +622,24 @@ class TestFloatKnotChain:
 
 
 def _stacked_sensitivity(path, tau, t, x):
-    """dp(tau; t, x)/dx as the stacked step made it (oracle): state knots by
-    rk4 on arrays, and Phi by rk4 on [x, vec Phi] with the joint field
-    [f + g mu, vec(A Phi)], started at each state knot."""
-    n, s = x.size, path.step
+    """dp(tau; t, x)/dx g(t, x) as the stacked step made it (oracle): state
+    knots by rk4 on arrays, and Phi = dp/dx g by rk4 on [x, vec Phi] with the
+    joint field [f + g mu, vec(A Phi)], started at each state knot and at
+    Phi = g(t, x)."""
+    g = path.model.input_matrix(t, x)
+    s = path.step
+    n, m = g.shape
 
     def joint(t_j, y):
-        state, phi = y[:n], y[n:].reshape(n, n)
+        state, phi = y[:n], y[n:].reshape(n, m)
         return np.concatenate([path.field(t_j, state), (path._jacobian(t_j, state) @ phi).ravel()])
 
     def phi_step(t_j, state, phi, dt):
-        return rk4(joint, t_j, np.concatenate([state, phi.ravel()]), dt)[n:].reshape(n, n)
+        return rk4(joint, t_j, np.concatenate([state, phi.ravel()]), dt)[n:].reshape(n, m)
 
     k = math.floor((tau - t) / s + 1e-9)
     rem = tau - (t + k * s)
-    state, phi = x, np.eye(n)
+    state, phi = x, g
     for j in range(k):
         phi = phi_step(t + j * s, state, phi, s)
         state = rk4(path.field, t + j * s, state, s)

@@ -252,7 +252,7 @@ def test_run_log_is_built_from_the_step_records(monkeypatch):
 class TestHysteresis:
     def _controller(self, intersection_setup):
         cfg, model, h, path, mu_law, _ = intersection_setup
-        ctx = make_context(cfg, model, h, path)
+        ctx = make_context(cfg, h, path)
         alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
         return PcbfController(ctx, alpha), ctx
 
@@ -345,7 +345,7 @@ def _parent_held_case(ctrl, entry, t):
 
 def test_pcbf_controller_step_fields(intersection_setup):
     cfg, model, h, path, mu_law, x0 = intersection_setup
-    ctx = make_context(cfg, model, h, path)
+    ctx = make_context(cfg, h, path)
     alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
     ctrl = PcbfController(ctx, alpha)
     dec = ctrl.step(0.0, x0)

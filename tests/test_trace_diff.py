@@ -1,5 +1,6 @@
 """scripts/trace_diff.py: byte comparison of two experiment trees, timings
-aside; and scripts/reproduce_experiments.py, which writes those trees."""
+aside; scripts/reproduce_experiments.py, which writes those trees; and a
+smoke run of scripts/sweep_horizon.py."""
 
 import importlib.util
 from pathlib import Path
@@ -98,3 +99,16 @@ def test_experiments_cover_every_config_and_controller():
     runs = [(scenario, c) for scenario, controllers in _load("reproduce_experiments").EXPERIMENTS
             for c in controllers.split(",")]
     assert sorted(runs) == sorted((s, c) for s in SCENARIOS for c in CONTROLLERS)
+
+
+def test_sweep_horizon_short_horizon_acts_later(capsys):
+    """Two horizons on the crossing: one row each, both safe, and the
+    short horizon makes its first intervention later than the long one."""
+    assert _load("sweep_horizon").main(["--horizons", "4,14"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["T", "first_action_t", "total_deviation", "max_h",
+                              "mean_step_ms"]
+    table = [[float(v) for v in row.split()] for row in rows]
+    assert [r[0] for r in table] == [4.0, 14.0]
+    assert all(r[3] <= 0.0 for r in table)  # max_h: both runs safe
+    assert table[0][1] > table[1][1]
