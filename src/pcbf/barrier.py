@@ -70,7 +70,7 @@ class AffineDerivative:
     input coordinates.  derivative_affine sets the constant and makes every
     check that can fail at once; `build_row` builds the row on its first
     read.  So a caller that finds the barrier condition c0 <= alpha(-H)
-    slack at u = mu from the constant alone never co-integrates the
+    slack at u = mu from the constant alone never computes the
     sensitivity.  Reading the row adds to `diagnostics` the breach of a zero
     row where the formula assumes a nonzero one.  `aligned` is the
     inner-product monitor's verdict.

@@ -5,6 +5,8 @@ fixed-step RK4 flow for arbitrary dynamics under a nominal control law.  Both
 satisfy the Path protocol: the state forecast, the closed-loop vector field
 that is its tau-derivative, and the forecast's response to the input
 directions, dp/dx g(t, x), which the barrier derivative formulas consume.
+The car path's response is closed form; the RK4 flow takes its response from
+the scenario, which for the satellite is a closed-form Kepler solve.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from pcbf.core import (DynamicsModel, PropagationError, ConfigurationError,
-                       finite_diff_jacobian, rk4, rk4_one)
+from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, rk4, rk4_one
 
 
 class Path(Protocol):
@@ -92,20 +93,19 @@ class OdePath:
 
     The path holds one forecast from the last (t, x) asked about, keyed by t
     and the exact bytes of x: state knots every `step` seconds in one
-    (n_knots, dim) array, grown in one loop up to the latest time asked for,
-    and the input response Phi = dp/dx g(t, x) at the knots.  Phi is n x m:
-    it starts at g(t, x) and is co-integrated through Phidot = A Phi (A the
-    closed-loop Jacobian, analytic if given, else central differences) only
-    up to the latest knot asked for.  A Phi step takes A at the stage states
-    of the state's own RK4 step and steps Phi alone, the same floats as one
-    RK4 step of the stacked [x, vec Phi].
+    (n_knots, dim) array, grown in one loop up to the latest time asked for.
+    knot_steps counts the RK4 steps that grew the knots, over the path's life.
+
+    The input response dp/dx g(t, x) comes from `sensitivity`, a callable
+    (tau, t, x) -> n x m that the scenario supplies in closed form
+    (TwoBodyModel.coast_input_response); it reads no knot and calls no field.
+    state_sensitivity, like evaluate, rejects a tau before t with ValueError.
 
     A new key whose x is byte-equal to knot k >= 1 (the plant followed the
-    forecast) keeps the knots from k on, and Phi restarts at g(t, x).  Knot
-    k+j+1 is kept only while the start time of the RK4 step that produced
-    it, t0 + (k+j) step, equals the fresh t + j step bit for bit, so a
-    time-dependent field gets exactly a fresh forecast's states.
-    Any other key starts afresh.
+    forecast) keeps the knots from k on.  Knot k+j+1 is kept only while the
+    start time of the RK4 step that produced it, t0 + (k+j) step, equals the
+    fresh t + j step bit for bit, so a time-dependent field gets exactly a
+    fresh forecast's states.  Any other key starts afresh.
 
     A time between knots takes one partial RK4 step from the knot before it;
     a query makes all of its partial steps as one batched RK4 step, calling
@@ -117,24 +117,24 @@ class OdePath:
     Given field_one, the field of one state as floats making the field's own
     operations in its order (TwoBodyModel.drift_one), the knot steps run on
     Python floats through core.rk4_one and equal rk4's bit for bit, without
-    numpy's per-call cost; partial steps and the sensitivity stay on arrays.
+    numpy's per-call cost; partial steps stay on arrays.
     A non-finite knot raises PropagationError; the finite knots before it
     stay held.
     """
 
-    def __init__(self, model: DynamicsModel, mu, step: float, jacobian=None, field_one=None):
+    def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, field_one=None):
         if not step > 0:
             raise ConfigurationError(f"integration step must be positive, got {step}")
         self.model = model
         self.mu = mu
         self.step = float(step)
-        self._jac = jacobian  # analytic closed-loop Jacobian, else central FD
+        self._sensitivity = sensitivity  # (tau, t, x) -> dp/dx g(t, x)
         self._field_one = field_one  # float field of one state for the knot steps
+        self.knot_steps = 0
         self._key = None
         self._t0 = 0.0
         self._states = np.empty((0, 0))  # (n_knots, dim)
         self._partials: list[dict] = []  # per knot: (t_k, rem) -> partial-step state
-        self._phis: list[np.ndarray] = []
 
     def field(self, t, x):
         """Closed-loop field, broadcasting over leading batch axes of x; the
@@ -145,23 +145,6 @@ class OdePath:
             g = self.model.input_matrix(t, x)
             return f + np.einsum("...ij,...j->...i", g, u)
         return f
-
-    def _jacobian(self, t, x):
-        if self._jac is not None:
-            return self._jac(t, x)
-        return finite_diff_jacobian(lambda y: self.field(t, y), x)
-
-    def _phi_step(self, t, x, phi, dt):
-        """Phi after one RK4 step of Phidot = A Phi from (t, x, phi), with A
-        taken at the stage states of the RK4 step of x."""
-        x2 = x + dt / 2 * self.field(t, x)
-        x3 = x + dt / 2 * self.field(t + dt / 2, x2)
-        x4 = x + dt * self.field(t + dt / 2, x3)
-        K1 = self._jacobian(t, x) @ phi
-        K2 = self._jacobian(t + dt / 2, x2) @ (phi + dt / 2 * K1)
-        K3 = self._jacobian(t + dt / 2, x3) @ (phi + dt / 2 * K2)
-        K4 = self._jacobian(t + dt, x4) @ (phi + dt * K3)
-        return phi + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
 
     def _forecast(self, t, x):
         """Make the held forecast the one from (t, x), keeping what it shares
@@ -184,17 +167,12 @@ class OdePath:
             self._states = x[None].copy()
             self._partials = [{}]
         self._t0 = t
-        self._phis = [self.model.input_matrix(t, x)]
 
     def _knots(self, taus, t):
         """(k, t_k, rem) for each tau: the last knot at or before it, that
         knot's time and the time left from it to tau, with the state knots
         grown up to the largest k."""
-        taus = np.asarray(taus, dtype=float)
-        early = taus < t - 1e-9 * max(1.0, abs(t))
-        if early.any():
-            raise ValueError(f"tau={taus[early][0]} precedes t={t}")
-        taus = np.maximum(taus, t)
+        taus = _not_before(taus, t)
         k = np.floor((taus - self._t0) / self.step + 1e-9).astype(int)
         t_k = self._t0 + k * self.step
         rem = taus - t_k
@@ -214,6 +192,7 @@ class OdePath:
             if grown:
                 self._states = np.concatenate([self._states, grown])
                 self._partials += [{} for _ in grown]
+                self.knot_steps += len(grown)
         return k, t_k, rem
 
     def _at(self, taus, t):
@@ -245,13 +224,17 @@ class OdePath:
         return self._at(taus, t)
 
     def state_sensitivity(self, tau, t, x):
-        self._forecast(t, x)
-        (k,), (t_k,), (rem,) = self._knots([tau], t)
-        states, phis = self._states, self._phis
-        while len(phis) <= k:
-            j = len(phis) - 1
-            phis.append(self._phi_step(self._t0 + j * self.step, states[j], phis[j], self.step))
-        return phis[k] if rem == 0.0 else self._phi_step(t_k, states[k], phis[k], rem)
+        return self._sensitivity(float(_not_before(tau, t)), t, x)
 
     def nominal_control(self, t, x):
         return self.mu(t, x)
+
+
+def _not_before(taus, t):
+    """taus as floats raised to t; a tau before t by more than rounding
+    raises ValueError."""
+    taus = np.asarray(taus, dtype=float)
+    early = taus < t - 1e-9 * max(1.0, abs(t))
+    if early.any():
+        raise ValueError(f"tau={taus[early][0]} precedes t={t}")
+    return np.maximum(taus, t)

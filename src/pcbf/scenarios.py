@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, rk4_one
+from pcbf.core import (ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError,
+                       rk4_one)
 from pcbf.paths import AnalyticCarPath, OdePath
 
 SCENARIOS = ("intersection_cross", "intersection_left_turn", "satellite")
@@ -207,9 +208,7 @@ class TwoBodyModel(DynamicsModel):
     """Controlled satellite under point-mass gravity; thrust enters the
     velocity states directly."""
 
-    _EYE = np.eye(3)
-    _G = np.vstack([np.zeros((3, 3)), _EYE])  # thrust enters the velocities
-    _JAC = np.block([[np.zeros((3, 3)), _EYE], [np.zeros((3, 6))]])
+    _G = np.vstack([np.zeros((3, 3)), np.eye(3)])  # thrust enters the velocities
 
     def __init__(self, mu_grav):
         self.mu_grav = float(mu_grav)
@@ -240,13 +239,79 @@ class TwoBodyModel(DynamicsModel):
     def input_matrix(self, t, x):
         return np.broadcast_to(self._G, np.shape(x)[:-1] + (6, 3))
 
-    def drift_jacobian(self, t, x):
-        r = np.asarray(x, dtype=float)[:3]
-        rn = math.sqrt(r.dot(r))  # np.linalg.norm and np.outer, without their wrappers
-        rn = rn if rn < 1e61 else np.float64(rn)  # rn**5 overflows to inf, not OverflowError
-        jac = self._JAC.copy()
-        jac[3:, :3] = self.mu_grav * (3.0 * (r[:, None] * r) / rn**5 - self._EYE / rn**3)
-        return jac
+    def coast_input_response(self, tau, t, x):
+        """dp(tau; t, x)/dx g(t, x) of the unthrusted flow in closed form: the
+        6 x 3 velocity columns of the state transition matrix of the Keplerian
+        arc from (t, x), g(t, x) itself at tau = t.
+
+        The arc is the universal-variable f and g solution (Vallado,
+        Fundamentals of Astrodynamics and Applications, Algorithm 8), valid on
+        every conic and for any tau - t; each column is its complex-step
+        derivative along one velocity (Squire & Trapp, SIAM Review 1998),
+        exact to rounding.  Newton on the universal anomaly starts at the
+        elliptic guess, or at sqrt(mu) (tau - t) / |r| off ellipses.  No
+        convergence within _KEPLER_ITERATIONS, or a non-finite response,
+        raises PropagationError.
+        """
+        dt = tau - t
+        sqmu = math.sqrt(self.mu_grav)
+        y = np.tile(np.asarray(x, dtype=complex), (3, 1))
+        y[[0, 1, 2], [3, 4, 5]] += 1j * _COMPLEX_STEP
+        r0v, v0v = y[:, :3], y[:, 3:]
+        with np.errstate(all="ignore"):  # a non-finite solve is reported below
+            r0 = np.sqrt(np.sum(r0v * r0v, axis=1))
+            sigma = np.sum(r0v * v0v, axis=1) / sqmu
+            alpha = 2.0 / r0 - np.sum(v0v * v0v, axis=1) / self.mu_grav
+            chi = sqmu * dt * (alpha if alpha[0].real > 0 else 1.0 / r0)
+            done = False
+            for _ in range(_KEPLER_ITERATIONS):
+                chi2 = chi * chi
+                z = alpha * chi2
+                c2, c3 = _stumpff(z)
+                r = chi2 * c2 + sigma * chi * (1.0 - z * c3) + r0 * (1.0 - z * c2)
+                if done:
+                    break
+                delta = (chi2 * chi * c3 + sigma * chi2 * c2 + r0 * chi * (1.0 - z * c3)
+                         - sqmu * dt) / r
+                chi = chi - delta
+                done = np.all(np.abs(delta) <= 1e-14 * np.abs(chi))
+            else:
+                raise PropagationError(f"Kepler solve did not converge at tau={tau}")
+            f, g = 1.0 - chi2 / r0 * c2, dt - chi2 * chi / sqmu * c3
+            fdot, gdot = sqmu / (r * r0) * chi * (z * c3 - 1.0), 1.0 - chi2 / r * c2
+            arc = np.hstack([f[:, None] * r0v + g[:, None] * v0v,
+                             fdot[:, None] * r0v + gdot[:, None] * v0v])
+        out = arc.imag.T / _COMPLEX_STEP
+        if not np.isfinite(out).all():
+            raise PropagationError(f"non-finite Kepler input response at tau={tau}")
+        return out
+
+
+# coast_input_response: imaginary velocity step (a power of two, so dividing by
+# it is exact) and Newton iteration cap; each call of the pinned satellite run
+# takes at most 3 Newton steps
+_COMPLEX_STEP = 2.0 ** -70
+_KEPLER_ITERATIONS = 50
+# Stumpff c2, c3: Taylor coefficients of sum (-z)^k / (2k+2)! and / (2k+3)!,
+# used for |z| < 0.5, where these 10 terms are exact to rounding and the cos
+# form loses more digits to cancellation the nearer z is to 0
+_C2 = [(-1.0) ** k / math.factorial(2 * k + 2) for k in range(10)][::-1]
+_C3 = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(10)][::-1]
+
+
+def _stumpff(z):
+    """Stumpff functions c2(z), c3(z) of complex z: the series near 0, else
+    cos and sin of sqrt(z), which are cosh and sinh of sqrt(-z) for z < 0."""
+    c2, c3 = np.zeros_like(z), np.zeros_like(z)
+    for a2, a3 in zip(_C2, _C3):
+        c2, c3 = c2 * z + a2, c3 * z + a3
+    small = np.abs(z) < 0.5
+    if small.all():
+        return c2, c3
+    zz = np.where(small, 1.0, z)
+    s = np.sqrt(zz)
+    return (np.where(small, c2, (1.0 - np.cos(s)) / zz),
+            np.where(small, c3, (s - np.sin(s)) / (zz * s)))
 
 
 class DebrisSpline:
@@ -399,8 +464,8 @@ def satellite_initial_state(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _zero_thrust(t, x):
-    """The satellite's nominal law: no thrust, so the closed-loop field and
-    Jacobian are the drift's."""
+    """The satellite's nominal law: no thrust, so the closed-loop field is the
+    drift and the forecast a Keplerian arc."""
     x = np.asarray(x, dtype=float)
     return np.zeros(x.shape[:-1] + (3,))
 
@@ -437,7 +502,7 @@ def build_satellite(cfg: ScenarioConfig):
                                  f" s on the satellite, got T = {cfg.T}, duration = {cfg.duration}")
     model = TwoBodyModel(p["mu_grav"])
     h = DebrisDistanceConstraint(DebrisSpline(*debris_knots(cfg, model)), p["rho"])
-    path = OdePath(model, _zero_thrust, step=cfg.step, jacobian=model.drift_jacobian,
+    path = OdePath(model, _zero_thrust, step=cfg.step, sensitivity=model.coast_input_response,
                    field_one=model.drift_one)
 
     max_h = zero_control_max_h(cfg, h, path)

@@ -79,7 +79,7 @@ class PcbfController:
     u = mu a row reads c0 <= alpha(-H_i).  When every row's c0 undercuts
     alpha(-H_i) by a clear relative margin, the QP's answer is known
     without the rows: u = mu, no active row and zero slacks.  The step then
-    returns it, and the sensitivity is never co-integrated.  Otherwise, at
+    returns it, and the sensitivity is never computed.  Otherwise, at
     a near-tie or with some row active, it builds every row and solves the
     QP.  Derivative failures drop rows and add notes alike on both paths;
     a zero row in the interior case is noted only where rows are built.

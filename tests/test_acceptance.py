@@ -200,9 +200,9 @@ def test_derivative_matches_finite_difference_per_case(intersection_pcbf):
 
 
 def test_satellite_derivative_matches_finite_difference_per_case(satellite_pcbf):
-    """The row built from the co-integrated dp/dx g of an OdePath, checked on
-    the satellite's intervening steps (u != mu), which the intersection
-    oracle above cannot reach.  |dH*/dt| is only about 1e-4 there, so the
+    """The row built from the closed-form dp/dx g of the satellite path,
+    checked on the satellite's intervening steps (u != mu), which the
+    intersection oracle above cannot reach.  |dH*/dt| is only about 1e-4 there, so the
     tolerance is relative."""
     log = satellite_pcbf.log
     model, h, path, _, _ = build_scenario(log.cfg)

@@ -54,8 +54,9 @@ class _FuncConstraint(ConstraintFunction):
 
 
 def _static_ctx(h, T=10.0, N=200):
+    # frozen dynamics: dp/dx is the identity, so the input response is g itself
     path = OdePath(_StaticModel(), lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
-                   step=0.05)
+                   step=0.05, sensitivity=lambda tau, t, x: _StaticModel().input_matrix(t, x))
     margin = make_default_margin(h.h_max, T)
     return PcbfContext(path=path, h=h, margin=margin, T=T, N=N)
 

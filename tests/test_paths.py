@@ -10,6 +10,7 @@ from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, Pro
 from pcbf.horizon import scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import CarPairModel, TwoBodyModel, default_config, satellite_initial_state
+from sensitivity_oracle import cointegrated_sensitivity, two_body_jacobian
 
 
 def _independent_rk4(field, t0, x0, t1, n_steps=2000):
@@ -181,7 +182,19 @@ class _FirstCoordinate(ConstraintFunction):
 def _sat_path(step=1.0):
     model = TwoBodyModel(398600.4418)
     mu = lambda t, x: np.zeros(x.shape[:-1] + (3,))
-    return model, OdePath(model, mu, step=step)
+    return model, OdePath(model, mu, step=step, sensitivity=model.coast_input_response)
+
+
+def _sat_oracle(model, step=1.0):
+    """The satellite's input response by co-integration with the analytic
+    drift Jacobian."""
+    return cointegrated_sensitivity(model, lambda t, x: np.zeros(x.shape[:-1] + (3,)), step,
+                                    jacobian=lambda t, x: two_body_jacobian(model.mu_grav, x))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _sat_state(rng=None):
@@ -195,12 +208,15 @@ class TestOdePath:
         model, path = _sat_path()
         x = _sat_state()
         assert np.array_equal(path.evaluate(2.0, 2.0, x), x)
-        assert np.array_equal(path.state_sensitivity(2.0, 2.0, x), model.input_matrix(2.0, x))
+        g = path.state_sensitivity(2.0, 2.0, x)
+        assert g.tobytes() == np.ascontiguousarray(model.input_matrix(2.0, x)).tobytes()
 
     def test_tau_before_t_rejected(self):
         _, path = _sat_path()
         with pytest.raises(ValueError):
             path.evaluate(1.0, 2.0, _sat_state())
+        with pytest.raises(ValueError, match="precedes"):
+            path.state_sensitivity(1.0, 2.0, _sat_state())
 
     def test_rejects_bad_step(self):
         model, _ = _sat_path()
@@ -293,28 +309,30 @@ class TestOdePath:
 
     def test_one_forecast_serves_every_query_on_its_knots(self):
         model = _CountingLinear()
-        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)),
-                       step=0.5, jacobian=lambda t, x: _CountingLinear.A)
+        asked = []
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5,
+                       sensitivity=lambda tau, t, x: asked.append((tau, t)))
         t, x, K = 1.0, np.array([1.0, -0.5]), 6
         knots = t + path.step * np.arange(K + 1)
         end = path.evaluate(knots[-1], t, x)
         assert model.calls == 4 * K  # one RK4 step per knot
+        assert path.knot_steps == K
         states = path.evaluate_many(knots, t, x)
         assert np.array_equal(states[-1], end)
         assert model.calls == 4 * K
-        # the sensitivity re-uses the state knots: only the Phi steps up to
-        # knot 3 evaluate the field, once each for the stage states x2, x3
-        # and x4 of the state's RK4 step
+        # the input response comes from the sensitivity alone: no knot step
+        # and no field call, on the held forecast's key or on a new one
         path.state_sensitivity(knots[3], t, x)
-        assert model.calls == 4 * K + 3 * 3
         path.state_sensitivity(knots[2], t, x)
+        path.state_sensitivity(knots[6] + 4.0, t, x + 1.0)
+        assert asked == [(knots[3], t), (knots[2], t), (knots[6] + 4.0, t)]
         path.evaluate(knots[5], t, x)
-        assert model.calls == 4 * K + 3 * 3
+        assert model.calls == 4 * K and path.knot_steps == K
         # a new (t, x) starts a new forecast, which replaces the old one
         path.evaluate(knots[1], t, x + 1e-3)
-        assert model.calls == 4 * K + 3 * 3 + 4
+        assert model.calls == 4 * K + 4
         path.evaluate(knots[1], t, x)
-        assert model.calls == 4 * K + 3 * 3 + 8
+        assert model.calls == 4 * K + 8 and path.knot_steps == K + 2
 
     def test_off_knot_evaluation_steps_once(self):
         """An off-knot horizon evaluation away from the scan grid makes one
@@ -371,19 +389,20 @@ class TestForecastReuse:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_reused_forecast_equals_fresh(self, k):
-        _, path = _sat_path()
+        """A kept forecast's states equal a fresh one's bit for bit, and the
+        input response from its start matches the co-integration oracle."""
+        model, path = _sat_path()
         t, x = 2.0, _sat_state()
         path.evaluate(t + 40.0, t, x)
-        path.state_sensitivity(t + 20.0, t, x)
         t1 = t + k * path.step
         x1 = path.evaluate(t1, t, x)
         _, fresh = _sat_path()
         taus = t1 + np.array([0.0, 0.4, 1.0, 7.25, 30.0, 45.5, 60.0])
         assert np.array_equal(path.evaluate_many(taus, t1, x1),
                               fresh.evaluate_many(taus, t1, x1))
+        oracle = _sat_oracle(model)
         for tau in taus:
-            assert np.array_equal(path.state_sensitivity(tau, t1, x1),
-                                  fresh.state_sensitivity(tau, t1, x1))
+            _assert_close(path.state_sensitivity(tau, t1, x1), oracle(tau, t1, x1))
 
     def test_time_dependent_law_matches_fresh_forecast(self):
         """With a non-dyadic step the held knot times t0 + (k+j) step and the
@@ -513,8 +532,8 @@ def _sat_paths(step=1.0):
     """A satellite path whose knots step on floats and one on arrays."""
     model = TwoBodyModel(398600.4418)
     mu = lambda t, x: np.zeros(x.shape[:-1] + (3,))
-    return (OdePath(model, mu, step=step, jacobian=model.drift_jacobian, field_one=model.drift_one),
-            OdePath(model, mu, step=step, jacobian=model.drift_jacobian))
+    return (OdePath(model, mu, step=step, field_one=model.drift_one),
+            OdePath(model, mu, step=step))
 
 
 class TestFloatKnotChain:
@@ -526,9 +545,6 @@ class TestFloatKnotChain:
     @staticmethod
     def _assert_same(one, arr, taus, t, x):
         assert np.array_equal(one.evaluate_many(taus, t, x), arr.evaluate_many(taus, t, x))
-        for tau in taus[::2]:
-            assert np.array_equal(one.state_sensitivity(tau, t, x),
-                                  arr.state_sensitivity(tau, t, x))
 
     @pytest.mark.parametrize("x", [
         satellite_initial_state(default_config("satellite")),
@@ -540,6 +556,7 @@ class TestFloatKnotChain:
         self._assert_same(one, arr, t + np.arange(0.0, 250.0, 0.37), t, x)
         self._assert_same(one, arr, t + self.TAUS, t, x)
         assert np.array_equal(np.array(one._states), np.array(arr._states))
+        assert one.knot_steps == arr.knot_steps == 250  # the float chain counts alike
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_after_reuse(self, k):
@@ -547,11 +564,11 @@ class TestFloatKnotChain:
         t, x = 2.0, _sat_state()
         for path in (one, arr):
             path.evaluate(t + 250.0, t, x)
-            path.state_sensitivity(t + 20.0, t, x)
         t1 = t + k * one.step
         x1 = one.evaluate(t1, t, x)
         assert np.array_equal(x1, arr.evaluate(t1, t, x))
         self._assert_same(one, arr, t1 + self.TAUS, t1, x1)
+        assert one.knot_steps == arr.knot_steps == 250 + k
         self._assert_same(one, _sat_paths()[1], t1 + self.TAUS, t1, x1)
 
     def test_debris_path_and_built_path(self, monkeypatch):
@@ -621,49 +638,50 @@ class TestFloatKnotChain:
         assert errors[0] == errors[1]
 
 
-def _stacked_sensitivity(path, tau, t, x):
-    """dp(tau; t, x)/dx g(t, x) as the stacked step made it (oracle): state
-    knots by rk4 on arrays, and Phi = dp/dx g by rk4 on [x, vec Phi] with the
-    joint field [f + g mu, vec(A Phi)], started at each state knot and at
-    Phi = g(t, x)."""
-    g = path.model.input_matrix(t, x)
-    s = path.step
-    n, m = g.shape
-
-    def joint(t_j, y):
-        state, phi = y[:n], y[n:].reshape(n, m)
-        return np.concatenate([path.field(t_j, state), (path._jacobian(t_j, state) @ phi).ravel()])
-
-    def phi_step(t_j, state, phi, dt):
-        return rk4(joint, t_j, np.concatenate([state, phi.ravel()]), dt)[n:].reshape(n, m)
-
-    k = math.floor((tau - t) / s + 1e-9)
-    rem = tau - (t + k * s)
-    state, phi = x, g
-    for j in range(k):
-        phi = phi_step(t + j * s, state, phi, s)
-        state = rk4(path.field, t + j * s, state, s)
-    return phi if rem < 1e-12 * max(1.0, tau) else phi_step(t + k * s, state, phi, rem)
+def test_kepler_response_matches_cointegration():
+    """The satellite path's closed-form input response equals the
+    co-integrated one to 1e-12 relative, at knots and off them (0.5, 37.3),
+    over the whole pinned horizon, fresh and from a forecast kept after a
+    reuse: on a circular and an eccentric orbit."""
+    for x in (_sat_state(), np.array([6800.0, 1200.0, -900.0, 0.5, 8.3, 1.1])):
+        model, path = _sat_path()
+        oracle = _sat_oracle(model)
+        t = 2.0
+        path.evaluate(t + 250.0, t, x)
+        t1 = t + 3 * path.step
+        x1 = path.evaluate(t1, t, x)
+        path.evaluate(t1 + 250.0, t1, x1)  # kept from knot 3 on
+        assert np.array_equal(path._states[0], x1)
+        for t0, x0 in ((t, x), (t1, x1)):
+            for dt in (0.5, 1.0, 37.0, 37.3, 250.0):
+                _assert_close(path.state_sensitivity(t0 + dt, t0, x0), oracle(t0 + dt, t0, x0))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (_sat_paths()[0], _sat_state(), 2.0),
-    lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5]), 0.3),
-], ids=["satellite", "time_dependent"])
-def test_phi_step_equals_stacked_step(make):
-    """Phi stepped alone along the state's RK4 stages equals the stacked
-    step bit for bit, at knots and off them, fresh and after a reuse: the
-    satellite with its analytic Jacobian and float knots, and a driven
-    linear system (u != 0) with a time-dependent law and central
-    differences."""
-    path, x, t = make()
-    s = path.step
-    offsets = s * np.array([0.0, 1.0, 0.25, 5.0, 3.5, 17.0, 12.75, 2.0])
-    for tau in t + offsets:
-        assert np.array_equal(path.state_sensitivity(tau, t, x),
-                              _stacked_sensitivity(path, tau, t, x))
-    t1 = t + 3 * s
-    x1 = path.evaluate(t1, t, x)
-    for tau in t1 + offsets:
-        assert np.array_equal(path.state_sensitivity(tau, t1, x1),
-                              _stacked_sensitivity(path, tau, t1, x1))
+_MU = 398600.4418
+_V_ESCAPE = math.sqrt(2.0 * _MU / 7000.0)
+
+
+@pytest.mark.parametrize("x, dt, step", [
+    # one period at the pinned radius is 5 829 s
+    (satellite_initial_state(default_config("satellite")), 5900.0, 1.0),
+    (np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2]), 250.0, 0.5),
+    (np.array([7000.0, 300.0, 0.0, -3.0, 1.5 * _V_ESCAPE, 0.2]), 1000.0, 0.5),
+    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 + 1e-12), 0.0]), 1000.0, 1.0),
+    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 - 1e-12), 0.0]), 1000.0, 1.0),
+], ids=["beyond_one_period", "hyperbolic", "hyperbolic_through_periapsis",
+        "near_parabolic_open", "near_parabolic_closed"])
+def test_kepler_response_across_conics(x, dt, step):
+    """The closed form beyond one period (its Stumpff functions by cos and
+    sin, not the series) and on hyperbolic and near-parabolic arcs matches
+    the co-integration oracle to 1e-12 relative."""
+    model, path = _sat_path()
+    _assert_close(path.state_sensitivity(3.0 + dt, 3.0, x), _sat_oracle(model, step)(3.0 + dt, 3.0, x))
+
+
+def test_kepler_response_that_does_not_converge_raises():
+    """A hyperbolic arc 1e6 s past periapsis leaves Newton's iteration cap
+    from its starting guess: PropagationError naming tau, no warning."""
+    _, path = _sat_path()
+    x = np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2])
+    with pytest.raises(PropagationError, match=r"did not converge at tau=1000003\.0"):
+        path.state_sensitivity(1e6 + 3.0, 3.0, x)

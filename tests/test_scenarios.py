@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from pcbf import scenarios
-from pcbf.core import ConfigurationError, finite_diff_jacobian
+from pcbf.core import ConfigurationError, PropagationError, finite_diff_jacobian
 from pcbf.paths import OdePath
 from pcbf.scenarios import (
     CarPairModel,
@@ -27,6 +27,7 @@ from pcbf.scenarios import (
     satellite_initial_state,
 )
 from pcbf.simulate import build_scenario
+from sensitivity_oracle import two_body_jacobian
 
 
 def test_default_config_rejects_unknown_names():
@@ -301,9 +302,10 @@ def test_debris_spline_rejects_what_it_cannot_match():
 
 
 def test_two_body_jacobian_matches_finite_difference():
+    """The analytic Jacobian of the co-integration oracle."""
     model = TwoBodyModel(398600.4418)
     x = satellite_initial_state(default_config("satellite"))
-    jac = model.drift_jacobian(0.0, x)
+    jac = two_body_jacobian(model.mu_grav, x)
     fd = finite_diff_jacobian(lambda y: model.drift(0.0, y), x)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * (1.0 + np.max(np.abs(jac)))
 
@@ -375,17 +377,6 @@ def _two_body_drift(mu_grav, x):
     return out
 
 
-def _two_body_jacobian(mu_grav, x):
-    """The two-body drift Jacobian built from fresh blocks through
-    np.linalg.norm and np.outer (oracle)."""
-    r = x[:3]
-    rn = np.linalg.norm(r)
-    jac = np.zeros((6, 6))
-    jac[:3, 3:] = np.eye(3)
-    jac[3:, :3] = mu_grav * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
-    return jac
-
-
 def test_two_body_model_is_bit_identical_to_its_plain_form():
     model = TwoBodyModel(398600.4418)
     rng = np.random.default_rng(11)
@@ -399,11 +390,6 @@ def test_two_body_model_is_bit_identical_to_its_plain_form():
     for x in X[:50]:
         assert np.array_equal(model.drift(0.0, x), _two_body_drift(model.mu_grav, x))
         assert np.array_equal(model.input_matrix(0.0, x), g)
-    for x in X:
-        assert np.array_equal(model.drift_jacobian(0.0, x), _two_body_jacobian(model.mu_grav, x))
-    # a caller may write to the Jacobian it gets without touching the next one
-    model.drift_jacobian(0.0, X[0])[:] = np.nan
-    assert np.array_equal(model.drift_jacobian(0.0, X[1]), _two_body_jacobian(model.mu_grav, X[1]))
 
 
 def test_drift_one_is_bit_identical_to_drift():
@@ -430,14 +416,20 @@ def test_drift_one_at_zero_radius_is_numpys(x):
                           equal_nan=True)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], [1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0],
-                               [1e62, 3e61, 0.0, 1.0, 2.0, 3.0], [1e200, 0.0, 0.0, 1.0, 2.0, 3.0]],
+@pytest.mark.parametrize("x, raises", [([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], True),
+                                       ([1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0], True),
+                                       ([1e62, 3e61, 0.0, 1.0, 2.0, 3.0], False),
+                                       ([1e200, 0.0, 0.0, 1.0, 2.0, 3.0], True)],
                          ids=["r_zero", "r_underflow", "rn5_overflow", "rr_overflow"])
-def test_drift_jacobian_at_extreme_radius_is_numpys(x):
+def test_kepler_response_at_extreme_radius(x, raises):
+    """At |r| = 0, or an |r|^2 that underflows or overflows, the closed-form
+    input response raises PropagationError naming tau, with no numpy
+    warning.  At |r| = 1e62 gravity is nil, so the arc is a straight line
+    and its response is [dt I; I]."""
     model = TwoBodyModel(398600.4418)
-    x = np.array(x)
-    assert np.array_equal(model.drift_jacobian(0.0, x), _two_body_jacobian(model.mu_grav, x),
-                          equal_nan=True)
+    if raises:
+        with pytest.raises(PropagationError, match=r"at tau=13\.0"):
+            model.coast_input_response(13.0, 3.0, np.array(x))
+    else:
+        assert np.allclose(model.coast_input_response(13.0, 3.0, np.array(x)),
+                           np.vstack([10.0 * np.eye(3), np.eye(3)]), rtol=0.0, atol=1e-15)

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from pcbf import paths, simulate
+from pcbf import scenarios, simulate
 from pcbf.barrier import (
     CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
@@ -26,7 +26,6 @@ from pcbf.core import (
     TangentialCrossingError,
     make_compatible_alpha,
     rk4,
-    rk4_one,
 )
 from pcbf.horizon import MaximizerEntry
 from pcbf.paths import OdePath
@@ -468,39 +467,48 @@ def test_activity_first_matches_full_qp(scenario, request, monkeypatch):
 def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monkeypatch):
     """Work bound of the satellite loop before its first intervention: each
     step follows the forecast, so after the first step every step grows the
-    forecast by one state knot (one RK4 step of a single state, on floats or
-    on an array) and none co-integrates the sensitivity."""
+    forecast by one state knot and none asks for the input response."""
     cfg, model, h, _, mu_law, x0 = satellite_setup
     # a fresh path built as build_satellite builds it: the built one already
     # holds a forecast to t = duration
-    path = OdePath(model, mu_law, step=cfg.step, jacobian=model.drift_jacobian,
+    path = OdePath(model, mu_law, step=cfg.step, sensitivity=model.coast_input_response,
                    field_one=model.drift_one)
     ctrl = make_controller(cfg, model, h, path, mu_law)
-    knot_steps = []
-
-    def counting_rk4(field, t, y, dt):
-        if np.ndim(dt) == 0 and np.shape(y) == x0.shape:
-            knot_steps.append(t)
-        return rk4(field, t, y, dt)
-
-    def counting_rk4_one(field, t, y, dt):
-        knot_steps.append(t)
-        return rk4_one(field, t, y, dt)
-
-    monkeypatch.setattr(paths, "rk4", counting_rk4)
-    monkeypatch.setattr(paths, "rk4_one", counting_rk4_one)
     sensitivity_calls = []
     monkeypatch.setattr(path, "state_sensitivity", lambda *a: sensitivity_calls.append(a))
     x = x0
     for k in range(200):
         t = k * cfg.step
-        before = len(knot_steps)
+        before = path.knot_steps
         dec = ctrl.step(t, x)
         assert dec.feasible and not dec.active
-        assert len(knot_steps) - before == (round(cfg.T / cfg.step) if k == 0 else 1)
+        assert path.knot_steps - before == (round(cfg.T / cfg.step) if k == 0 else 1)
         x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
                 t, x, cfg.step)
     assert not sensitivity_calls
+
+
+def test_pinned_satellite_run_knot_steps(monkeypatch):
+    """The pinned satellite pcbf run makes 11 160 knot steps (float chain),
+    as many as before its input response took the closed form: 700 for the
+    zero-control check at build, which the steps up to the first
+    intervention follow; 250 for a fresh horizon after each of the 40
+    intervening steps; one for each other step that follows the forecast."""
+    built = []
+    monkeypatch.setattr(simulate, "build_scenario",
+                        lambda cfg: built.append(build_scenario(cfg)) or built[-1])
+    log = run_closed_loop(default_config("satellite", "pcbf"))
+    assert len(log.t) == 701 and not log.truncated
+    assert built[0][2].knot_steps == 11160
+
+
+def test_kepler_solve_failure_aborts_the_run(monkeypatch):
+    """An input response that cannot be solved ends the run at the first
+    intervening step with an aborted note naming tau, not a traceback."""
+    monkeypatch.setattr(scenarios, "_KEPLER_ITERATIONS", 0)
+    log = run_closed_loop(default_config("satellite", "pcbf"))
+    assert log.truncated and log.t[-1] == 199.0
+    assert log.notes[-1].startswith("t=200.0: aborted (Kepler solve did not converge at tau=")
 
 
 @pytest.mark.parametrize("alpha_value, active", [(None, False), (0.0, True)])
