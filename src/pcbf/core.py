@@ -140,18 +140,6 @@ def rk4(field, t, y, dt):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def rk4_one(field, t, y, dt):
-    """rk4 on one state held as a sequence of floats, returned as a list:
-    the same operations in the same order, component by component, so it
-    equals rk4 bit for bit when field(t, y) is the array field's float twin."""
-    h2, h6 = dt / 2, dt / 6
-    k1 = field(t, y)
-    k2 = field(t + dt / 2, [a + h2 * b for a, b in zip(y, k1)])
-    k3 = field(t + dt / 2, [a + h2 * b for a, b in zip(y, k2)])
-    k4 = field(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    return [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-
-
 def finite_diff_jacobian(func, x):
     """Central-difference Jacobian of func: R^n -> R^k, column by column,
     as a (k, n) array; a float-valued func gives shape (1, n).

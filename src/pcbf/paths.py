@@ -16,11 +16,15 @@ from typing import Protocol
 
 import numpy as np
 
-from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, rk4, rk4_one
+from pcbf.core import DynamicsModel, PropagationError, ConfigurationError, rk4
 
 
 class Path(Protocol):
-    """Forecast p(tau; t, x) of the nominal closed loop xdot = f + g mu."""
+    """Forecast p(tau; t, x) of the nominal closed loop xdot = f + g mu.
+
+    Every tau is at or after t: a tau before t by more than rounding
+    (1e-9 max(1, |t|)) raises ValueError, and one within that is taken at t.
+    """
 
     def evaluate(self, tau, t, x) -> np.ndarray:
         """p(tau; t, x), equal to x at tau = t."""
@@ -68,9 +72,11 @@ class AnalyticCarPath:
         out = np.empty(taus.shape + (4,))
         out[..., 0::2] = z + v * dt + (zdot - v) / self.k * (1.0 - e)
         out[..., 1::2] = v + (zdot - v) * e
-        # the forecast at tau = t is the current state, exactly
-        at_t = dt[..., 0] == 0.0
+        # the forecast at tau = t is the current state, exactly; so is it at a
+        # tau before t by rounding, and one earlier than that raises
+        at_t = dt[..., 0] <= 0.0
         if at_t.any():
+            _not_before(taus[at_t], t)
             out[at_t] = x
         return out
 
@@ -79,6 +85,8 @@ class AnalyticCarPath:
         return np.stack([y[..., 1], mu[..., 0], y[..., 3], mu[..., 1]], axis=-1)
 
     def state_sensitivity(self, tau, t, x):
+        if tau < t:
+            tau = float(_not_before(tau, t))
         # input i drives car i's speed: column i is dp/dzdot_i
         e = math.exp(-self.k * (tau - t))
         a = (1.0 - e) / self.k
@@ -94,7 +102,6 @@ class OdePath:
     The path holds one forecast from the last (t, x) asked about, keyed by t
     and the exact bytes of x: state knots every `step` seconds in one
     (n_knots, dim) array, grown in one loop up to the latest time asked for.
-    knot_steps counts the RK4 steps that grew the knots, over the path's life.
 
     The input response dp/dx g(t, x) comes from `sensitivity`, a callable
     (tau, t, x) -> n x m that the scenario supplies in closed form
@@ -114,23 +121,31 @@ class OdePath:
     them: a kept knot serves them to later queries and forecasts, and a knot
     whose start time moved no longer matches its keys.
 
-    Given field_one, the field of one state as floats making the field's own
-    operations in its order (TwoBodyModel.drift_one), the knot steps run on
-    Python floats through core.rk4_one and equal rk4's bit for bit, without
-    numpy's per-call cost; partial steps stay on arrays.
+    Given step_one, one RK4 step (t, y, dt) -> y of one state held as floats
+    that makes core.rk4's operations on the closed-loop field in its order
+    (TwoBodyModel.coast_step, the fused two-body step), the knot steps run on
+    Python floats and equal rk4's bit for bit, without numpy's per-call cost;
+    partial steps stay on arrays.
     A non-finite knot raises PropagationError; the finite knots before it
     stay held.
+
+    Plain integer work counters, over the path's life: knot_steps, the RK4
+    steps that grew the knots (either chain); forecast_restarts, the
+    forecasts started afresh; partial_steps, the off-knot rows stepped
+    because no kept state served them.
     """
 
-    def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, field_one=None):
+    def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, step_one=None):
         if not step > 0:
             raise ConfigurationError(f"integration step must be positive, got {step}")
         self.model = model
         self.mu = mu
         self.step = float(step)
         self._sensitivity = sensitivity  # (tau, t, x) -> dp/dx g(t, x)
-        self._field_one = field_one  # float field of one state for the knot steps
+        self._step_one = step_one  # float RK4 step of one state for the knot steps
         self.knot_steps = 0
+        self.forecast_restarts = 0
+        self.partial_steps = 0
         self._key = None
         self._t0 = 0.0
         self._states = np.empty((0, 0))  # (n_knots, dim)
@@ -166,6 +181,7 @@ class OdePath:
         else:
             self._states = x[None].copy()
             self._partials = [{}]
+            self.forecast_restarts += 1
         self._t0 = t
 
     def _knots(self, taus, t):
@@ -177,13 +193,13 @@ class OdePath:
         t_k = self._t0 + k * self.step
         rem = taus - t_k
         rem[rem < 1e-12 * np.maximum(1.0, np.abs(taus))] = 0.0
-        one, n = self._field_one, len(self._states)
+        one, n = self._step_one, len(self._states)
         y = self._states[-1].tolist() if one else self._states[-1]
         grown = []
         try:
             for j in range(n - 1, k.max(initial=0)):
                 tj = self._t0 + j * self.step
-                y = rk4_one(one, tj, y, self.step) if one else rk4(self.field, tj, y, self.step)
+                y = one(tj, y, self.step) if one else rk4(self.field, tj, y, self.step)
                 if not all(map(math.isfinite, y)):
                     raise PropagationError(
                         f"non-finite state while propagating to tau={tj + self.step}")
@@ -205,6 +221,7 @@ class OdePath:
             miss = [n for n, (memo, key) in enumerate(zip(memos, keys)) if key not in memo]
             if miss:
                 rows = off[miss]
+                self.partial_steps += len(rows)
                 y = rk4(self.field, t_k[rows], out[rows], rem[rows])
                 bad = rows[~np.isfinite(y).all(axis=1)]
                 if bad.size:

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbf.core import (ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError,
-                       rk4_one)
+from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError, rk4
 from pcbf.paths import AnalyticCarPath, OdePath
 
 SCENARIOS = ("intersection_cross", "intersection_left_turn", "satellite")
 CONTROLLERS = ("pcbf", "ecbf", "none", "nominal")
 # longest duration + T on the satellite: its debris track has one knot per second, each
-# ~27 us and 2.3 kB to build, so a 5e4 s window (50x the pinned one) builds in ~2 s, 150 MB
+# ~11 us and 2.0 kB to build, so a 5e4 s window (50x the pinned one) builds in ~0.6 s, 100 MB
 _MAX_DEBRIS_WINDOW = 5e4
 
 
@@ -223,18 +222,43 @@ class TwoBodyModel(DynamicsModel):
         out[..., 3:] = -self.mu_grav * r / rn**3
         return out
 
-    def drift_one(self, t, y):
-        """drift of one state as 6 floats, bit for bit: |r|^2 summed left to
-        right as np.add.reduce sums three, and rn**3 by the np.power ufunc,
-        whose loop (SIMD where numpy has one) is the array power's; Python's
-        ** (libm pow) differs in the last bit on ~5% of states.  rn**3 = 0
-        takes drift itself, for numpy's inf or nan."""
+    def coast_step(self, t, y, dt):
+        """One RK4 step of the drift (no thrust) from (t, y), y 6 floats, as a
+        list: core.rk4(self.drift, t, np.array(y), dt) bit for bit, its four
+        drift stages inline in rk4's operations and order.  |r|^2 is summed
+        left to right as np.add.reduce sums three, and |r|^3 is the np.power
+        ufunc's float64 loop (SIMD where numpy has one), the array rn**3's;
+        Python's ** (libm pow) differs in the last bit on ~5% of states, and
+        an int exponent costs numpy a type resolution.  |r|^3 = 0 at any
+        stage takes the array step, for numpy's inf or nan."""
+        c, h2, h6 = -self.mu_grav, dt / 2, dt / 6
         x0, x1, x2, v0, v1, v2 = y
-        rn3 = float(np.power(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 3))
-        if rn3 == 0.0:
-            return tuple(self.drift(t, np.array(y, dtype=float)).tolist())
-        c = -self.mu_grav
-        return (v0, v1, v2, c * x0 / rn3, c * x1 / rn3, c * x2 / rn3)
+        try:
+            r3 = float(np.power(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 3.0))
+            a0, a1, a2 = c * x0 / r3, c * x1 / r3, c * x2 / r3
+            p0, p1, p2, w0, w1, w2 = (x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2,
+                                      v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2)
+            r3 = float(np.power(math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), 3.0))
+            b0, b1, b2 = c * p0 / r3, c * p1 / r3, c * p2 / r3
+            q0, q1, q2, s0, s1, s2 = (x0 + h2 * w0, x1 + h2 * w1, x2 + h2 * w2,
+                                      v0 + h2 * b0, v1 + h2 * b1, v2 + h2 * b2)
+            r3 = float(np.power(math.sqrt(q0 * q0 + q1 * q1 + q2 * q2), 3.0))
+            d0, d1, d2 = c * q0 / r3, c * q1 / r3, c * q2 / r3
+            e0, e1, e2, f0, f1, f2 = (x0 + dt * s0, x1 + dt * s1, x2 + dt * s2,
+                                      v0 + dt * d0, v1 + dt * d1, v2 + dt * d2)
+            r3 = float(np.power(math.sqrt(e0 * e0 + e1 * e1 + e2 * e2), 3.0))
+            # k1..k4 are (v, a), (w, b), (s, d), (f, gravity at e).  A list, not
+            # a tuple: the cyclic GC untracks tuples of floats, which delays its
+            # full collections, so garbage cycles hold more memory (as a tuple,
+            # the satellite benchmark's peak RSS read 6 % higher)
+            return [x0 + h6 * (v0 + 2 * w0 + 2 * s0 + f0),
+                    x1 + h6 * (v1 + 2 * w1 + 2 * s1 + f1),
+                    x2 + h6 * (v2 + 2 * w2 + 2 * s2 + f2),
+                    v0 + h6 * (a0 + 2 * b0 + 2 * d0 + c * e0 / r3),
+                    v1 + h6 * (a1 + 2 * b1 + 2 * d1 + c * e1 / r3),
+                    v2 + h6 * (a2 + 2 * b2 + 2 * d2 + c * e2 / r3)]
+        except ZeroDivisionError:  # |r|^3 = 0 at a stage
+            return rk4(self.drift, t, np.array(y, dtype=float), dt).tolist()
 
     def input_matrix(self, t, x):
         return np.broadcast_to(self._G, np.shape(x)[:-1] + (6, 3))
@@ -249,9 +273,10 @@ class TwoBodyModel(DynamicsModel):
         every conic and for any tau - t; each column is its complex-step
         derivative along one velocity (Squire & Trapp, SIAM Review 1998),
         exact to rounding.  Newton on the universal anomaly starts at the
-        elliptic guess, or at sqrt(mu) (tau - t) / |r| off ellipses.  No
-        convergence within _KEPLER_ITERATIONS, or a non-finite response,
-        raises PropagationError.
+        elliptic guess; off ellipses at Vallado's hyperbolic guess where it
+        has the sign of tau - t, and elsewhere (near-parabolic arcs, short
+        hyperbolic ones) at sqrt(mu) (tau - t) / |r|.  No convergence within
+        _KEPLER_ITERATIONS, or a non-finite response, raises PropagationError.
         """
         dt = tau - t
         sqmu = math.sqrt(self.mu_grav)
@@ -263,6 +288,13 @@ class TwoBodyModel(DynamicsModel):
             sigma = np.sum(r0v * v0v, axis=1) / sqmu
             alpha = 2.0 / r0 - np.sum(v0v * v0v, axis=1) / self.mu_grav
             chi = sqmu * dt * (alpha if alpha[0].real > 0 else 1.0 / r0)
+            if alpha[0].real < 0:
+                # sign(dt) sqrt(-a) ln(arg), a = 1/alpha: of dt's sign where arg > 1
+                a, sign = 1.0 / alpha, math.copysign(1.0, dt)
+                arg = -2.0 * self.mu_grav * alpha * dt / (
+                    sqmu * sigma + sign * np.sqrt(-self.mu_grav * a) * (1.0 - r0 * alpha))
+                if arg[0].real > 1.0:
+                    chi = sign * np.sqrt(-a) * np.log(arg)
             done = False
             for _ in range(_KEPLER_ITERATIONS):
                 chi2 = chi * chi
@@ -481,7 +513,7 @@ def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
     states = [debris0.tolist()]
     with np.errstate(all="ignore"):  # a non-finite state is reported below
         for t in knots[:-1].tolist():
-            states.append(rk4_one(model.drift_one, t, states[-1], 1.0))
+            states.append(model.coast_step(t, states[-1], 1.0))
             if not all(map(math.isfinite, states[-1])):
                 raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
                                          f"{p['mu_grav']} (non-finite state at t = {t + 1.0})")
@@ -503,7 +535,7 @@ def build_satellite(cfg: ScenarioConfig):
     model = TwoBodyModel(p["mu_grav"])
     h = DebrisDistanceConstraint(DebrisSpline(*debris_knots(cfg, model)), p["rho"])
     path = OdePath(model, _zero_thrust, step=cfg.step, sensitivity=model.coast_input_response,
-                   field_one=model.drift_one)
+                   step_one=model.coast_step)
 
     max_h = zero_control_max_h(cfg, h, path)
     if max_h <= 0.5 * p["rho"]:

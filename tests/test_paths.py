@@ -129,6 +129,20 @@ class TestAnalyticCarPath:
         with pytest.raises(ConfigurationError):
             AnalyticCarPath(k=0.0, v=np.array([1.0, 1.0]))
 
+    def test_tau_before_t_rejected(self):
+        """As on OdePath: a tau before t raises ValueError, in any row of a
+        batch, and one before t by rounding reads the forecast at t."""
+        path, x = AnalyticCarPath(k=1.0, v=np.array([1.0, 1.0])), np.array([0.2, -0.4, 1.1, 2.0])
+        with pytest.raises(ValueError, match="precedes"):
+            path.evaluate(1.0, 2.0, x)
+        with pytest.raises(ValueError, match="precedes"):
+            path.evaluate_many(np.array([2.5, 1.0, 3.0]), 2.0, x)
+        with pytest.raises(ValueError, match="precedes"):
+            path.state_sensitivity(1.0, 2.0, x)
+        assert np.array_equal(path.evaluate(2.0 - 1e-12, 2.0, x), x)
+        assert np.array_equal(path.state_sensitivity(2.0 - 1e-12, 2.0, x),
+                              CarPairModel().input_matrix(2.0, x))
+
 
 class _CubicBlowup(DynamicsModel):
     def drift(self, t, x):
@@ -139,7 +153,8 @@ class _CubicBlowup(DynamicsModel):
 
 
 class _CountingCubic(_CubicBlowup):
-    """xdot = x^3 as x * x * x, with its float twin, counting field calls."""
+    """xdot = x^3 as x * x * x, with a float RK4 step of one state making
+    core.rk4's operations in its order, counting field calls."""
 
     def __init__(self):
         self.calls = 0
@@ -148,9 +163,17 @@ class _CountingCubic(_CubicBlowup):
         self.calls += 1
         return x * x * x
 
-    def drift_one(self, t, y):
+    def _cube(self, y):
         self.calls += 1
         return [a * a * a for a in y]
+
+    def step_one(self, t, y, dt):
+        h2, h6 = dt / 2, dt / 6
+        k1 = self._cube(y)
+        k2 = self._cube([a + h2 * b for a, b in zip(y, k1)])
+        k3 = self._cube([a + h2 * b for a, b in zip(y, k2)])
+        k4 = self._cube([a + dt * b for a, b in zip(y, k3)])
+        return [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 class _CountingLinear(DynamicsModel):
@@ -185,11 +208,12 @@ def _sat_path(step=1.0):
     return model, OdePath(model, mu, step=step, sensitivity=model.coast_input_response)
 
 
-def _sat_oracle(model, step=1.0):
+def _sat_oracle(model, step=1.0, growth=1.0):
     """The satellite's input response by co-integration with the analytic
     drift Jacobian."""
     return cointegrated_sensitivity(model, lambda t, x: np.zeros(x.shape[:-1] + (3,)), step,
-                                    jacobian=lambda t, x: two_body_jacobian(model.mu_grav, x))
+                                    jacobian=lambda t, x: two_body_jacobian(model.mu_grav, x),
+                                    growth=growth)
 
 
 def _assert_close(got, want):
@@ -212,11 +236,15 @@ class TestOdePath:
         assert g.tobytes() == np.ascontiguousarray(model.input_matrix(2.0, x)).tobytes()
 
     def test_tau_before_t_rejected(self):
-        _, path = _sat_path()
+        model, path = _sat_path()
+        x = _sat_state()
         with pytest.raises(ValueError):
-            path.evaluate(1.0, 2.0, _sat_state())
+            path.evaluate(1.0, 2.0, x)
         with pytest.raises(ValueError, match="precedes"):
-            path.state_sensitivity(1.0, 2.0, _sat_state())
+            path.state_sensitivity(1.0, 2.0, x)
+        assert np.array_equal(path.evaluate(2.0 - 1e-12, 2.0, x), x)
+        assert np.array_equal(path.state_sensitivity(2.0 - 1e-12, 2.0, x),
+                              model.input_matrix(2.0, x))
 
     def test_rejects_bad_step(self):
         model, _ = _sat_path()
@@ -455,6 +483,7 @@ class TestForecastReuse:
         taus = t + np.array([0.3, 1.2, 2.05, 2.9, 0.3])
         first = path.evaluate_many(taus, t, x)
         calls = model.calls
+        assert (path.forecast_restarts, path.partial_steps) == (1, 5)  # each row, once
         assert np.array_equal(path.evaluate_many(taus, t, x), first)
         assert model.calls == calls
         # the next forecast from knot 1 keeps the later knots and their states
@@ -462,6 +491,7 @@ class TestForecastReuse:
         x1 = path.evaluate(t1, t, x)
         assert np.array_equal(path.evaluate_many(taus[1:4], t1, x1), first[1:4])
         assert model.calls == calls
+        assert (path.forecast_restarts, path.partial_steps) == (1, 5)
 
     def test_fresh_forecast_serves_no_old_state(self):
         model = _CountingLinear()
@@ -472,6 +502,7 @@ class TestForecastReuse:
         calls = model.calls
         got = path.evaluate_many(taus, t, x + 1e-3)
         assert model.calls == calls + 4 * 4 + 4  # four knots, one batched partial step
+        assert (path.forecast_restarts, path.partial_steps) == (2, 6)
         fresh = OdePath(_CountingLinear(), path.mu, step=path.step)
         assert np.array_equal(got, fresh.evaluate_many(taus, t, x + 1e-3))
 
@@ -532,13 +563,13 @@ def _sat_paths(step=1.0):
     """A satellite path whose knots step on floats and one on arrays."""
     model = TwoBodyModel(398600.4418)
     mu = lambda t, x: np.zeros(x.shape[:-1] + (3,))
-    return (OdePath(model, mu, step=step, field_one=model.drift_one),
+    return (OdePath(model, mu, step=step, step_one=model.coast_step),
             OdePath(model, mu, step=step))
 
 
 class TestFloatKnotChain:
-    """Knot steps on Python floats (field_one) equal those on arrays bit for
-    bit, and so does everything built on the knots."""
+    """Knot steps on Python floats (step_one, the fused two-body step) equal
+    those on arrays bit for bit, and so does everything built on the knots."""
 
     TAUS = np.array([0.0, 0.4, 1.0, 7.25, 30.0, 45.5, 120.0, 249.0, 250.0])
 
@@ -589,9 +620,9 @@ class TestFloatKnotChain:
 
         _, _, path_one, _ = scenarios.build_satellite(cfg)
         monkeypatch.setattr(scenarios, "OdePath",
-                            lambda *a, field_one=None, **kw: OdePath(*a, **kw))
+                            lambda *a, step_one=None, **kw: OdePath(*a, **kw))
         _, _, path_arr, _ = scenarios.build_satellite(cfg)
-        assert path_one._field_one is not None and path_arr._field_one is None
+        assert path_one._step_one is not None and path_arr._step_one is None
         x0 = satellite_initial_state(cfg)
         taus = np.arange(0.0, cfg.duration + cfg.step, 0.7)
         assert np.array_equal(path_one.evaluate_many(taus, 0.0, x0),
@@ -608,7 +639,7 @@ class TestFloatKnotChain:
         with pytest.raises(PropagationError) as want:
             arr.evaluate(t + 100.0, t, x0)
         model = _CountingCubic()
-        one = OdePath(model, zero, step=0.5, field_one=model.drift_one)
+        one = OdePath(model, zero, step=0.5, step_one=model.step_one)
         with pytest.raises(PropagationError) as got:
             one.evaluate(t + 100.0, t, x0)
         last_tau = t + (len(one._states) - 1) * 0.5  # the last knot held
@@ -661,27 +692,39 @@ _MU = 398600.4418
 _V_ESCAPE = math.sqrt(2.0 * _MU / 7000.0)
 
 
-@pytest.mark.parametrize("x, dt, step", [
+_FAR_HYPERBOLIC = np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2])
+
+
+@pytest.mark.parametrize("x, dt, step, growth", [
     # one period at the pinned radius is 5 829 s
-    (satellite_initial_state(default_config("satellite")), 5900.0, 1.0),
-    (np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2]), 250.0, 0.5),
-    (np.array([7000.0, 300.0, 0.0, -3.0, 1.5 * _V_ESCAPE, 0.2]), 1000.0, 0.5),
-    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 + 1e-12), 0.0]), 1000.0, 1.0),
-    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 - 1e-12), 0.0]), 1000.0, 1.0),
+    (satellite_initial_state(default_config("satellite")), 5900.0, 1.0, 1.0),
+    (_FAR_HYPERBOLIC, 250.0, 0.5, 1.0),
+    (np.array([7000.0, 300.0, 0.0, -3.0, 1.5 * _V_ESCAPE, 0.2]), 1000.0, 0.5, 1.0),
+    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 + 1e-12), 0.0]), 1000.0, 1.0, 1.0),
+    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * (1.0 - 1e-12), 0.0]), 1000.0, 1.0, 1.0),
+    # far past periapsis: the oracle's steps grow with the escape's time scale
+    (_FAR_HYPERBOLIC, 1e5, 0.5, 1.001),
+    (_FAR_HYPERBOLIC, 1e6, 0.5, 1.001),
 ], ids=["beyond_one_period", "hyperbolic", "hyperbolic_through_periapsis",
-        "near_parabolic_open", "near_parabolic_closed"])
-def test_kepler_response_across_conics(x, dt, step):
+        "near_parabolic_open", "near_parabolic_closed", "hyperbolic_far_1e5",
+        "hyperbolic_far_1e6"])
+def test_kepler_response_across_conics(x, dt, step, growth):
     """The closed form beyond one period (its Stumpff functions by cos and
-    sin, not the series) and on hyperbolic and near-parabolic arcs matches
-    the co-integration oracle to 1e-12 relative."""
+    sin, not the series), on hyperbolic and near-parabolic arcs, and far past
+    periapsis, where Newton starts at Vallado's hyperbolic guess, matches the
+    co-integration oracle to 1e-12 relative."""
     model, path = _sat_path()
-    _assert_close(path.state_sensitivity(3.0 + dt, 3.0, x), _sat_oracle(model, step)(3.0 + dt, 3.0, x))
+    _assert_close(path.state_sensitivity(3.0 + dt, 3.0, x),
+                  _sat_oracle(model, step, growth)(3.0 + dt, 3.0, x))
 
 
-def test_kepler_response_that_does_not_converge_raises():
-    """A hyperbolic arc 1e6 s past periapsis leaves Newton's iteration cap
-    from its starting guess: PropagationError naming tau, no warning."""
+def test_kepler_response_that_does_not_converge_raises(monkeypatch):
+    """A Kepler solve that leaves Newton's iteration cap raises
+    PropagationError naming tau, with no warning: the cap lowered to 2 on a
+    hyperbolic arc 1e6 s past periapsis, whose solve needs 5."""
+    from pcbf import scenarios
+
+    monkeypatch.setattr(scenarios, "_KEPLER_ITERATIONS", 2)
     _, path = _sat_path()
-    x = np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2])
     with pytest.raises(PropagationError, match=r"did not converge at tau=1000003\.0"):
-        path.state_sensitivity(1e6 + 3.0, 3.0, x)
+        path.state_sensitivity(1e6 + 3.0, 3.0, _FAR_HYPERBOLIC)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from pcbf import scenarios
-from pcbf.core import ConfigurationError, PropagationError, finite_diff_jacobian
+from pcbf.core import ConfigurationError, PropagationError, finite_diff_jacobian, rk4
 from pcbf.paths import OdePath
 from pcbf.scenarios import (
     CarPairModel,
@@ -220,7 +220,7 @@ def _same_bytes(a, b):
 def _eccentric_track():
     """An orbit with e = 0.44 from perigee, over one period at 20 s knots."""
     model = TwoBodyModel(398600.4418)
-    path = OdePath(model, lambda t, x: np.zeros(3), step=20.0, field_one=model.drift_one)
+    path = OdePath(model, lambda t, x: np.zeros(3), step=20.0, step_one=model.coast_step)
     knots = np.arange(0.0, 14000.0, 20.0)
     return knots, path.evaluate_many(knots, 0.0, np.array([7000.0, 0, 0, 0, 9.0, 1.0]))[:, :3]
 
@@ -392,28 +392,35 @@ def test_two_body_model_is_bit_identical_to_its_plain_form():
         assert np.array_equal(model.input_matrix(0.0, x), g)
 
 
-def test_drift_one_is_bit_identical_to_drift():
-    """The float drift equals the array drift of each single state, with
-    whichever power loop numpy dispatches on this machine."""
+@pytest.mark.parametrize("dt", [1.0, 0.37, 20.0])
+def test_coast_step_is_bit_identical_to_rk4_of_drift(dt):
+    """The fused float RK4 step equals core.rk4 of the array drift on each
+    single state, with whichever power loop numpy dispatches on this
+    machine."""
     model = TwoBodyModel(398600.4418)
     rng = np.random.default_rng(12)
     direction = rng.normal(size=(20000, 3))
     radius = 10.0 ** rng.uniform(3.0, 5.0, (20000, 1))  # |r| from 1e3 to 1e5 km
     X = np.hstack([radius * direction / np.linalg.norm(direction, axis=1, keepdims=True),
                    rng.uniform(-10.0, 10.0, (20000, 3))])
-    one = np.array([model.drift_one(0.0, x) for x in X.tolist()])
-    assert np.array_equal(one, np.array([model.drift(0.0, x) for x in X]))
-    assert isinstance(model.drift_one(0.0, X[0].tolist())[3], float)
+    one = np.array([model.coast_step(0.0, x, dt) for x in X.tolist()])
+    assert np.array_equal(one, np.array([rk4(model.drift, 0.0, x, dt) for x in X]))
+    assert isinstance(model.coast_step(0.0, X[0].tolist(), dt)[3], float)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], [1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0]],
-                         ids=["r_zero", "r_underflow"])
-def test_drift_one_at_zero_radius_is_numpys(x):
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0],
+                               [1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0],
+                               [1.0, 0.0, 0.0, -2.0, 0.0, 0.0]],
+                         ids=["r_zero", "r_underflow", "r_zero_at_stage_2"])
+def test_coast_step_at_zero_radius_is_numpys(x):
+    """|r|^3 = 0 at the first stage, or only at the second (x + dt/2 v = 0
+    at dt = 1), gives numpy's inf and nan of the array step."""
     model = TwoBodyModel(398600.4418)
-    assert np.array_equal(np.array(model.drift_one(0.0, x)), model.drift(0.0, np.array(x)),
-                          equal_nan=True)
+    want = rk4(model.drift, 0.0, np.array(x), 1.0)
+    assert not np.isfinite(want).all()
+    assert np.array_equal(np.array(model.coast_step(0.0, x, 1.0)), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("x, raises", [([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], True),

@@ -472,7 +472,7 @@ def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monke
     # a fresh path built as build_satellite builds it: the built one already
     # holds a forecast to t = duration
     path = OdePath(model, mu_law, step=cfg.step, sensitivity=model.coast_input_response,
-                   field_one=model.drift_one)
+                   step_one=model.coast_step)
     ctrl = make_controller(cfg, model, h, path, mu_law)
     sensitivity_calls = []
     monkeypatch.setattr(path, "state_sensitivity", lambda *a: sensitivity_calls.append(a))
@@ -493,13 +493,17 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     as many as before its input response took the closed form: 700 for the
     zero-control check at build, which the steps up to the first
     intervention follow; 250 for a fresh horizon after each of the 40
-    intervening steps; one for each other step that follows the forecast."""
+    intervening steps; one for each other step that follows the forecast.
+    It starts 41 forecasts afresh (the build's, and one after each
+    intervening step) and steps 11 362 off-knot rows that no kept state
+    served, in 540 batches (counted by a wrapper on paths.rk4)."""
     built = []
     monkeypatch.setattr(simulate, "build_scenario",
                         lambda cfg: built.append(build_scenario(cfg)) or built[-1])
     log = run_closed_loop(default_config("satellite", "pcbf"))
     assert len(log.t) == 701 and not log.truncated
-    assert built[0][2].knot_steps == 11160
+    path = built[0][2]
+    assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 11362)
 
 
 def test_kepler_solve_failure_aborts_the_run(monkeypatch):
