@@ -8,7 +8,6 @@ a minimum-deviation QP so that trajectories stay inside the safe set.
 
 from pcbf.core import (
     ConfigurationError,
-    ClassKFunction,
     MarginFunction,
     make_compatible_alpha,
     make_default_margin,
@@ -18,7 +17,6 @@ from pcbf.qp import solve_min_deviation
 
 __all__ = [
     "ConfigurationError",
-    "ClassKFunction",
     "MarginFunction",
     "make_compatible_alpha",
     "make_default_margin",

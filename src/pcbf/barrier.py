@@ -41,14 +41,13 @@ class PcbfContext:
     margin: MarginFunction
     T: float
     N: int
-    two_level: bool = False
 
     @property
     def grid_step(self) -> float:
         return self.T / self.N
 
     def scan(self, t, x) -> HorizonGrid:
-        return scan(self.path, self.h, t, x, self.T, self.N, two_level=self.two_level)
+        return scan(self.path, self.h, t, x, self.T, self.N, two_level=self.h.two_level)
 
 
 @dataclass

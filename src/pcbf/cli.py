@@ -19,7 +19,7 @@ from pcbf.core import ConfigurationError
 from pcbf.scenarios import CONTROLLERS, SCENARIOS, ScenarioConfig, default_config
 from pcbf.simulate import SimLog, run_closed_loop
 
-# config key -> "float", "int", "bool", ...: ScenarioConfig's string annotations
+# config key -> "float", "int", ...: ScenarioConfig's string annotations
 _KEY_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
@@ -76,10 +76,6 @@ def parse_config(text: str) -> ScenarioConfig:
                 setattr(cfg, key, int(value))
             except ValueError:
                 raise bad(key, lineno, value, "an integer") from None
-        elif kind == "bool":
-            if value.lower() not in ("true", "false"):
-                raise bad(key, lineno, value, "true or false")
-            setattr(cfg, key, value.lower() == "true")
         elif key == "controller":
             if value not in CONTROLLERS:
                 raise ConfigurationError(
@@ -95,15 +91,8 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     """Write a config back out so that parse_config recovers it exactly."""
     lines = [f"scenario = {cfg.scenario}", f"controller = {cfg.controller}"]
     for f in fields(ScenarioConfig):
-        if f.name in ("scenario", "controller", "params"):
-            continue
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            lines.append(f"{f.name} = {'true' if v else 'false'}")
-        elif isinstance(v, float):
-            lines.append(f"{f.name} = {v!r}")
-        else:
-            lines.append(f"{f.name} = {v}")
+        if f.name not in ("scenario", "controller", "params"):  # floats and ints
+            lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
     for k in sorted(cfg.params):
         lines.append(f"params.{k} = {cfg.params[k]!r}")
     return "\n".join(lines) + "\n"

@@ -55,9 +55,12 @@ class ConstraintFunction:
     value must broadcast over leading batch axes of t and x.  partials gives
     (dh/dt, grad_x h) at one state from one evaluation of the geometry; both
     are analytic per scenario and verified against finite differences in tests.
+    two_level asks the horizon scan to re-sample near-violations densely, for
+    a constraint whose violations are narrow spikes on the uniform grid.
     """
 
     h_max: float
+    two_level = False
 
     def value(self, t, x):
         raise NotImplementedError
@@ -74,13 +77,6 @@ class MarginFunction:
     T: float
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class ClassKFunction:
-    """Strictly increasing function through the origin."""
-
-    value: Callable[[float], float]
 
 
 def make_default_margin(h_max: float, T: float) -> MarginFunction:
@@ -104,13 +100,15 @@ def make_default_margin(h_max: float, T: float) -> MarginFunction:
     return MarginFunction(h_max=h_max, T=T, value=value, derivative=derivative)
 
 
-def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunction:
+def make_compatible_alpha(margin: MarginFunction, gamma: float) -> Callable[[float], float]:
     """Class-K function alpha satisfying alpha(m(lam)) >= m'(lam) on [0,T]
-    and alpha(m(T)) >= gamma.
+    and alpha(m(T)) >= gamma: odd, zero at zero, increasing.
 
     alpha(s) = sign(s) max( (2/T) sqrt(h_max |s|), (gamma/m(T)) |s| ).
     With the quadratic margin the first branch meets alpha(m(lam)) = m'(lam)
-    with equality; the second branch covers the gamma bound.
+    with equality; the second branch covers the gamma bound.  Where h_max |s|
+    underflows to 0 for a subnormal s, the root is sqrt(h_max) sqrt(|s|), so
+    alpha keeps the sign of s.
     """
     if not gamma >= 0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
@@ -118,11 +116,12 @@ def make_compatible_alpha(margin: MarginFunction, gamma: float) -> ClassKFunctio
     m_T = margin.value(T)
     slope = gamma / m_T if m_T > 0 else 0.0
 
-    def value(s):
+    def alpha(s):
         a = abs(s)
-        return float(np.sign(s)) * max((2.0 / T) * np.sqrt(h_max * a), slope * a)
+        root = np.sqrt(h_max * a) if h_max * a or not a else np.sqrt(h_max) * np.sqrt(a)
+        return float(np.sign(s)) * max((2.0 / T) * root, slope * a)
 
-    return ClassKFunction(value=value)
+    return alpha
 
 
 def rk4(field, t, y, dt):

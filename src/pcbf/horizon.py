@@ -65,7 +65,7 @@ class HorizonGrid:
         """The field, grad_x h and dh/dtau at the path state at tau, or at
         the given state."""
         if state is None:
-            state = self.path.evaluate(tau, self.t, self.x)
+            state = self.path.evaluate_many([tau], self.t, self.x)[0]
         dp_dtau = self.path.field(tau, state)
         dh_dt, grad_x = self.h.partials(tau, state)
         dh_dtau = float(dh_dt + grad_x @ dp_dtau)

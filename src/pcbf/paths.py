@@ -26,11 +26,9 @@ class Path(Protocol):
     (1e-9 max(1, |t|)) raises ValueError, and one within that is taken at t.
     """
 
-    def evaluate(self, tau, t, x) -> np.ndarray:
-        """p(tau; t, x), equal to x at tau = t."""
-
     def evaluate_many(self, taus, t, x) -> np.ndarray:
-        """p at each of taus, stacked along the first axis."""
+        """p(tau; t, x) at each of taus, stacked along the first axis; equal
+        to x at tau = t."""
 
     def field(self, tau, y) -> np.ndarray:
         """Closed-loop field f + g mu at (tau, y); at y = p(tau; t, x) it is
@@ -60,9 +58,6 @@ class AnalyticCarPath:
         self.v = np.asarray(v, dtype=float)
         if self.v.shape != (2,):
             raise ConfigurationError("v must hold one target speed per car")
-
-    def evaluate(self, tau, t, x):
-        return self.evaluate_many(np.array([tau]), t, x)[0]
 
     def evaluate_many(self, taus, t, x):
         taus = np.asarray(taus, dtype=float)
@@ -106,7 +101,8 @@ class OdePath:
     The input response dp/dx g(t, x) comes from `sensitivity`, a callable
     (tau, t, x) -> n x m that the scenario supplies in closed form
     (TwoBodyModel.coast_input_response); it reads no knot and calls no field.
-    state_sensitivity, like evaluate, rejects a tau before t with ValueError.
+    state_sensitivity, like evaluate_many, rejects a tau before t with
+    ValueError; on a path built without `sensitivity` it raises TypeError.
 
     A new key whose x is byte-equal to knot k >= 1 (the plant followed the
     forecast) keeps the knots from k on.  Knot k+j+1 is kept only while the
@@ -232,15 +228,13 @@ class OdePath:
             out[off] = [memo[key] for memo, key in zip(memos, keys)]
         return out
 
-    def evaluate(self, tau, t, x):
-        self._forecast(t, x)
-        return self._at([tau], t)[0]
-
     def evaluate_many(self, taus, t, x):
         self._forecast(t, x)
         return self._at(taus, t)
 
     def state_sensitivity(self, tau, t, x):
+        if self._sensitivity is None:
+            raise TypeError("OdePath built without sensitivity= has no input response")
         return self._sensitivity(float(_not_before(tau, t)), t, x)
 
     def nominal_control(self, t, x):

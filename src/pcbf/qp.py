@@ -19,11 +19,10 @@ Python 3.11, numpy 2.4):
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-
-from pcbf.core import ClassKFunction
 
 _FEAS_TOL = 1e-9
 _DUAL_TOL = 1e-9
@@ -49,11 +48,11 @@ class FilterResult:
     infeasible_reason: str | None = None
 
 
-def build_cbf_constraint(h_p: float, deriv, alpha: ClassKFunction, mu,
+def build_cbf_constraint(h_p: float, deriv, alpha: Callable[[float], float], mu,
                          slack_weight: float | None = None) -> AffineConstraint:
     """Barrier condition c0 + a.(u - mu) <= alpha(-hp) rearranged to a.u <= b."""
     row = np.asarray(deriv.row, dtype=float)
-    bound = alpha.value(-h_p) - deriv.constant + float(row @ mu)
+    bound = alpha(-h_p) - deriv.constant + float(row @ mu)
     return AffineConstraint(row=row, bound=bound, slack_weight=slack_weight)
 
 

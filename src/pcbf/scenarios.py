@@ -34,7 +34,6 @@ class ScenarioConfig:
     gamma: float
     ecbf_k1: float
     ecbf_k2: float
-    two_level: bool
     params: dict
 
 
@@ -67,11 +66,10 @@ def default_config(scenario: str, controller: str = "pcbf") -> ScenarioConfig:
         raise ConfigurationError(f"unknown controller {controller!r}")
     if scenario.startswith("intersection"):
         return ScenarioConfig(scenario, controller, T=10.0, N=200, duration=30.0, step=0.05,
-                              gamma=4.0, ecbf_k1=2.0, ecbf_k2=0.05, two_level=False,
+                              gamma=4.0, ecbf_k1=2.0, ecbf_k2=0.05,
                               params=dict(_INTERSECTION_PARAMS))
     return ScenarioConfig(scenario, controller, T=250.0, N=250, duration=700.0, step=1.0,
-                          gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, two_level=True,
-                          params=dict(_SATELLITE_PARAMS))
+                          gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, params=dict(_SATELLITE_PARAMS))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,10 @@ class TwoBodyModel(DynamicsModel):
         exact to rounding.  Newton on the universal anomaly starts at the
         elliptic guess; off ellipses at Vallado's hyperbolic guess where it
         has the sign of tau - t, and elsewhere (near-parabolic arcs, short
-        hyperbolic ones) at sqrt(mu) (tau - t) / |r|.  No convergence within
-        _KEPLER_ITERATIONS, or a non-finite response, raises PropagationError.
+        hyperbolic ones) at sqrt(mu) (tau - t) / |r|.  Off ellipses it also
+        bisects the bracket of the root where a step would leave it or stall.
+        No convergence within _KEPLER_ITERATIONS, or a non-finite response,
+        raises PropagationError.
         """
         dt = tau - t
         sqmu = math.sqrt(self.mu_grav)
@@ -295,7 +295,14 @@ class TwoBodyModel(DynamicsModel):
                     sqmu * sigma + sign * np.sqrt(-self.mu_grav * a) * (1.0 - r0 * alpha))
                 if arg[0].real > 1.0:
                     chi = sign * np.sqrt(-a) * np.log(arg)
-            done = False
+            # off ellipses, Newton keeps to the bracket [lo, hi] of the root that
+            # the residual's signs show (it rises with chi, at rate r > 0): a step
+            # that would leave it, or shrink less than half the one before,
+            # bisects it instead while it is wider than the convergence test
+            # (rtsafe; Press et al., Numerical Recipes, 3rd ed., sec. 9.4); the
+            # Newton steps after a bisection restore chi's imaginary part
+            lo, hi = sorted((0.0, math.copysign(math.inf, dt)))
+            last, done = math.inf, False
             for _ in range(_KEPLER_ITERATIONS):
                 chi2 = chi * chi
                 z = alpha * chi2
@@ -305,8 +312,15 @@ class TwoBodyModel(DynamicsModel):
                     break
                 delta = (chi2 * chi * c3 + sigma * chi2 * c2 + r0 * chi * (1.0 - z * c3)
                          - sqmu * dt) / r
+                newton, c, step = True, chi[0].real, delta[0].real
+                if alpha[0].real <= 0:
+                    lo, hi = (c, hi) if step < 0 else (lo, c)
+                    if 1e-14 * abs(c) < hi - lo < math.inf and (
+                            not lo <= c - step <= hi or 2.0 * abs(step) > last):
+                        delta, newton = chi - 0.5 * (lo + hi), False
+                    last = abs(delta[0].real)
                 chi = chi - delta
-                done = np.all(np.abs(delta) <= 1e-14 * np.abs(chi))
+                done = newton and np.all(np.abs(delta) <= 1e-14 * np.abs(chi))
             else:
                 raise PropagationError(f"Kepler solve did not converge at tau={tau}")
             f, g = 1.0 - chi2 / r0 * c2, dt - chi2 * chi / sqmu * c3
@@ -441,7 +455,11 @@ def _solve_tridiagonal(dl, d, du, columns):
 
 
 class DebrisDistanceConstraint(ConstraintFunction):
-    """h = rho - ||r1 - r2(t)|| against an interpolated debris trajectory."""
+    """h = rho - ||r1 - r2(t)|| against an interpolated debris trajectory.
+    The debris passes in under a second, less than one step of the pinned
+    horizon grid, so the horizon scan takes two levels."""
+
+    two_level = True
 
     def __init__(self, debris_spline: DebrisSpline, rho):
         self.spline = debris_spline

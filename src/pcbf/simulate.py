@@ -111,7 +111,7 @@ class PcbfController:
     def _slack_at_nominal(self, h_p, deriv) -> bool:
         """The barrier condition c0 + a.(u - mu) <= alpha(-h_p) holds at
         u = mu with a clear relative margin, so its row cannot be active."""
-        bound = self.alpha.value(-h_p)
+        bound = self.alpha(-h_p)
         return deriv.constant < bound - _TIE_MARGIN * (abs(bound) + abs(deriv.constant))
 
     def step(self, t, x) -> StepDecision:
@@ -267,8 +267,7 @@ def build_scenario(cfg: ScenarioConfig):
 
 def make_context(cfg: ScenarioConfig, h, path) -> PcbfContext:
     margin = make_default_margin(h.h_max, cfg.T)
-    return PcbfContext(path=path, h=h, margin=margin, T=cfg.T, N=cfg.N,
-                       two_level=cfg.two_level)
+    return PcbfContext(path=path, h=h, margin=margin, T=cfg.T, N=cfg.N)
 
 
 def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):

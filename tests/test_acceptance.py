@@ -50,7 +50,7 @@ def test_unsafe_states_have_positive_predictive_value():
 
     cfg = default_config("satellite")
     model, h, path, mu_law, _ = build_scenario(cfg)
-    cfg.two_level = False  # the dense pass is unnecessary for a point query
+    h.two_level = False  # the dense pass is unnecessary for a point query
     ctx = make_context(cfg, h, path)
     x_sat = satellite_initial_state(cfg)
     debris0 = np.concatenate(h.spline.state(0.0))
@@ -280,22 +280,23 @@ def test_flow_map_contracts():
     checks = []
 
     # evaluating at the initial time returns the state bit-for-bit
-    checks.append(("identity", np.array_equal(path.evaluate(0.0, 0.0, x0), x0)))
+    checks.append(("identity", np.array_equal(path.evaluate_many([0.0], 0.0, x0)[0], x0)))
 
     # the flow satisfies the closed-loop differential equation
     worst = 0.0
     for tau in (30.0, 100.0, 217.3):
         d = 1e-3
-        pd = (path.evaluate(tau + d, 0.0, x0) - path.evaluate(tau - d, 0.0, x0)) / (2 * d)
-        fld = path.field(tau, path.evaluate(tau, 0.0, x0))
+        ahead, behind = path.evaluate_many([tau + d, tau - d], 0.0, x0)
+        pd = (ahead - behind) / (2 * d)
+        fld = path.field(tau, path.evaluate_many([tau], 0.0, x0)[0])
         worst = max(worst, float(np.max(np.abs(pd - fld)))
                     / (1.0 + float(np.linalg.norm(fld))))
     checks.append((f"field residual {worst:.1e}", worst <= 1e-6))
 
     # restarting from an intermediate state reproduces the same endpoint
-    mid = path.evaluate(100.0, 0.0, x0)
-    direct = path.evaluate(220.0, 0.0, x0)
-    relayed = path.evaluate(220.0, 100.0, mid)
+    mid = path.evaluate_many([100.0], 0.0, x0)[0]
+    direct = path.evaluate_many([220.0], 0.0, x0)[0]
+    relayed = path.evaluate_many([220.0], 100.0, mid)[0]
     semi = float(np.max(np.abs(direct - relayed))) / (1.0 + float(np.linalg.norm(direct)))
     checks.append((f"semigroup residual {semi:.1e}", semi <= 1e-6))
 
@@ -304,7 +305,7 @@ def test_flow_map_contracts():
     energy = lambda x: 0.5 * float(x[3:] @ x[3:]) - mu_grav / float(np.linalg.norm(x[:3]))
     period = 2 * math.pi * math.sqrt(cfg.params["radius"] ** 3 / mu_grav)
     e0 = energy(x0)
-    e1 = energy(path.evaluate(period, 0.0, x0))
+    e1 = energy(path.evaluate_many([period], 0.0, x0)[0])
     drift = abs(e1 - e0) / abs(e0)
     checks.append((f"energy drift {drift:.1e}", drift <= 1e-8))
 

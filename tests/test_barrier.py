@@ -312,7 +312,7 @@ def test_inner_product_monitor_flags_opposed_gradients():
 # (grid.sensitivity is dp/dx g): the library must return their bits.
 
 def _parent_evaluation(grid, tau):
-    state = grid.path.evaluate(tau, grid.t, grid.x)
+    state = grid.path.evaluate_many([tau], grid.t, grid.x)[0]
     dp_dtau = grid.path.field(tau, state)
     dh_dt, grad_x = grid.h.partials(tau, state)
     dh_dtau = float(dh_dt + grad_x @ dp_dtau)

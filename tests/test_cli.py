@@ -33,13 +33,11 @@ class TestParseConfig:
             "controller = ecbf\n"
             "T = 100  # inline comment\n"
             "N = 300\n"
-            "two_level = false\n"
             "params.rho = 2.5\n")
         assert cfg.scenario == "satellite"
         assert cfg.controller == "ecbf"
         assert cfg.T == 100.0
         assert cfg.N == 300
-        assert cfg.two_level is False
         assert cfg.params["rho"] == 2.5
 
     def test_missing_scenario(self):
@@ -63,10 +61,11 @@ class TestParseConfig:
             parse_config("scenario = satellite\nseed = 0\n")
 
     @pytest.mark.parametrize("line", ["refine_tol = 1e-06", "root_tol = 1e-09",
-                                      "slack_weight = 1000.0"])
+                                      "slack_weight = 1000.0", "two_level = true"])
     def test_search_and_slack_constants_are_unknown_keys(self, line):
         """The search tolerances and the slack weight are module constants,
-        not config keys, so an old config that sets one exits 2."""
+        and the scan mode comes from the constraint, not config keys, so an
+        old config that sets one exits 2."""
         key = line.split(" = ")[0]
         with pytest.raises(ConfigurationError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"scenario = satellite\n{line}\n")
@@ -80,8 +79,6 @@ class TestParseConfig:
             parse_config("scenario = satellite\nT = fast\n")
         with pytest.raises(ConfigurationError, match="line 2.*'N'"):
             parse_config("scenario = satellite\nN = 3.7\n")
-        with pytest.raises(ConfigurationError, match="line 2.*'two_level'"):
-            parse_config("scenario = satellite\ntwo_level = maybe\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigurationError, match="line 3.*duplicate"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pcbf.core import (
     ConfigurationError,
@@ -43,20 +43,21 @@ def test_alpha_dominates_margin_slope(h_max, T, gamma, frac):
     m = make_default_margin(h_max, T)
     alpha = make_compatible_alpha(m, gamma)
     lam = frac * T
-    assert alpha.value(m.value(lam)) >= m.derivative(lam) * (1 - 1e-12)
-    assert alpha.value(m.value(T)) >= gamma * (1 - 1e-12)
+    assert alpha(m.value(lam)) >= m.derivative(lam) * (1 - 1e-12)
+    assert alpha(m.value(T)) >= gamma * (1 - 1e-12)
 
 
 @given(h_max=st.floats(1e-3, 1e3), T=st.floats(1e-2, 1e3),
        gamma=st.floats(0.0, 100.0),
        s1=st.floats(-10.0, 10.0), s2=st.floats(-10.0, 10.0))
+@example(h_max=0.5, T=1.0, gamma=0.0, s1=-5e-324, s2=0.0)  # h_max |s1| underflows to 0
 def test_alpha_class_k(h_max, T, gamma, s1, s2):
     """Odd, zero at zero, strictly increasing."""
     alpha = make_compatible_alpha(make_default_margin(h_max, T), gamma)
-    assert alpha.value(0.0) == 0.0
-    assert alpha.value(-s1) == pytest.approx(-alpha.value(s1), abs=1e-15)
+    assert alpha(0.0) == 0.0
+    assert alpha(-s1) == pytest.approx(-alpha(s1), abs=1e-15)
     if s1 < s2:
-        assert alpha.value(s1) < alpha.value(s2) or s1 == s2
+        assert alpha(s1) < alpha(s2) or s1 == s2
 
 
 def test_margin_monotone_nondecreasing():

@@ -64,18 +64,18 @@ class TestAnalyticCarPath:
             taus[rng.integers(0, 15, case % 3)] = t  # rows at tau = t
             assert np.array_equal(path.evaluate_many(taus, t, x),
                                   _parent_car_evaluate_many(path, taus, t, x))
-        assert np.array_equal(path.evaluate(t, t, x), x)
+        assert np.array_equal(path.evaluate_many([t], t, x)[0], x)
 
     def test_initial_time_exact(self):
         path = AnalyticCarPath(k=1.3, v=np.array([1.0, 0.7]))
         x = np.array([0.2, -0.4, 1.1, 2.0])
-        assert np.array_equal(path.evaluate(5.0, 5.0, x), x)
+        assert np.array_equal(path.evaluate_many([5.0], 5.0, x)[0], x)
 
     def test_unit_example(self):
         # z=0, zdot=0, v=1, k=1, one second ahead
         path = AnalyticCarPath(k=1.0, v=np.array([1.0, 1.0]))
         x = np.zeros(4)
-        p = path.evaluate(1.0, 0.0, x)
+        p = path.evaluate_many([1.0], 0.0, x)[0]
         assert p[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert p[1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
         # cross-check against an independent integration of the dynamics
@@ -89,7 +89,7 @@ class TestAnalyticCarPath:
         v = np.array([v1, v2])
         path = AnalyticCarPath(k=k, v=v)
         x = np.array([z, zd, -z, -zd])
-        p = path.evaluate(dt, 0.0, x)
+        p = path.evaluate_many([dt], 0.0, x)[0]
         ref = _independent_rk4(_car_field(k, v), 0.0, x, dt, n_steps=4000)
         assert np.allclose(p, ref, atol=1e-8)
 
@@ -99,7 +99,7 @@ class TestAnalyticCarPath:
         x = np.array([0.0, 0.3, 1.0, -0.2])
         zdot = x[1::2]
         for tau in (0.0, 0.7, 3.0):
-            p = path.evaluate(tau, 0.0, x)
+            p = path.evaluate_many([tau], 0.0, x)[0]
             d = path.field(tau, p)
             assert np.allclose(d, _car_field(k, v)(tau, p), atol=1e-12)
             # closed form of the flow's tau-derivative
@@ -110,7 +110,7 @@ class TestAnalyticCarPath:
             assert np.allclose(d, closed, atol=1e-12)
 
     def test_sensitivity_matches_finite_difference(self):
-        """dp/dx g against differences of evaluate along g's columns; at
+        """dp/dx g against differences of the forecast along g's columns; at
         tau = t it is g bit for bit."""
         path = AnalyticCarPath(k=1.1, v=np.array([1.0, 1.0]))
         x = np.array([0.4, 0.9, -1.2, 0.1])
@@ -119,8 +119,8 @@ class TestAnalyticCarPath:
         g = CarPairModel().input_matrix(0.0, x)
         assert np.array_equal(path.state_sensitivity(0.0, 0.0, x), g)
         d = 1e-6
-        fd = np.column_stack([(path.evaluate(tau, 0.0, x + d * g_j)
-                               - path.evaluate(tau, 0.0, x - d * g_j)) / (2 * d)
+        fd = np.column_stack([(path.evaluate_many([tau], 0.0, x + d * g_j)[0]
+                               - path.evaluate_many([tau], 0.0, x - d * g_j)[0]) / (2 * d)
                               for g_j in g.T])
         assert phi.shape == (4, 2)
         assert np.max(np.abs(phi - fd)) <= 1e-7 * np.linalg.norm(phi)
@@ -134,12 +134,12 @@ class TestAnalyticCarPath:
         batch, and one before t by rounding reads the forecast at t."""
         path, x = AnalyticCarPath(k=1.0, v=np.array([1.0, 1.0])), np.array([0.2, -0.4, 1.1, 2.0])
         with pytest.raises(ValueError, match="precedes"):
-            path.evaluate(1.0, 2.0, x)
+            path.evaluate_many([1.0], 2.0, x)
         with pytest.raises(ValueError, match="precedes"):
             path.evaluate_many(np.array([2.5, 1.0, 3.0]), 2.0, x)
         with pytest.raises(ValueError, match="precedes"):
             path.state_sensitivity(1.0, 2.0, x)
-        assert np.array_equal(path.evaluate(2.0 - 1e-12, 2.0, x), x)
+        assert np.array_equal(path.evaluate_many([2.0 - 1e-12], 2.0, x)[0], x)
         assert np.array_equal(path.state_sensitivity(2.0 - 1e-12, 2.0, x),
                               CarPairModel().input_matrix(2.0, x))
 
@@ -231,7 +231,7 @@ class TestOdePath:
     def test_initial_time_exact(self):
         model, path = _sat_path()
         x = _sat_state()
-        assert np.array_equal(path.evaluate(2.0, 2.0, x), x)
+        assert np.array_equal(path.evaluate_many([2.0], 2.0, x)[0], x)
         g = path.state_sensitivity(2.0, 2.0, x)
         assert g.tobytes() == np.ascontiguousarray(model.input_matrix(2.0, x)).tobytes()
 
@@ -239,10 +239,10 @@ class TestOdePath:
         model, path = _sat_path()
         x = _sat_state()
         with pytest.raises(ValueError):
-            path.evaluate(1.0, 2.0, x)
+            path.evaluate_many([1.0], 2.0, x)
         with pytest.raises(ValueError, match="precedes"):
             path.state_sensitivity(1.0, 2.0, x)
-        assert np.array_equal(path.evaluate(2.0 - 1e-12, 2.0, x), x)
+        assert np.array_equal(path.evaluate_many([2.0 - 1e-12], 2.0, x)[0], x)
         assert np.array_equal(path.state_sensitivity(2.0 - 1e-12, 2.0, x),
                               model.input_matrix(2.0, x))
 
@@ -250,6 +250,16 @@ class TestOdePath:
         model, _ = _sat_path()
         with pytest.raises(ConfigurationError):
             OdePath(model, lambda t, x: np.zeros(3), step=0.0)
+
+    def test_input_response_needs_sensitivity(self):
+        """A path built without sensitivity= forecasts, and asking it for the
+        input response names the missing argument."""
+        model = TwoBodyModel(398600.4418)
+        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (3,)), step=1.0)
+        x = _sat_state()
+        assert np.isfinite(path.evaluate_many([5.5], 2.0, x)).all()
+        with pytest.raises(TypeError, match="without sensitivity="):
+            path.state_sensitivity(5.5, 2.0, x)
 
     def test_field_derivative_consistency(self):
         """Tau-derivative of the flow matches a central difference of the
@@ -259,8 +269,9 @@ class TestOdePath:
         rng = np.random.default_rng(3)
         for tau in rng.uniform(0.3, 40.0, 20):
             d = 1e-4
-            fd = (path.evaluate(tau + d, 0.0, x) - path.evaluate(tau - d, 0.0, x)) / (2 * d)
-            deriv = path.field(tau, path.evaluate(tau, 0.0, x))
+            ahead, behind = path.evaluate_many([tau + d, tau - d], 0.0, x)
+            fd = (ahead - behind) / (2 * d)
+            deriv = path.field(tau, path.evaluate_many([tau], 0.0, x)[0])
             assert np.linalg.norm(deriv - fd) <= 1e-6 * (1.0 + np.linalg.norm(deriv))
 
     def test_semigroup(self):
@@ -269,13 +280,13 @@ class TestOdePath:
         rng = np.random.default_rng(4)
         for _ in range(10):
             t, sigma, tau = np.sort(rng.uniform(0.0, 60.0, 3))
-            direct = path.evaluate(tau, t, x)
-            mid = path.evaluate(sigma, t, x)
-            relay = path.evaluate(tau, sigma, mid)
+            direct = path.evaluate_many([tau], t, x)[0]
+            mid = path.evaluate_many([sigma], t, x)[0]
+            relay = path.evaluate_many([tau], sigma, mid)[0]
             assert np.linalg.norm(direct - relay) <= 1e-6 * (1.0 + np.linalg.norm(direct))
 
     def test_sensitivity_matches_finite_difference(self):
-        """dp/dx g against differences of evaluate along g's columns."""
+        """dp/dx g against differences of the forecast along g's columns."""
         model, path = _sat_path()
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -285,8 +296,8 @@ class TestOdePath:
             phi = path.state_sensitivity(tau, 0.0, x)
             g = model.input_matrix(0.0, x)
             d = 1e-4
-            fd = np.column_stack([(path.evaluate(tau, 0.0, x + d * g_j)
-                                   - path.evaluate(tau, 0.0, x - d * g_j)) / (2 * d)
+            fd = np.column_stack([(path.evaluate_many([tau], 0.0, x + d * g_j)[0]
+                                   - path.evaluate_many([tau], 0.0, x - d * g_j)[0]) / (2 * d)
                                   for g_j in g.T])
             assert phi.shape == (6, 3)
             assert np.max(np.abs(phi - fd)) <= 1e-4 * np.linalg.norm(phi)
@@ -311,7 +322,7 @@ class TestOdePath:
         model = _CubicBlowup()
         path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         with pytest.raises(PropagationError):
-            path.evaluate(50.0, 0.0, np.array([5.0]))
+            path.evaluate_many([50.0], 0.0, np.array([5.0]))
 
     def test_cache_distinguishes_nearby_large_states(self):
         """Regression: quantized cache keys must separate states that differ
@@ -320,8 +331,8 @@ class TestOdePath:
         x1 = _sat_state()
         x2 = x1.copy()
         x2[0] += 0.05  # 50 m apart at 7000 km magnitude
-        p1 = path.evaluate(30.0, 0.0, x1)
-        p2 = path.evaluate(30.0, 0.0, x2)
+        p1 = path.evaluate_many([30.0], 0.0, x1)[0]
+        p2 = path.evaluate_many([30.0], 0.0, x2)[0]
         assert not np.array_equal(p1, p2)
 
     def test_forecast_key_is_exact(self):
@@ -329,11 +340,11 @@ class TestOdePath:
         forecast from itself, not from the stored state."""
         _, path = _sat_path()
         x1 = satellite_initial_state(default_config("satellite"))
-        p1 = path.evaluate(5.0, 0.0, x1)
+        p1 = path.evaluate_many([5.0], 0.0, x1)[0]
         x2 = x1.copy()
         x2[0] += 1e-10
-        assert np.array_equal(path.evaluate(0.0, 0.0, x2), x2)
-        assert not np.array_equal(path.evaluate(5.0, 0.0, x2), p1)
+        assert np.array_equal(path.evaluate_many([0.0], 0.0, x2)[0], x2)
+        assert not np.array_equal(path.evaluate_many([5.0], 0.0, x2)[0], p1)
 
     def test_one_forecast_serves_every_query_on_its_knots(self):
         model = _CountingLinear()
@@ -342,7 +353,7 @@ class TestOdePath:
                        sensitivity=lambda tau, t, x: asked.append((tau, t)))
         t, x, K = 1.0, np.array([1.0, -0.5]), 6
         knots = t + path.step * np.arange(K + 1)
-        end = path.evaluate(knots[-1], t, x)
+        end = path.evaluate_many([knots[-1]], t, x)[0]
         assert model.calls == 4 * K  # one RK4 step per knot
         assert path.knot_steps == K
         states = path.evaluate_many(knots, t, x)
@@ -354,12 +365,12 @@ class TestOdePath:
         path.state_sensitivity(knots[2], t, x)
         path.state_sensitivity(knots[6] + 4.0, t, x + 1.0)
         assert asked == [(knots[3], t), (knots[2], t), (knots[6] + 4.0, t)]
-        path.evaluate(knots[5], t, x)
+        path.evaluate_many([knots[5]], t, x)
         assert model.calls == 4 * K and path.knot_steps == K
         # a new (t, x) starts a new forecast, which replaces the old one
-        path.evaluate(knots[1], t, x + 1e-3)
+        path.evaluate_many([knots[1]], t, x + 1e-3)
         assert model.calls == 4 * K + 4
-        path.evaluate(knots[1], t, x)
+        path.evaluate_many([knots[1]], t, x)
         assert model.calls == 4 * K + 8 and path.knot_steps == K + 2
 
     def test_off_knot_evaluation_steps_once(self):
@@ -409,10 +420,10 @@ class TestForecastReuse:
         model = _CountingLinear()
         path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         t, x, K = 1.0, np.array([1.0, -0.5]), 6
-        path.evaluate(t + K * path.step, t, x)
+        path.evaluate_many([t + K * path.step], t, x)
         assert model.calls == 4 * K
-        x1 = path.evaluate(t + path.step, t, x)
-        path.evaluate(t + (K + 1) * path.step, t + path.step, x1)
+        x1 = path.evaluate_many([t + path.step], t, x)[0]
+        path.evaluate_many([t + (K + 1) * path.step], t + path.step, x1)
         assert model.calls == 4 * K + 4
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -421,9 +432,9 @@ class TestForecastReuse:
         input response from its start matches the co-integration oracle."""
         model, path = _sat_path()
         t, x = 2.0, _sat_state()
-        path.evaluate(t + 40.0, t, x)
+        path.evaluate_many([t + 40.0], t, x)
         t1 = t + k * path.step
-        x1 = path.evaluate(t1, t, x)
+        x1 = path.evaluate_many([t1], t, x)[0]
         _, fresh = _sat_path()
         taus = t1 + np.array([0.0, 0.4, 1.0, 7.25, 30.0, 45.5, 60.0])
         assert np.array_equal(path.evaluate_many(taus, t1, x1),
@@ -439,10 +450,10 @@ class TestForecastReuse:
         step, t, K = 0.1, 0.3, 40
         path = OdePath(_DrivenLinear(), _time_law, step=step)
         x = np.array([1.0, -0.5])
-        path.evaluate(t + K * step, t, x)
+        path.evaluate_many([t + K * step], t, x)
         t1 = t + step
         assert any(t + (1 + j) * step != t1 + j * step for j in range(K))
-        x1 = path.evaluate(t1, t, x)
+        x1 = path.evaluate_many([t1], t, x)[0]
         fresh = OdePath(_DrivenLinear(), _time_law, step=step)
         taus = t1 + step * np.arange(K + 2) + 0.03
         assert np.array_equal(path.evaluate_many(taus, t1, x1),
@@ -470,7 +481,7 @@ class TestForecastReuse:
 
         path.evaluate_many(off_knot(t), t, x)
         t1 = t + k * s
-        x1 = path.evaluate(t1, t, x)
+        x1 = path.evaluate_many([t1], t, x)[0]
         fresh = OdePath(path.model, path.mu, step=s)
         for taus in (off_knot(t1), off_knot(t)[2 * k:]):
             assert np.array_equal(path.evaluate_many(taus, t1, x1),
@@ -488,7 +499,7 @@ class TestForecastReuse:
         assert model.calls == calls
         # the next forecast from knot 1 keeps the later knots and their states
         t1 = t + path.step
-        x1 = path.evaluate(t1, t, x)
+        x1 = path.evaluate_many([t1], t, x)[0]
         assert np.array_equal(path.evaluate_many(taus[1:4], t1, x1), first[1:4])
         assert model.calls == calls
         assert (path.forecast_restarts, path.partial_steps) == (1, 5)
@@ -512,7 +523,7 @@ class TestForecastReuse:
         path = OdePath(_CubicBlowup(), lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         for _ in range(2):
             with pytest.raises(PropagationError):
-                path.evaluate(0.3, 0.0, np.array([1e30]))
+                path.evaluate_many([0.3], 0.0, np.array([1e30]))
 
 
 class TestBatchedEvaluation:
@@ -521,7 +532,7 @@ class TestBatchedEvaluation:
         lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5])),
     ], ids=["satellite", "time_dependent"])
     def test_matches_per_tau_and_scalar_steps(self, make):
-        """evaluate_many equals per-tau evaluate and an independent chain of
+        """evaluate_many equals one call per tau and an independent chain of
         single RK4 steps: whole steps to the last knot, then one partial."""
         path, x = make()
         t, s = 3.0, path.step
@@ -529,7 +540,7 @@ class TestBatchedEvaluation:
         taus[3] += 2e-13  # within the remainder threshold of knot 5
         many = path.evaluate_many(taus[:7], t, x)  # knots grown to t + 9 s
         many = np.vstack([many, path.evaluate_many(taus[7:], t, x)])
-        single = np.array([path.evaluate(tau, t, x) for tau in taus])
+        single = np.array([path.evaluate_many([tau], t, x)[0] for tau in taus])
         assert np.array_equal(many, single)
 
         knots = [x]
@@ -594,10 +605,10 @@ class TestFloatKnotChain:
         one, arr = _sat_paths()
         t, x = 2.0, _sat_state()
         for path in (one, arr):
-            path.evaluate(t + 250.0, t, x)
+            path.evaluate_many([t + 250.0], t, x)
         t1 = t + k * one.step
-        x1 = one.evaluate(t1, t, x)
-        assert np.array_equal(x1, arr.evaluate(t1, t, x))
+        x1 = one.evaluate_many([t1], t, x)[0]
+        assert np.array_equal(x1, arr.evaluate_many([t1], t, x)[0])
         self._assert_same(one, arr, t1 + self.TAUS, t1, x1)
         assert one.knot_steps == arr.knot_steps == 250 + k
         self._assert_same(one, _sat_paths()[1], t1 + self.TAUS, t1, x1)
@@ -637,17 +648,17 @@ class TestFloatKnotChain:
         t, x0, zero = 0.0, np.array([0.1]), lambda t, x: np.zeros(x.shape[:-1] + (1,))
         arr = OdePath(_CountingCubic(), zero, step=0.5)
         with pytest.raises(PropagationError) as want:
-            arr.evaluate(t + 100.0, t, x0)
+            arr.evaluate_many([t + 100.0], t, x0)
         model = _CountingCubic()
         one = OdePath(model, zero, step=0.5, step_one=model.step_one)
         with pytest.raises(PropagationError) as got:
-            one.evaluate(t + 100.0, t, x0)
+            one.evaluate_many([t + 100.0], t, x0)
         last_tau = t + (len(one._states) - 1) * 0.5  # the last knot held
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"tau={last_tau + 0.5}")
         assert 10.0 < last_tau < 100.0  # after many finite knots of the block
         calls = model.calls
-        last = one.evaluate(last_tau, t, x0)
+        last = one.evaluate_many([last_tau], t, x0)[0]
         assert model.calls == calls
         assert np.isfinite(last).all()
         assert np.array_equal(one._states, arr._states)
@@ -664,7 +675,7 @@ class TestFloatKnotChain:
         errors = []
         for path in _sat_paths():
             with pytest.raises(PropagationError) as err:
-                path.evaluate(3.0 + 100.0, 3.0, np.array(x0))
+                path.evaluate_many([3.0 + 100.0], 3.0, np.array(x0))
             errors.append(str(err.value))  # the message holds the tau
         assert errors[0] == errors[1]
 
@@ -678,10 +689,10 @@ def test_kepler_response_matches_cointegration():
         model, path = _sat_path()
         oracle = _sat_oracle(model)
         t = 2.0
-        path.evaluate(t + 250.0, t, x)
+        path.evaluate_many([t + 250.0], t, x)
         t1 = t + 3 * path.step
-        x1 = path.evaluate(t1, t, x)
-        path.evaluate(t1 + 250.0, t1, x1)  # kept from knot 3 on
+        x1 = path.evaluate_many([t1], t, x)[0]
+        path.evaluate_many([t1 + 250.0], t1, x1)  # kept from knot 3 on
         assert np.array_equal(path._states[0], x1)
         for t0, x0 in ((t, x), (t1, x1)):
             for dt in (0.5, 1.0, 37.0, 37.3, 250.0):
@@ -705,14 +716,18 @@ _FAR_HYPERBOLIC = np.array([7000.0, 0.0, 0.0, 0.3, 1.5 * _V_ESCAPE, 0.2])
     # far past periapsis: the oracle's steps grow with the escape's time scale
     (_FAR_HYPERBOLIC, 1e5, 0.5, 1.001),
     (_FAR_HYPERBOLIC, 1e6, 0.5, 1.001),
+    # near-parabolic (alpha r0 = -2e-3) and long: Newton's plain steps from
+    # either start run out of iterations, the bracketed ones converge
+    (np.array([7000.0, 0.0, 0.0, 0.0, _V_ESCAPE * math.sqrt(1.001), 0.0]), 1e6, 0.25, 1.001),
 ], ids=["beyond_one_period", "hyperbolic", "hyperbolic_through_periapsis",
         "near_parabolic_open", "near_parabolic_closed", "hyperbolic_far_1e5",
-        "hyperbolic_far_1e6"])
+        "hyperbolic_far_1e6", "near_parabolic_far_1e6"])
 def test_kepler_response_across_conics(x, dt, step, growth):
     """The closed form beyond one period (its Stumpff functions by cos and
     sin, not the series), on hyperbolic and near-parabolic arcs, and far past
-    periapsis, where Newton starts at Vallado's hyperbolic guess, matches the
-    co-integration oracle to 1e-12 relative."""
+    periapsis, where Newton starts at Vallado's hyperbolic guess and keeps
+    to a bracket of the root, matches the co-integration oracle to 1e-12
+    relative."""
     model, path = _sat_path()
     _assert_close(path.state_sensitivity(3.0 + dt, 3.0, x),
                   _sat_oracle(model, step, growth)(3.0 + dt, 3.0, x))

@@ -178,16 +178,14 @@ def test_build_cbf_constraint_bound():
         constant = 0.7
         row = np.array([1.0, -2.0])
 
-    class FakeAlpha:
-        @staticmethod
-        def value(s):
-            return 2.0 * s
+    def alpha(s):
+        return 2.0 * s
 
     mu = np.array([0.1, 0.2])
-    con = build_cbf_constraint(-0.3, FakeDeriv(), FakeAlpha, mu)
+    con = build_cbf_constraint(-0.3, FakeDeriv(), alpha, mu)
     # bound = alpha(0.3) - c0 + a.mu
     assert con.bound == pytest.approx(0.6 - 0.7 + (0.1 - 0.4))
     assert con.slack_weight is None
-    con2 = build_cbf_constraint(0.1, FakeDeriv(), FakeAlpha, mu, slack_weight=1e3)
+    con2 = build_cbf_constraint(0.1, FakeDeriv(), alpha, mu, slack_weight=1e3)
     assert con2.bound == pytest.approx(-0.2 - 0.7 + (0.1 - 0.4))
     assert con2.slack_weight == 1e3

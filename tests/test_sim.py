@@ -17,7 +17,6 @@ from pcbf.barrier import (
     eval_pcbf,
 )
 from pcbf.core import (
-    ClassKFunction,
     ConfigurationError,
     ConstraintFunction,
     DegenerateMaximizerError,
@@ -460,7 +459,7 @@ def test_activity_first_matches_full_qp(scenario, request, monkeypatch):
     c0 = derivative_affine(val.maximizers.first, ctrl.ctx, val.grid,
                            case=ctrl._held_case(val.maximizers.first, t)).constant
     for shift in (1e-9, -1e-9):
-        ctrl.alpha = ClassKFunction(value=lambda s, c=c0 + shift * abs(c0): c)
+        ctrl.alpha = lambda s, c=c0 + shift * abs(c0): c
         assert _check_step_against_oracle(ctrl, log, k, monkeypatch)[1] == 1
 
 
@@ -531,7 +530,7 @@ def test_activity_first_with_slack_rows(alpha_value, active, monkeypatch):
     ctx = _static_ctx(h)
     alpha = make_compatible_alpha(ctx.margin, 1.0)
     if alpha_value is not None:
-        alpha = ClassKFunction(value=lambda s: alpha_value)
+        alpha = lambda s: alpha_value
     ctrl = PcbfController(ctx, alpha)
     log = types.SimpleNamespace(t=[0.5], x=[np.zeros(1)], case=[""])
     sensitivity, qp = _check_step_against_oracle(ctrl, log, 0, monkeypatch)
