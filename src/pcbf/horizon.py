@@ -6,11 +6,22 @@ bisection finds the last upcrossing zero preceding each unsafe maximizer.
 Each search evaluates a missing probe in one batch with every probe its next
 _LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
 keeps each value's bits, so both return what one probe per step returns.
+
+Along a path that keeps its forecast between steps (Path.memo_keys), a
+HorizonMemo reuses the work of earlier steps.  scan looks h up by (tau, t_k),
+t_k the time of the knot tau's state steps from.  A search is looked up by
+its inputs, and served only while every probe it fetched keeps its t_k; a
+search that runs reads h directly, as its probes recur only when the whole
+search does.  Both memos are dropped when the path's generation token
+changes, on a fresh forecast or on a kept one whose later knots are cut, and
+their entries before the horizon start go at each step.  A served value has
+the bits a memo-free evaluation returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,13 +50,70 @@ class PathEvaluation:
     dh_dtau: float
 
 
+class HorizonMemo:
+    """h along one path's held forecast, and the searches' results on it.
+
+    The h memo is a table sorted by its first row, tau; its other rows are
+    the time t_k of the knot tau's state steps from, and h(tau, p(tau)).
+    A lookup reads the first entry of its tau, the latest one, and it
+    serves the tau only with its t_k.  An end column at tau = inf keeps
+    every lookup in range.  searches maps (search, *inputs) to (the
+    probes it fetched, their t_k, its result).  Plain integer work
+    counters, over the memo's life: h_hits and h_misses per tau looked up,
+    search_hits and search_misses per search.
+    """
+
+    def __init__(self):
+        self.generation = None
+        self.h_hits = self.h_misses = self.search_hits = self.search_misses = 0
+        self._drop()
+
+    def _drop(self):
+        self.table = np.array([[np.inf], [np.nan], [np.nan]])
+        self.searches = {}
+
+    def sync(self, generation, t) -> bool:
+        """Keep this generation's entries at or after t, and drop all others;
+        False when the memo held another generation."""
+        if generation != self.generation:
+            self.generation = generation
+            self._drop()
+            return False
+        self.table = self.table[:, np.searchsorted(self.table[0], t):]
+        self.searches = {key: v for key, v in self.searches.items() if key[1] >= t}
+        return True
+
+    def h_many(self, grid, taus) -> np.ndarray:
+        """grid.h_many(taus) through the memo, whose misses it evaluates in
+        one batch; the grid keeps the memo if its path keeps a forecast."""
+        keyed = grid.path.memo_keys(taus, grid.t, grid.x)
+        if keyed is None:
+            return grid.h_many(taus)
+        grid.memo = self
+        self.sync(keyed[0], grid.t)
+        t_ks = keyed[1]
+        at = np.searchsorted(self.table[0], taus)
+        miss = np.flatnonzero((self.table[0, at] != taus) | (self.table[1, at] != t_ks))
+        values = self.table[2, at]
+        self.h_hits += len(taus) - len(miss)
+        self.h_misses += len(miss)
+        if miss.size:
+            values[miss] = grid.h_many(taus[miss])
+            # new entries sort before old ones of their tau, which lookups skip
+            table = np.concatenate([[taus[miss], t_ks[miss], values[miss]], self.table], axis=1)
+            self.table = table[:, np.argsort(table[0], kind="stable")]
+        return values
+
+
 @dataclass
 class HorizonGrid:
     """Sampled trajectory of h along the path over [t, t+T].
 
     taus are strictly increasing with taus[0] = t and taus[-1] = t + T; they
     are uniform unless the two-level scan split each interval with a hot
-    endpoint into _REFINE_FACTOR equal steps.
+    endpoint into _REFINE_FACTOR equal steps.  memo, which holds the
+    searches' results, is None unless the path keeps its forecast and the
+    scan was given a memo.
     """
 
     t: float
@@ -55,6 +123,7 @@ class HorizonGrid:
     h_values: np.ndarray
     path: Path
     h: object
+    memo: HorizonMemo | None = field(default=None, repr=False, compare=False)
 
     def h_many(self, taus) -> np.ndarray:
         """h along the path at each of taus."""
@@ -104,13 +173,15 @@ class RootResult:
     already_unsafe: bool
 
 
-def scan(path, h, t, x, T, N, two_level=False):
+def scan(path, h, t, x, T, N, two_level=False, memo=None):
     """Sample h along the path at N+1 uniform times over [t, t+T].
 
     With two_level=True, each interval [lo, lo + T/N] with an endpoint whose
     h-value comes within _THREAT_FRACTION * h_max of zero is refined once, at
     lo + k T/N/_REFINE_FACTOR for k = 1 .. _REFINE_FACTOR - 1, so narrow
-    violation spikes are resolved without a uniformly fine grid.
+    violation spikes are resolved without a uniformly fine grid.  Given a
+    memo, the scan and the searches on its grid read and fill it where the
+    path keeps its forecast.
     """
     if not 0 < T < np.inf:  # NaN included
         raise ConfigurationError(f"horizon T must be positive and finite, got {T}")
@@ -118,7 +189,10 @@ def scan(path, h, t, x, T, N, two_level=False):
         raise ConfigurationError(f"grid sample count N must be in [50, {_MAX_N}], got {N}")
     taus = t + np.arange(N + 1) * (T / N)
     taus[-1] = t + T
-    h_values = np.asarray(h.value(taus, path.evaluate_many(taus, t, x)), dtype=float)
+    grid = HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
+                       h_values=None, path=path, h=h)
+    h_many = grid.h_many if memo is None else partial(memo.h_many, grid)
+    h_values = np.asarray(h_many(taus), dtype=float)
 
     if two_level:
         hot = h_values >= -_THREAT_FRACTION * h.h_max
@@ -126,16 +200,45 @@ def scan(path, h, t, x, T, N, two_level=False):
         new = (lo[:, None] + np.arange(1, _REFINE_FACTOR) * (T / N / _REFINE_FACTOR)).ravel()
         if new.size:
             taus = np.concatenate([taus, new])
-            h_values = np.concatenate([h_values, h.value(new, path.evaluate_many(new, t, x))])
+            h_values = np.concatenate([h_values, h_many(new)])
             order = np.argsort(taus, kind="stable")
             taus, h_values = taus[order], h_values[order]
 
-    return HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
-                       h_values=h_values, path=path, h=h)
+    grid.taus, grid.h_values = taus, h_values
+    return grid
+
+
+def _searched(grid, search, *inputs):
+    """search(h_many, *inputs) on the grid: a result from the grid's memo
+    when every probe it fetched still has the t_k it had, else a fresh
+    search, kept in the memo."""
+    memo = grid.memo
+    if memo is None:
+        return search(grid.h_many, *inputs)
+    key = (search, *inputs)
+    kept = memo.searches.get(key)
+    if kept is not None:
+        probes, t_ks, result = kept
+        generation, now = grid.path.memo_keys(probes, grid.t, grid.x)
+        if memo.sync(generation, grid.t) and np.array_equal(now, t_ks):
+            memo.search_hits += 1
+            return result
+    fetched = []
+
+    def h_many(taus):
+        fetched.extend(taus)
+        return grid.h_many(taus)
+
+    result = search(h_many, *inputs)
+    memo.search_misses += 1
+    probes = np.array(fetched, dtype=float)
+    memo.searches[key] = (probes, grid.path.memo_keys(probes, grid.t, grid.x)[1], result)
+    return result
 
 
 def _batched(h_many, tree):
-    """h through a memo; a miss evaluates tree(*state), the probes due next."""
+    """h through a dict of the search's probes; a miss evaluates tree(*state),
+    the probes due next."""
     memo = {}
 
     def f(tau, *state):
@@ -211,7 +314,7 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
         end = j
         while end + 1 < K and abs(hv[end + 1] - hv[j]) <= tol_j:
             end += 1
-        tau_r, h_r = _golden_max(grid.h_many, taus[j - 1], taus[j + 1], refine_tol)
+        tau_r, h_r = _searched(grid, _golden_max, taus[j - 1], taus[j + 1], refine_tol)
         candidates.append((tau_r, h_r, False, False))
     if hv[K] >= hv[K - 1]:
         candidates.append((tend, float(hv[K]), False, True))
@@ -249,8 +352,8 @@ def find_root_before(grid: HorizonGrid, tau: float, h_tau: float, root_tol: floa
     knot_h = np.append(grid.h_values[:idx], h_tau)
     for j in range(len(knot_taus) - 2, -1, -1):
         if knot_h[j] < 0 <= knot_h[j + 1]:
-            eta = _bisect_root(grid.h_many, knot_taus[j], knot_taus[j + 1],
-                               knot_h[j], knot_h[j + 1], root_tol)
+            eta = _searched(grid, _bisect_root, knot_taus[j], knot_taus[j + 1],
+                            knot_h[j], knot_h[j + 1], root_tol)
             return RootResult(eta=eta, already_unsafe=False)
     return RootResult(eta=grid.t, already_unsafe=True)
 

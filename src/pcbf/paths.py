@@ -42,6 +42,15 @@ class Path(Protocol):
     def nominal_control(self, t, x) -> np.ndarray:
         """The nominal law mu(t, x)."""
 
+    def memo_keys(self, taus, t, x):
+        """None for a path that keeps no forecast between calls: the horizon
+        then memoizes nothing along it and pays nothing for the memo.
+        Otherwise (generation, t_k) for the forecast from (t, x): a token
+        that changes whenever a state of the held forecast can change, and
+        per tau the time of the knot its state steps from.  Under one token,
+        equal (tau, t_k) give equal p(tau) bits, so values along the path
+        may be reused by that key."""
+
 
 class AnalyticCarPath:
     """Closed-form path for two lane-following double integrators.
@@ -90,6 +99,9 @@ class AnalyticCarPath:
     def nominal_control(self, t, x):
         return self.k * (self.v - x[..., 1::2])
 
+    def memo_keys(self, taus, t, x):
+        return None
+
 
 class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
@@ -108,7 +120,12 @@ class OdePath:
     forecast) keeps the knots from k on.  Knot k+j+1 is kept only while the
     start time of the RK4 step that produced it, t0 + (k+j) step, equals the
     fresh t + j step bit for bit, so a time-dependent field gets exactly a
-    fresh forecast's states.  Any other key starts afresh.
+    fresh forecast's states.  Any other key starts afresh.  memo_keys names
+    the held forecast by (forecast_restarts, forecast_cuts): it changes on a
+    fresh forecast and on a kept one whose later knots are cut, the two
+    events that can change a held state, and on nothing else.  The knot
+    time in each key carries the rest: a tau whose knot index or knot time
+    moved with the new start t gets a new key.
 
     A time between knots takes one partial RK4 step from the knot before it;
     a query makes all of its partial steps as one batched RK4 step, calling
@@ -127,8 +144,9 @@ class OdePath:
 
     Plain integer work counters, over the path's life: knot_steps, the RK4
     steps that grew the knots (either chain); forecast_restarts, the
-    forecasts started afresh; partial_steps, the off-knot rows stepped
-    because no kept state served them.
+    forecasts started afresh; forecast_cuts, the kept forecasts whose later
+    knots were dropped; partial_steps, the off-knot rows stepped because no
+    kept state served them.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, step_one=None):
@@ -141,6 +159,7 @@ class OdePath:
         self._step_one = step_one  # float RK4 step of one state for the knot steps
         self.knot_steps = 0
         self.forecast_restarts = 0
+        self.forecast_cuts = 0
         self.partial_steps = 0
         self._key = None
         self._t0 = 0.0
@@ -172,6 +191,7 @@ class OdePath:
             # knot k + j + 1 came from an RK4 step started at the time compared
             j = np.arange(len(states) - k - 1)
             keep = 1 + int(np.argmin(np.append(t0 + (k + j) * step == t + j * step, False)))
+            self.forecast_cuts += k + keep < len(states)
             self._states = states[k:k + keep]
             self._partials = self._partials[k:k + keep]
         else:
@@ -180,13 +200,18 @@ class OdePath:
             self.forecast_restarts += 1
         self._t0 = t
 
+    def _index(self, taus, t):
+        """(taus raised to t, k, t_k): for each tau the last knot at or
+        before it and that knot's time."""
+        taus = _not_before(taus, t)
+        k = np.floor((taus - self._t0) / self.step + 1e-9).astype(int)
+        return taus, k, self._t0 + k * self.step
+
     def _knots(self, taus, t):
         """(k, t_k, rem) for each tau: the last knot at or before it, that
         knot's time and the time left from it to tau, with the state knots
         grown up to the largest k."""
-        taus = _not_before(taus, t)
-        k = np.floor((taus - self._t0) / self.step + 1e-9).astype(int)
-        t_k = self._t0 + k * self.step
+        taus, k, t_k = self._index(taus, t)
         rem = taus - t_k
         rem[rem < 1e-12 * np.maximum(1.0, np.abs(taus))] = 0.0
         one, n = self._step_one, len(self._states)
@@ -214,7 +239,8 @@ class OdePath:
         if off.size:
             memos = [self._partials[j] for j in k[off].tolist()]
             keys = list(zip(t_k[off].tolist(), rem[off].tolist()))
-            miss = [n for n, (memo, key) in enumerate(zip(memos, keys)) if key not in memo]
+            kept = list(map(dict.get, memos, keys))
+            miss = [n for n, state in enumerate(kept) if state is None]
             if miss:
                 rows = off[miss]
                 self.partial_steps += len(rows)
@@ -225,12 +251,21 @@ class OdePath:
                     raise PropagationError(f"non-finite state at tau={tau}")
                 for n, state in zip(miss, y):
                     memos[n][keys[n]] = state
-            out[off] = [memo[key] for memo, key in zip(memos, keys)]
+                out[rows] = y
+            if len(miss) < len(kept):
+                hit = [n for n, state in enumerate(kept) if state is not None]
+                out[off[hit]] = [kept[n] for n in hit]
         return out
 
     def evaluate_many(self, taus, t, x):
         self._forecast(t, x)
         return self._at(taus, t)
+
+    def memo_keys(self, taus, t, x):
+        # p(tau) is the knot at t_k stepped by max(tau, t) - t_k: (tau, t_k)
+        # fixes that, as a tau raised to t is within rounding of t_k = t
+        self._forecast(t, x)
+        return (self.forecast_restarts, self.forecast_cuts), self._index(taus, t)[2]
 
     def state_sensitivity(self, tau, t, x):
         if self._sensitivity is None:

@@ -51,13 +51,30 @@ def test_alpha_dominates_margin_slope(h_max, T, gamma, frac):
        gamma=st.floats(0.0, 100.0),
        s1=st.floats(-10.0, 10.0), s2=st.floats(-10.0, 10.0))
 @example(h_max=0.5, T=1.0, gamma=0.0, s1=-5e-324, s2=0.0)  # h_max |s1| underflows to 0
+@example(h_max=1.625, T=1.0, gamma=0.0, s1=-10.0, s2=-9.999999999999998)  # one ulp, one value
 def test_alpha_class_k(h_max, T, gamma, s1, s2):
-    """Odd, zero at zero, strictly increasing."""
+    """Odd, zero at zero, with the sign of its argument, and increasing:
+    non-decreasing on every pair of floats, and strictly increasing where
+    the two have one sign, are at least 1e-300 in size and differ by more
+    than 1e-12 of the larger.
+
+    Closer floats may share a value: the root branch has slope
+    (1/T) sqrt(h_max / |s|), 0.40 at h_max = 1.625, T = 1, s = -10, so a
+    correctly rounded root maps neighbours there to one float.  A relative
+    gap of 1e-12 moves the root branch by 5e-13 and the linear one by 1e-12
+    of their values, far more than alpha's few roundings (2.2e-16 each);
+    the size bound keeps h_max |s| a normal float, whose roundings are
+    relative."""
     alpha = make_compatible_alpha(make_default_margin(h_max, T), gamma)
     assert alpha(0.0) == 0.0
     assert alpha(-s1) == pytest.approx(-alpha(s1), abs=1e-15)
-    if s1 < s2:
-        assert alpha(s1) < alpha(s2) or s1 == s2
+    for s in (s1, s2):
+        assert np.sign(alpha(s)) == np.sign(s)
+    lo, hi = sorted((s1, s2))
+    assert alpha(lo) <= alpha(hi)
+    if ((lo > 0) == (hi > 0) and min(abs(lo), abs(hi)) >= 1e-300
+            and hi - lo > 1e-12 * max(abs(lo), abs(hi))):
+        assert alpha(lo) < alpha(hi)
 
 
 def test_margin_monotone_nondecreasing():

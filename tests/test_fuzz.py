@@ -1,8 +1,8 @@
 """Closed-loop fuzz: short pcbf runs over drawn scenario parameters.
 
 Each drawn configuration either is rejected as a configuration error or runs
-twice, and the two runs must agree bit for bit; any other exception fails the
-test.  A run whose first barrier value is nonpositive, and that runs to its
+twice, the second time without the horizon memo, and the two runs must agree
+bit for bit; any other exception fails the test.  A run whose first barrier value is nonpositive, and that runs to its
 end, must stay within the safety gate of the pinned runs, max h <= 1e-3 rho,
 even when some step falls back to the nominal input; a run that starts with a
 positive barrier value, or is cut short, must say so in a note.  At every
@@ -22,17 +22,25 @@ from pcbf.scenarios import default_config
 _FUZZ = settings(derandomize=True, deadline=None, database=None)
 
 
-def _run(cfg):
-    """The run's log and the maximizer times of each step that scanned."""
-    eval_pcbf, taus = simulate.eval_pcbf, []
+def _run(cfg, memo=True):
+    """The run's log and the maximizer times of each step that scanned;
+    with memo=False the filter's scans keep no horizon memo."""
+    eval_pcbf, make_context, taus = simulate.eval_pcbf, simulate.make_context, []
 
     def recorded(t, x, ctx):
         val = eval_pcbf(t, x, ctx)
         taus.append([e.tau for e in val.maximizers.entries])
         return val
 
+    def memo_free(*args):
+        ctx = make_context(*args)
+        ctx.memo = None
+        return ctx
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "eval_pcbf", recorded)
+        if not memo:
+            mp.setattr(simulate, "make_context", memo_free)
         return simulate.run_closed_loop(cfg), taus
 
 
@@ -48,7 +56,7 @@ def _check_closed_loop(cfg):
         log, taus = _run(cfg)
     except ConfigurationError:
         return
-    assert _recorded(_run(cfg)[0]) == _recorded(log)
+    assert _recorded(_run(cfg, memo=False)[0]) == _recorded(log)
 
     if log.initial_h_star is not None and log.initial_h_star > 0 or log.truncated:
         assert log.notes
@@ -80,13 +88,17 @@ def test_intersection_closed_loop(scenario, z1_0, offset, v1, v2, dz1_0, dz2_0, 
 
 
 @settings(_FUZZ, max_examples=6)
-@given(phase_offset=st.floats(-6e-5, 6e-5), conjunction_time=st.floats(5.0, 460.0))
-def test_satellite_closed_loop(phase_offset, conjunction_time):
+@given(phase_offset=st.floats(-6e-5, 6e-5), conjunction_time=st.floats(5.0, 460.0),
+       T=st.floats(100.0, 300.0), N=st.integers(50, 300))
+def test_satellite_closed_loop(phase_offset, conjunction_time, T, N):
     """The satellite from its drawn debris phase lag to 20 s past the drawn
-    conjunction time, which the 250 s horizon sees from the start when it
+    conjunction time, which the drawn horizon T sees from the start when it
     is early; lags beyond about 7e-5 rad never come within rho / 2 and are
-    configuration errors."""
+    configuration errors.  The grid step T / N is drawn apart from the 1 s
+    control step, so the memo's scan times and search probes fall between
+    the forecast's knots."""
     cfg = default_config("satellite", "pcbf")
     cfg.duration = conjunction_time + 20.0
+    cfg.T, cfg.N = T, N
     cfg.params.update(phase_offset=phase_offset, conjunction_time=conjunction_time)
     _check_closed_loop(cfg)

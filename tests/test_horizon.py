@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcbf import horizon
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
-from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
-                          _bisect_root, _golden_max,
+from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, HorizonMemo, MaximizerEntry,
+                          MaximizerSet, _bisect_root, _golden_max, _searched,
                           find_maximizers, find_root_before, scan)
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import LeftTurnLane, SeparationConstraint, StraightLane
@@ -529,3 +529,168 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
         mp.setattr(horizon, "_golden_max", recording("one_pass"))
         assert find_maximizers(grid, 1e-6, 1e-9) == want
     assert brackets["one_pass"] == brackets["sequential"]
+
+
+# -- the horizon memo along a kept forecast -----------------------------------
+
+class _Oscillator(DynamicsModel):
+    """xdot = A x + B u, a lightly damped oscillator."""
+
+    A = np.array([[0.0, 1.0], [-4.0, -0.1]])
+
+    def drift(self, t, x):
+        return x @ self.A.T
+
+    def input_matrix(self, t, x):
+        return np.broadcast_to(np.array([[0.0], [1.0]]), np.shape(x)[:-1] + (2, 1))
+
+
+def _wavy_law(t, x):
+    """A nominal law that depends on time; t may hold one time per state."""
+    return 0.3 * np.sin(3.0 * np.asarray(t, dtype=float))[..., None]
+
+
+def _steep_law(t, x):
+    """A nominal law so steep in time that a last-bit change of a step's
+    start time moves the state it reaches."""
+    return np.sin(1e9 * np.asarray(t, dtype=float))[..., None] - 0.5 * x[..., :1]
+
+
+class _Height(ConstraintFunction):
+    """h = p - 0.2 + 0.05 sin(5 tau): the position above a wavy ceiling, so
+    the forecast has interior peaks, some unsafe with a root before them."""
+
+    h_max = 1.0
+
+    def value(self, t, x):
+        return x[..., 0] - 0.2 + 0.05 * np.sin(5.0 * np.asarray(t, dtype=float))
+
+
+def _searched_bits(grid):
+    """The grid's taus and h values and every field of its maximizer set,
+    as bytes."""
+    mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
+    fields = [[e.tau, e.h_value, e.root_eta, e.at_start, e.at_end, e.root_is_self,
+               e.already_unsafe] for e in mset.entries]
+    return grid.taus.tobytes(), grid.h_values.tobytes(), np.array(fields, dtype=float).tobytes()
+
+
+def _fresh_bits(path, t, x, T, N, two_level=False):
+    """_searched_bits of a memo-free scan on a fresh path like `path`."""
+    fresh = OdePath(path.model, path.mu, step=path.step)
+    return _searched_bits(scan(fresh, _Height(), t, x, T, N, two_level=two_level))
+
+
+def test_memo_serves_a_kept_forecast():
+    """With the grid step equal to the control step, each step after the
+    first finds its scan times and search brackets in the memo, and the
+    result is a fresh path's bit for bit."""
+    path, memo, h = OdePath(_Oscillator(), _wavy_law, step=0.25), HorizonMemo(), _Height()
+    t, x, T, N = 0.0, np.array([1.0, 0.0]), 20.0, 80
+    for k in range(1, 6):
+        grid = scan(path, h, t, x, T, N, memo=memo)
+        assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N)
+        x, t = path.evaluate_many([k * path.step], t, x)[0], k * path.step
+    assert (path.forecast_restarts, path.forecast_cuts) == (1, 0)
+    assert memo.h_misses == (N + 1) + 4 and memo.h_hits == 4 * N  # one new end per step
+    assert memo.search_hits > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(step=st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3]),
+       N=st.integers(50, 120), grid_steps=st.sampled_from([1.0, 2.0, 0.5, None]),
+       T=st.floats(1.0, 4.0), two_level=st.booleans(),
+       moves=st.lists(st.sampled_from(["follow", "follow", "intervene"]), min_size=2, max_size=5))
+def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level, moves):
+    """Along forecasts that the plant follows or leaves, scan and
+    find_maximizers through the memo equal, bit for bit, those of a fresh
+    path at the same (t, x): taus, h values and every maximizer entry.  The
+    grid step T/N is drawn apart from the control step too, so scan times
+    and search probes fall between knots, and steps like 0.1 make kept
+    forecasts whose later knots are cut."""
+    if grid_steps is not None:
+        T = N * step * grid_steps
+    path, memo, h = OdePath(_Oscillator(), _wavy_law, step=step), HorizonMemo(), _Height()
+    t, x = 0.0, np.array([1.0, 0.0])
+    for k, move in enumerate(moves, start=1):
+        grid = scan(path, h, t, x, T, N, two_level=two_level, memo=memo)
+        assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N, two_level)
+        x = path.evaluate_many([k * step], t, x)[0]  # the plant follows the forecast
+        if move == "intervene":
+            x = x + np.array([1e-3, 0.0])
+        t = k * step
+
+
+class TestMemoInvalidation:
+    """Each event that can change a held state drops both memos; each later
+    value is then a fresh path's."""
+
+    T, N = 3.0, 60
+
+    def _first_scan(self, t, step):
+        path, memo = OdePath(_Oscillator(), _steep_law, step=step), HorizonMemo()
+        x = np.array([1.0, -0.5])
+        _searched_bits(scan(path, _Height(), t, x, self.T, self.N, memo=memo))
+        assert memo.searches  # there is a search result to drop
+        return path, memo, x
+
+    def _assert_dropped(self, path, memo, t, x):
+        hits, generation = (memo.h_hits, memo.search_hits), memo.generation
+        got = _searched_bits(scan(path, _Height(), t, x, self.T, self.N, memo=memo))
+        assert (memo.h_hits, memo.search_hits) == hits and memo.generation != generation
+        assert got == _fresh_bits(path, t, x, self.T, self.N)
+
+    def test_kept_forecast_with_cut_knots(self):
+        """The plant follows the forecast from t = 0.3 for one 0.1 step, but
+        t0 + (k+j) step and t + j step part in the last bit at some j, so
+        the knots from there on are cut and grown again.  Some (tau, t_k)
+        keys of the new scan are then keys of the old memo with other h
+        values: only the generation token tells them apart."""
+        t, step = 0.3, 0.1
+        path, memo, x = self._first_scan(t, step)
+        old = {(tau, t_k): v for tau, t_k, v in memo.table[:, :-1].T}  # without the end
+        t1 = t + step
+        assert any(t + (1 + j) * step != t1 + j * step for j in range(int(self.T / step)))
+        x1 = path.evaluate_many([t1], t, x)[0]
+        self._assert_dropped(path, memo, t1, x1)
+        assert (path.forecast_restarts, path.forecast_cuts) == (1, 1)
+        assert any(old.get((tau, t_k), v) != v for tau, t_k, v in memo.table[:, :-1].T)
+
+    def test_fresh_forecast_after_an_intervening_step(self):
+        """The plant leaves the forecast, so a fresh one starts."""
+        t, step = 0.25, 0.125  # dyadic: a followed forecast would keep every knot
+        path, memo, x = self._first_scan(t, step)
+        x1 = path.evaluate_many([t + step], t, x)[0] + np.array([1e-9, 0.0])
+        self._assert_dropped(path, memo, t + step, x1)
+        assert (path.forecast_restarts, path.forecast_cuts) == (2, 0)
+
+    def test_kept_last_knot_whose_time_moved(self):
+        """From t1 = t0 + step the kept knot times match the held ones up to
+        the last knot, whose time in t1's terms parts from its old one in
+        the last bit.  Nothing is cut and the generation stands, but a tau
+        past that knot steps from the new time: its h and any search that
+        probed past it are looked up under new keys, not served."""
+        s, t0, k, K = 0.1, 0.1, 1, 5
+        t1 = t0 + k * s
+        assert all(t0 + (k + j) * s == t1 + j * s for j in range(K - k))
+        assert t0 + K * s != t1 + (K - k) * s
+        path, memo, h = OdePath(_Oscillator(), _steep_law, step=s), HorizonMemo(), _Height()
+        taus = np.array([t0 + (K + 0.5) * s])  # between the last knot and the next
+        bracket = t0 + (K + 0.1) * s, t0 + (K + 0.9) * s
+
+        def h_and_search(t, x):
+            grid = HorizonGrid(t=t, x=x, T=1.0, taus=taus, h_values=taus, path=path, h=h,
+                               memo=memo)
+            return memo.h_many(grid, taus), _searched(grid, _golden_max, *bracket, 1e-6)
+
+        x0 = np.array([1.0, -0.5])
+        old = h_and_search(t0, x0)
+        x1 = path.evaluate_many([t1], t0, x0)[0]
+        got = h_and_search(t1, x1)
+        assert (path.forecast_restarts, path.forecast_cuts) == (1, 0)
+        assert (memo.h_hits, memo.search_hits) == (0, 0)
+        fresh = OdePath(path.model, path.mu, step=s)
+        grid = HorizonGrid(t=t1, x=x1, T=1.0, taus=taus, h_values=taus, path=fresh, h=h)
+        want = grid.h_many(taus), _searched(grid, _golden_max, *bracket, 1e-6)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert old[0].tobytes() != want[0].tobytes() and old[1] != want[1]
