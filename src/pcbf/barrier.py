@@ -51,8 +51,7 @@ class PcbfContext:
         return self.T / self.N
 
     def scan(self, t, x) -> HorizonGrid:
-        return scan(self.path, self.h, t, x, self.T, self.N, two_level=self.h.two_level,
-                    memo=self.memo)
+        return scan(self.path, self.h, t, x, self.T, self.N, memo=self.memo)
 
 
 @dataclass

@@ -130,6 +130,9 @@ def write_csv(log: SimLog, path: Path) -> None:
 
 
 def summarize(log: SimLog) -> dict:
+    if not len(log.t):  # aborted at its first step: there is no value to sum up
+        return {"scenario": log.cfg.scenario, "controller": log.cfg.controller, "steps": 0,
+                "truncated": log.truncated}
     dev = np.linalg.norm(log.u - log.mu, axis=1)
     u_norm = np.linalg.norm(log.u, axis=1)
     out = {

@@ -8,14 +8,15 @@ _LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
 keeps each value's bits, so both return what one probe per step returns.
 
 Along a path that keeps its forecast between steps (Path.memo_keys), a
-HorizonMemo reuses the work of earlier steps.  scan looks h up by (tau, t_k),
-t_k the time of the knot tau's state steps from.  A search is looked up by
-its inputs, and served only while every probe it fetched keeps its t_k; a
+HorizonMemo, the one layer of reuse, serves the work of earlier steps.  h
+and HorizonGrid.evaluation at a path state are looked up by (tau, t_k), t_k
+the time of the knot tau's state steps from.  A search is looked up by its
+inputs, and served only while every probe it fetched keeps its t_k; a
 search that runs reads h directly, as its probes recur only when the whole
-search does.  Both memos are dropped when the path's generation token
-changes, on a fresh forecast or on a kept one whose later knots are cut, and
-their entries before the horizon start go at each step.  A served value has
-the bits a memo-free evaluation returns.
+search does.  The memo is dropped when the path's generation token changes,
+on a fresh forecast or on a kept one whose later knots are cut, and its
+entries before the horizon start go at each step.  A served value has the
+bits a memo-free evaluation returns.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _LOOKAHEAD = 4          # search steps evaluated ahead per batch (<= 15 probes)
 _MAX_N = 10**5
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathEvaluation:
     """Snapshot of the path and constraint at one horizon time."""
 
@@ -51,14 +52,15 @@ class PathEvaluation:
 
 
 class HorizonMemo:
-    """h along one path's held forecast, and the searches' results on it.
+    """h, search results and evaluations along one path's held forecast.
 
     The h memo is a table sorted by its first row, tau; its other rows are
     the time t_k of the knot tau's state steps from, and h(tau, p(tau)).
     A lookup reads the first entry of its tau, the latest one, and it
     serves the tau only with its t_k.  An end column at tau = inf keeps
     every lookup in range.  searches maps (search, *inputs) to (the
-    probes it fetched, their t_k, its result).  Plain integer work
+    probes it fetched, their t_k, its result), and evaluations maps
+    (tau, t_k) to the PathEvaluation at p(tau).  Plain integer work
     counters, over the memo's life: h_hits and h_misses per tau looked up,
     search_hits and search_misses per search.
     """
@@ -71,6 +73,7 @@ class HorizonMemo:
     def _drop(self):
         self.table = np.array([[np.inf], [np.nan], [np.nan]])
         self.searches = {}
+        self.evaluations = {}
 
     def sync(self, generation, t) -> bool:
         """Keep this generation's entries at or after t, and drop all others;
@@ -81,17 +84,14 @@ class HorizonMemo:
             return False
         self.table = self.table[:, np.searchsorted(self.table[0], t):]
         self.searches = {key: v for key, v in self.searches.items() if key[1] >= t}
+        self.evaluations = {key: v for key, v in self.evaluations.items() if key[0] >= t}
         return True
 
     def h_many(self, grid, taus) -> np.ndarray:
         """grid.h_many(taus) through the memo, whose misses it evaluates in
-        one batch; the grid keeps the memo if its path keeps a forecast."""
-        keyed = grid.path.memo_keys(taus, grid.t, grid.x)
-        if keyed is None:
-            return grid.h_many(taus)
-        grid.memo = self
-        self.sync(keyed[0], grid.t)
-        t_ks = keyed[1]
+        one batch."""
+        generation, t_ks = grid.path.memo_keys(taus, grid.t, grid.x)
+        self.sync(generation, grid.t)
         at = np.searchsorted(self.table[0], taus)
         miss = np.flatnonzero((self.table[0, at] != taus) | (self.table[1, at] != t_ks))
         values = self.table[2, at]
@@ -104,6 +104,16 @@ class HorizonMemo:
             self.table = table[:, np.argsort(table[0], kind="stable")]
         return values
 
+    def evaluation(self, grid, tau) -> PathEvaluation:
+        """grid.evaluation(tau) at the path state, through the memo."""
+        generation, (t_k,) = grid.path.memo_keys([tau], grid.t, grid.x)
+        self.sync(generation, grid.t)
+        ev = self.evaluations.get((tau, t_k))
+        if ev is None:
+            state = grid.path.evaluate_many([tau], grid.t, grid.x)[0]
+            ev = self.evaluations[tau, t_k] = grid.evaluation(tau, state)
+        return ev
+
 
 @dataclass
 class HorizonGrid:
@@ -111,9 +121,9 @@ class HorizonGrid:
 
     taus are strictly increasing with taus[0] = t and taus[-1] = t + T; they
     are uniform unless the two-level scan split each interval with a hot
-    endpoint into _REFINE_FACTOR equal steps.  memo, which holds the
-    searches' results, is None unless the path keeps its forecast and the
-    scan was given a memo.
+    endpoint into _REFINE_FACTOR equal steps.  memo, through which the
+    searches and the evaluations at path states go, is None unless the path
+    keeps its forecast and the scan was given a memo.
     """
 
     t: float
@@ -133,6 +143,8 @@ class HorizonGrid:
     def evaluation(self, tau: float, state=None) -> PathEvaluation:
         """The field, grad_x h and dh/dtau at the path state at tau, or at
         the given state."""
+        if state is None and self.memo is not None:
+            return self.memo.evaluation(self, tau)
         if state is None:
             state = self.path.evaluate_many([tau], self.t, self.x)[0]
         dp_dtau = self.path.field(tau, state)
@@ -173,15 +185,15 @@ class RootResult:
     already_unsafe: bool
 
 
-def scan(path, h, t, x, T, N, two_level=False, memo=None):
+def scan(path, h, t, x, T, N, memo=None):
     """Sample h along the path at N+1 uniform times over [t, t+T].
 
-    With two_level=True, each interval [lo, lo + T/N] with an endpoint whose
-    h-value comes within _THREAT_FRACTION * h_max of zero is refined once, at
-    lo + k T/N/_REFINE_FACTOR for k = 1 .. _REFINE_FACTOR - 1, so narrow
-    violation spikes are resolved without a uniformly fine grid.  Given a
-    memo, the scan and the searches on its grid read and fill it where the
-    path keeps its forecast.
+    Where h.two_level is true, each interval [lo, lo + T/N] with an endpoint
+    whose h-value comes within _THREAT_FRACTION * h_max of zero is refined
+    once, at lo + k T/N/_REFINE_FACTOR for k = 1 .. _REFINE_FACTOR - 1, so
+    narrow violation spikes are resolved without a uniformly fine grid.  Given a
+    memo, the scan, the searches and the evaluations on its grid read and
+    fill it where the path keeps its forecast.
     """
     if not 0 < T < np.inf:  # NaN included
         raise ConfigurationError(f"horizon T must be positive and finite, got {T}")
@@ -191,10 +203,12 @@ def scan(path, h, t, x, T, N, two_level=False, memo=None):
     taus[-1] = t + T
     grid = HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
                        h_values=None, path=path, h=h)
-    h_many = grid.h_many if memo is None else partial(memo.h_many, grid)
+    if memo is not None and path.memo_keys(taus[:1], t, x) is not None:
+        grid.memo = memo
+    h_many = grid.h_many if grid.memo is None else partial(memo.h_many, grid)
     h_values = np.asarray(h_many(taus), dtype=float)
 
-    if two_level:
+    if h.two_level:
         hot = h_values >= -_THREAT_FRACTION * h.h_max
         lo = taus[:-1][hot[:-1] | hot[1:]]
         new = (lo[:, None] + np.arange(1, _REFINE_FACTOR) * (T / N / _REFINE_FACTOR)).ravel()

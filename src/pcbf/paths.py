@@ -129,10 +129,8 @@ class OdePath:
 
     A time between knots takes one partial RK4 step from the knot before it;
     a query makes all of its partial steps as one batched RK4 step, calling
-    the field with one time per row of x.  Each knot keeps the states of its
-    partial steps, keyed by the step's inputs (t_k, rem), and leaves with
-    them: a kept knot serves them to later queries and forecasts, and a knot
-    whose start time moved no longer matches its keys.
+    the field with one time per row of x.  The path keeps no off-knot state:
+    the horizon memo reuses values along the forecast by memo_keys.
 
     Given step_one, one RK4 step (t, y, dt) -> y of one state held as floats
     that makes core.rk4's operations on the closed-loop field in its order
@@ -145,8 +143,7 @@ class OdePath:
     Plain integer work counters, over the path's life: knot_steps, the RK4
     steps that grew the knots (either chain); forecast_restarts, the
     forecasts started afresh; forecast_cuts, the kept forecasts whose later
-    knots were dropped; partial_steps, the off-knot rows stepped because no
-    kept state served them.
+    knots were dropped; partial_steps, the off-knot rows stepped.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, step_one=None):
@@ -164,7 +161,6 @@ class OdePath:
         self._key = None
         self._t0 = 0.0
         self._states = np.empty((0, 0))  # (n_knots, dim)
-        self._partials: list[dict] = []  # per knot: (t_k, rem) -> partial-step state
 
     def field(self, t, x):
         """Closed-loop field, broadcasting over leading batch axes of x; the
@@ -193,10 +189,8 @@ class OdePath:
             keep = 1 + int(np.argmin(np.append(t0 + (k + j) * step == t + j * step, False)))
             self.forecast_cuts += k + keep < len(states)
             self._states = states[k:k + keep]
-            self._partials = self._partials[k:k + keep]
         else:
             self._states = x[None].copy()
-            self._partials = [{}]
             self.forecast_restarts += 1
         self._t0 = t
 
@@ -228,7 +222,6 @@ class OdePath:
         finally:
             if grown:
                 self._states = np.concatenate([self._states, grown])
-                self._partials += [{} for _ in grown]
                 self.knot_steps += len(grown)
         return k, t_k, rem
 
@@ -237,24 +230,13 @@ class OdePath:
         out = self._states[k]
         off = np.flatnonzero(rem)
         if off.size:
-            memos = [self._partials[j] for j in k[off].tolist()]
-            keys = list(zip(t_k[off].tolist(), rem[off].tolist()))
-            kept = list(map(dict.get, memos, keys))
-            miss = [n for n, state in enumerate(kept) if state is None]
-            if miss:
-                rows = off[miss]
-                self.partial_steps += len(rows)
-                y = rk4(self.field, t_k[rows], out[rows], rem[rows])
-                bad = rows[~np.isfinite(y).all(axis=1)]
-                if bad.size:
-                    tau = float(np.asarray(taus, dtype=float)[bad[0]])
-                    raise PropagationError(f"non-finite state at tau={tau}")
-                for n, state in zip(miss, y):
-                    memos[n][keys[n]] = state
-                out[rows] = y
-            if len(miss) < len(kept):
-                hit = [n for n, state in enumerate(kept) if state is not None]
-                out[off[hit]] = [kept[n] for n in hit]
+            self.partial_steps += off.size
+            y = rk4(self.field, t_k[off], out[off], rem[off])
+            bad = off[~np.isfinite(y).all(axis=1)]
+            if bad.size:
+                tau = float(np.asarray(taus, dtype=float)[bad[0]])
+                raise PropagationError(f"non-finite state at tau={tau}")
+            out[off] = y
         return out
 
     def evaluate_many(self, taus, t, x):

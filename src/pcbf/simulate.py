@@ -324,12 +324,13 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
              if initial_h_star is not None and initial_h_star > 0 else [])
     notes += [f"t={t}: {d.note}" for t, d in zip(ts, decs) if d.note]
     notes += [stop_note] if stop_note else []
+    m = model.input_matrix(0.0, x0).shape[-1]  # shapes hold for a run with no step
     return SimLog(
         cfg=cfg,
         t=np.asarray(ts),
-        x=np.asarray(xs),
-        u=np.asarray([d.u for d in decs]),
-        mu=np.asarray([d.mu for d in decs]),
+        x=np.reshape(xs, (-1, len(x0))),
+        u=np.reshape([d.u for d in decs], (-1, m)),
+        mu=np.reshape([d.mu for d in decs], (-1, m)),
         h=np.asarray([d.h for d in decs]),
         h_star=np.asarray([d.h_star for d in decs]),
         case=[d.case for d in decs],

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcbf import scenarios
 from pcbf.cli import (
     main,
     parse_config,
@@ -292,3 +293,21 @@ def test_main_run_rejects_unsafe_initial_state(text, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: the initial state must be safe")
+
+
+def test_main_run_aborted_at_the_first_step(tmp_path, capsys, monkeypatch):
+    """A run whose first control step aborts logs no step.  The CLI still
+    writes the aborted note, a header-only run.csv and a summary with
+    steps = 0 and truncated = true, and exits 0 without a traceback."""
+    monkeypatch.setattr(scenarios, "_KEPLER_ITERATIONS", 0)
+    cfg = _write_cfg(tmp_path, "scenario = satellite\nduration = 150\n"
+                               "params.conjunction_time = 100\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text().startswith(
+        "t=0.0: aborted (Kepler solve did not converge at tau=")
+    header = "t,x0,x1,x2,x3,x4,x5,u0,u1,u2,mu0,mu1,mu2,h,Hstar,case,feasible,slack0,step_ms\n"
+    assert (out / "run.csv").read_text() == header
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "steps = 0" in summary and "truncated = true" in summary
+    assert "steps = 0" in capsys.readouterr().out

@@ -89,16 +89,20 @@ def test_intersection_closed_loop(scenario, z1_0, offset, v1, v2, dz1_0, dz2_0, 
 
 @settings(_FUZZ, max_examples=6)
 @given(phase_offset=st.floats(-6e-5, 6e-5), conjunction_time=st.floats(5.0, 460.0),
-       T=st.floats(100.0, 300.0), N=st.integers(50, 300))
-def test_satellite_closed_loop(phase_offset, conjunction_time, T, N):
+       T=st.floats(100.0, 300.0), N=st.integers(50, 300),
+       inclination_deg=st.floats(10.0, 150.0), radius=st.floats(6600.0, 8000.0))
+def test_satellite_closed_loop(phase_offset, conjunction_time, T, N, inclination_deg, radius):
     """The satellite from its drawn debris phase lag to 20 s past the drawn
     conjunction time, which the drawn horizon T sees from the start when it
-    is early; lags beyond about 7e-5 rad never come within rho / 2 and are
-    configuration errors.  The grid step T / N is drawn apart from the 1 s
+    is early; lags beyond about 0.5 / radius rad never come within rho / 2
+    and are configuration errors.  The debris orbit's inclination and both
+    orbits' radius are drawn too, from a slow prograde crossing to a fast
+    retrograde one.  The grid step T / N is drawn apart from the 1 s
     control step, so the memo's scan times and search probes fall between
     the forecast's knots."""
     cfg = default_config("satellite", "pcbf")
     cfg.duration = conjunction_time + 20.0
     cfg.T, cfg.N = T, N
-    cfg.params.update(phase_offset=phase_offset, conjunction_time=conjunction_time)
+    cfg.params.update(phase_offset=phase_offset, conjunction_time=conjunction_time,
+                      inclination_deg=inclination_deg, radius=radius)
     _check_closed_loop(cfg)

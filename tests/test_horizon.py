@@ -193,7 +193,8 @@ def test_two_level_scan_inserts_dense_samples():
     func = lambda t: -0.2 - 0.1 * np.cos(np.asarray(t, dtype=float))
     h = _TimeOnlyConstraint(func, lambda t: 0.1 * math.sin(t))
     base = scan(_static_path(), h, 0.0, np.zeros(1), 10.0, 200)
-    dense = scan(_static_path(), h, 0.0, np.zeros(1), 10.0, 200, two_level=True)
+    h.two_level = True
+    dense = scan(_static_path(), h, 0.0, np.zeros(1), 10.0, 200)
     assert len(dense.taus) > len(base.taus)
     assert dense.taus[0] == 0.0 and dense.taus[-1] == 10.0
     assert np.all(np.diff(dense.taus) > 0)
@@ -214,8 +215,8 @@ class _Envelope(ConstraintFunction):
 
     h_max = 1.0
 
-    def __init__(self, q, peaks):
-        self.q = q
+    def __init__(self, q, peaks, two_level=False):
+        self.q, self.two_level = q, two_level
         self.p, self.a, self.s_left, self.s_right = map(np.array, zip(*peaks))
 
     def value(self, t, x):
@@ -247,8 +248,8 @@ def test_two_level_scan_refines_each_hot_interval_once():
     once each, so no two samples nearly coincide and the tent has one
     maximizer."""
     t, T, N, two_level, q, peaks, _ = _TENT
-    h = _Envelope(q, peaks)
-    grid = scan(_Clock(), h, t, np.zeros(1), T, N, two_level)
+    h = _Envelope(q, peaks, two_level)
+    grid = scan(_Clock(), h, t, np.zeros(1), T, N)
     entries = find_maximizers(grid, REFINE_TOL, ROOT_TOL).entries
     assert len(entries) == 1 and abs(entries[0].tau - 450.3125) <= REFINE_TOL
     assert len(grid.taus) == 251 + 4 * 49
@@ -296,8 +297,8 @@ def test_maximizers_are_the_drawn_peaks(case):
     """Every peak at the claimed resolution is found within REFINE_TOL, and
     every maximizer entry is one of them or a horizon end."""
     t, T, N, two_level, q, peaks, interior = case
-    h = _Envelope(q, peaks)
-    grid = scan(_Clock(), h, t, np.zeros(1), T, N, two_level)
+    h = _Envelope(q, peaks, two_level)
+    grid = scan(_Clock(), h, t, np.zeros(1), T, N)
     entries = find_maximizers(grid, REFINE_TOL, ROOT_TOL).entries
     taus = np.array([e.tau for e in entries])
     for p in interior:
@@ -562,23 +563,32 @@ class _Height(ConstraintFunction):
 
     h_max = 1.0
 
+    def __init__(self, two_level=False):
+        self.two_level = two_level
+
     def value(self, t, x):
         return x[..., 0] - 0.2 + 0.05 * np.sin(5.0 * np.asarray(t, dtype=float))
 
+    def partials(self, t, x):
+        return 0.25 * math.cos(5.0 * t), np.array([1.0, 0.0])
+
 
 def _searched_bits(grid):
-    """The grid's taus and h values and every field of its maximizer set,
-    as bytes."""
+    """The grid's taus and h values, every field of its maximizer set, and
+    the evaluation at each entry's tau and root_eta, as bytes."""
     mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
     fields = [[e.tau, e.h_value, e.root_eta, e.at_start, e.at_end, e.root_is_self,
                e.already_unsafe] for e in mset.entries]
-    return grid.taus.tobytes(), grid.h_values.tobytes(), np.array(fields, dtype=float).tobytes()
+    evs = [grid.evaluation(tau) for e in mset.entries for tau in (e.tau, e.root_eta)]
+    evs = [np.concatenate([ev.state, ev.dp_dtau, ev.grad_x, [ev.dh_dtau]]) for ev in evs]
+    return (grid.taus.tobytes(), grid.h_values.tobytes(),
+            np.array(fields, dtype=float).tobytes(), np.array(evs).tobytes())
 
 
 def _fresh_bits(path, t, x, T, N, two_level=False):
     """_searched_bits of a memo-free scan on a fresh path like `path`."""
     fresh = OdePath(path.model, path.mu, step=path.step)
-    return _searched_bits(scan(fresh, _Height(), t, x, T, N, two_level=two_level))
+    return _searched_bits(scan(fresh, _Height(two_level), t, x, T, N))
 
 
 def test_memo_serves_a_kept_forecast():
@@ -604,16 +614,18 @@ def test_memo_serves_a_kept_forecast():
 def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level, moves):
     """Along forecasts that the plant follows or leaves, scan and
     find_maximizers through the memo equal, bit for bit, those of a fresh
-    path at the same (t, x): taus, h values and every maximizer entry.  The
-    grid step T/N is drawn apart from the control step too, so scan times
-    and search probes fall between knots, and steps like 0.1 make kept
-    forecasts whose later knots are cut."""
+    path at the same (t, x): taus, h values, every maximizer entry and the
+    evaluation at each entry's tau and root_eta.  The grid step T/N is
+    drawn apart from the control step too, so scan times and search probes
+    fall between knots, and steps like 0.1 make kept forecasts whose later
+    knots are cut."""
     if grid_steps is not None:
         T = N * step * grid_steps
-    path, memo, h = OdePath(_Oscillator(), _wavy_law, step=step), HorizonMemo(), _Height()
+    path, memo = OdePath(_Oscillator(), _wavy_law, step=step), HorizonMemo()
+    h = _Height(two_level)
     t, x = 0.0, np.array([1.0, 0.0])
     for k, move in enumerate(moves, start=1):
-        grid = scan(path, h, t, x, T, N, two_level=two_level, memo=memo)
+        grid = scan(path, h, t, x, T, N, memo=memo)
         assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N, two_level)
         x = path.evaluate_many([k * step], t, x)[0]  # the plant follows the forecast
         if move == "intervene":
@@ -622,8 +634,8 @@ def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level
 
 
 class TestMemoInvalidation:
-    """Each event that can change a held state drops both memos; each later
-    value is then a fresh path's."""
+    """Each event that can change a held state drops the whole memo; each
+    later value is then a fresh path's."""
 
     T, N = 3.0, 60
 
@@ -668,8 +680,9 @@ class TestMemoInvalidation:
         """From t1 = t0 + step the kept knot times match the held ones up to
         the last knot, whose time in t1's terms parts from its old one in
         the last bit.  Nothing is cut and the generation stands, but a tau
-        past that knot steps from the new time: its h and any search that
-        probed past it are looked up under new keys, not served."""
+        past that knot steps from the new time: its h, its evaluation and
+        any search that probed past it are looked up under new keys, not
+        served."""
         s, t0, k, K = 0.1, 0.1, 1, 5
         t1 = t0 + k * s
         assert all(t0 + (k + j) * s == t1 + j * s for j in range(K - k))
@@ -681,7 +694,8 @@ class TestMemoInvalidation:
         def h_and_search(t, x):
             grid = HorizonGrid(t=t, x=x, T=1.0, taus=taus, h_values=taus, path=path, h=h,
                                memo=memo)
-            return memo.h_many(grid, taus), _searched(grid, _golden_max, *bracket, 1e-6)
+            return (memo.h_many(grid, taus), _searched(grid, _golden_max, *bracket, 1e-6),
+                    grid.evaluation(taus[0]).state)
 
         x0 = np.array([1.0, -0.5])
         old = h_and_search(t0, x0)
@@ -692,5 +706,8 @@ class TestMemoInvalidation:
         fresh = OdePath(path.model, path.mu, step=s)
         grid = HorizonGrid(t=t1, x=x1, T=1.0, taus=taus, h_values=taus, path=fresh, h=h)
         want = grid.h_many(taus), _searched(grid, _golden_max, *bracket, 1e-6)
+        want += (grid.evaluation(taus[0]).state,)
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert got[2].tobytes() == want[2].tobytes()
         assert old[0].tobytes() != want[0].tobytes() and old[1] != want[1]
+        assert old[2].tobytes() != want[2].tobytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError, rk4
-from pcbf.horizon import scan
+from pcbf.horizon import HorizonMemo, scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import CarPairModel, TwoBodyModel, default_config, satellite_initial_state
 from sensitivity_oracle import cointegrated_sensitivity, two_body_jacobian
@@ -376,20 +376,40 @@ class TestOdePath:
     def test_off_knot_evaluation_steps_once(self):
         """An off-knot horizon evaluation away from the scan grid makes one
         partial RK4 step for the state and one field call for its
-        tau-derivative: 4 + 1 drift calls.  Asked again, the state is held."""
+        tau-derivative: 4 + 1 drift calls, on each ask without a memo.
+        Through the horizon memo a second ask makes no drift call and
+        returns the same bits, until the path's forecast is replaced."""
         model = _CountingLinear()
         path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         t, x = 1.0, np.array([1.0, -0.5])
-        grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50)
         tau = t + 1.33  # between the scan's samples t + 1.3 and t + 1.4
-        calls = model.calls
-        ev = grid.evaluation(tau)
-        assert model.calls == calls + 5
+
+        def asks(grid):
+            """The two evaluations at tau and the drift calls of each."""
+            evs, calls = [], []
+            for _ in range(2):
+                before = model.calls
+                evs.append(grid.evaluation(tau))
+                calls.append(model.calls - before)
+            return evs, calls
+
+        (ev, again), calls = asks(scan(path, _FirstCoordinate(), t, x, 5.0, 50))
+        assert calls == [5, 5]
         assert np.array_equal(ev.dp_dtau, path.field(tau, ev.state))
-        calls = model.calls
-        again = grid.evaluation(tau)
-        assert model.calls == calls + 1
         assert np.array_equal(again.state, ev.state)
+
+        grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50, memo=HorizonMemo())
+        (first, again), calls = asks(grid)
+        assert calls == [5, 0] and again is first
+        assert np.array_equal(first.state, ev.state)
+        assert np.array_equal(first.dp_dtau, ev.dp_dtau)
+        # another (t, x) starts a new forecast, so the held one's next
+        # evaluation steps its knots and state again
+        path.evaluate_many([tau], t, x + 1e-3)
+        before = model.calls
+        new = grid.evaluation(tau)
+        assert model.calls == before + 4 * 2 + 5  # two knots to t + 1, then 4 + 1
+        assert np.array_equal(new.state, ev.state)
 
 
 class _DrivenLinear(DynamicsModel):
@@ -486,23 +506,6 @@ class TestForecastReuse:
         for taus in (off_knot(t1), off_knot(t)[2 * k:]):
             assert np.array_equal(path.evaluate_many(taus, t1, x1),
                                   fresh.evaluate_many(taus, t1, x1))
-
-    def test_repeated_off_knot_batch_makes_no_drift_call(self):
-        model = _CountingLinear()
-        path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
-        t, x = 1.0, np.array([1.0, -0.5])
-        taus = t + np.array([0.3, 1.2, 2.05, 2.9, 0.3])
-        first = path.evaluate_many(taus, t, x)
-        calls = model.calls
-        assert (path.forecast_restarts, path.partial_steps) == (1, 5)  # each row, once
-        assert np.array_equal(path.evaluate_many(taus, t, x), first)
-        assert model.calls == calls
-        # the next forecast from knot 1 keeps the later knots and their states
-        t1 = t + path.step
-        x1 = path.evaluate_many([t1], t, x)[0]
-        assert np.array_equal(path.evaluate_many(taus[1:4], t1, x1), first[1:4])
-        assert model.calls == calls
-        assert (path.forecast_restarts, path.partial_steps) == (1, 5)
 
     def test_fresh_forecast_serves_no_old_state(self):
         model = _CountingLinear()
