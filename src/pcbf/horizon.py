@@ -7,16 +7,15 @@ Each search evaluates a missing probe in one batch with every probe its next
 _LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
 keeps each value's bits, so both return what one probe per step returns.
 
-Along a path that keeps its forecast between steps (Path.memo_keys), a
-HorizonMemo, the one layer of reuse, serves the work of earlier steps.  h
-and HorizonGrid.evaluation at a path state are looked up by (tau, t_k), t_k
-the time of the knot tau's state steps from.  A search is looked up by its
-inputs, and served only while every probe it fetched keeps its t_k; a
-search that runs reads h directly, as its probes recur only when the whole
-search does.  The memo is dropped when the path's generation token changes,
-on a fresh forecast or on a kept one whose later knots are cut, and its
-entries before the horizon start go at each step.  A served value has the
-bits a memo-free evaluation returns.
+Along a path that keeps its forecast between steps (Path.memo_token), a
+HorizonMemo, the one layer of reuse, serves the work of earlier steps.
+Under one token the path state at tau depends on tau alone (OdePath's knots
+sit on the absolute time lattice), so h and HorizonGrid.evaluation at a
+path state are looked up by tau, and a search by its inputs; a search that
+runs reads h directly, as its probes recur only when the whole search does.
+Each lookup checks the token first: a new one, on a fresh forecast, drops
+the whole memo, and entries before the horizon start go at each step.  A
+served value has the bits a memo-free evaluation returns.
 """
 
 from __future__ import annotations
@@ -52,66 +51,66 @@ class PathEvaluation:
 
 
 class HorizonMemo:
-    """h, search results and evaluations along one path's held forecast.
+    """h, search results and evaluations along one path's held forecast,
+    each keyed by tau or the search's inputs under one Path.memo_token.
 
-    The h memo is a table sorted by its first row, tau; its other rows are
-    the time t_k of the knot tau's state steps from, and h(tau, p(tau)).
-    A lookup reads the first entry of its tau, the latest one, and it
-    serves the tau only with its t_k.  An end column at tau = inf keeps
-    every lookup in range.  searches maps (search, *inputs) to (the
-    probes it fetched, their t_k, its result), and evaluations maps
-    (tau, t_k) to the PathEvaluation at p(tau).  Plain integer work
-    counters, over the memo's life: h_hits and h_misses per tau looked up,
-    search_hits and search_misses per search.
+    The h memo is a table sorted by its first row, tau; its second row is
+    h(tau, p(tau)), and an end column at tau = inf keeps every lookup in
+    range.  searches maps (search, *inputs) to its result, and evaluations
+    maps tau to the PathEvaluation at p(tau).  Plain integer work counters,
+    over the memo's life: h_hits and h_misses per tau looked up,
+    search_hits and search_misses per search, and evaluation_hits and
+    evaluation_misses per HorizonGrid.evaluation at a path state.
     """
 
     def __init__(self):
-        self.generation = None
+        self.token = None
         self.h_hits = self.h_misses = self.search_hits = self.search_misses = 0
+        self.evaluation_hits = self.evaluation_misses = 0
         self._drop()
 
     def _drop(self):
-        self.table = np.array([[np.inf], [np.nan], [np.nan]])
+        self.table = np.array([[np.inf], [np.nan]])
         self.searches = {}
         self.evaluations = {}
 
-    def sync(self, generation, t) -> bool:
-        """Keep this generation's entries at or after t, and drop all others;
-        False when the memo held another generation."""
-        if generation != self.generation:
-            self.generation = generation
+    def sync(self, grid):
+        """Keep the entries at or after grid.t of the forecast the grid's
+        path holds from (grid.t, grid.x), and drop all others."""
+        token, t = grid.path.memo_token(grid.t, grid.x), grid.t
+        if token != self.token:
+            self.token = token
             self._drop()
-            return False
+            return
         self.table = self.table[:, np.searchsorted(self.table[0], t):]
         self.searches = {key: v for key, v in self.searches.items() if key[1] >= t}
-        self.evaluations = {key: v for key, v in self.evaluations.items() if key[0] >= t}
-        return True
+        self.evaluations = {tau: v for tau, v in self.evaluations.items() if tau >= t}
 
     def h_many(self, grid, taus) -> np.ndarray:
         """grid.h_many(taus) through the memo, whose misses it evaluates in
         one batch."""
-        generation, t_ks = grid.path.memo_keys(taus, grid.t, grid.x)
-        self.sync(generation, grid.t)
+        self.sync(grid)
         at = np.searchsorted(self.table[0], taus)
-        miss = np.flatnonzero((self.table[0, at] != taus) | (self.table[1, at] != t_ks))
-        values = self.table[2, at]
+        miss = np.flatnonzero(self.table[0, at] != taus)
+        values = self.table[1, at]
         self.h_hits += len(taus) - len(miss)
         self.h_misses += len(miss)
         if miss.size:
             values[miss] = grid.h_many(taus[miss])
-            # new entries sort before old ones of their tau, which lookups skip
-            table = np.concatenate([[taus[miss], t_ks[miss], values[miss]], self.table], axis=1)
-            self.table = table[:, np.argsort(table[0], kind="stable")]
+            table = np.concatenate([[taus[miss], values[miss]], self.table], axis=1)
+            self.table = table[:, np.argsort(table[0])]
         return values
 
     def evaluation(self, grid, tau) -> PathEvaluation:
         """grid.evaluation(tau) at the path state, through the memo."""
-        generation, (t_k,) = grid.path.memo_keys([tau], grid.t, grid.x)
-        self.sync(generation, grid.t)
-        ev = self.evaluations.get((tau, t_k))
-        if ev is None:
-            state = grid.path.evaluate_many([tau], grid.t, grid.x)[0]
-            ev = self.evaluations[tau, t_k] = grid.evaluation(tau, state)
+        self.sync(grid)
+        ev = self.evaluations.get(tau)
+        if ev is not None:
+            self.evaluation_hits += 1
+            return ev
+        self.evaluation_misses += 1
+        state = grid.path.evaluate_many([tau], grid.t, grid.x)[0]
+        ev = self.evaluations[tau] = grid.evaluation(tau, state)
         return ev
 
 
@@ -203,7 +202,7 @@ def scan(path, h, t, x, T, N, memo=None):
     taus[-1] = t + T
     grid = HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
                        h_values=None, path=path, h=h)
-    if memo is not None and path.memo_keys(taus[:1], t, x) is not None:
+    if memo is not None and path.memo_token(t, x) is not None:
         grid.memo = memo
     h_many = grid.h_many if grid.memo is None else partial(memo.h_many, grid)
     h_values = np.asarray(h_many(taus), dtype=float)
@@ -223,30 +222,18 @@ def scan(path, h, t, x, T, N, memo=None):
 
 
 def _searched(grid, search, *inputs):
-    """search(h_many, *inputs) on the grid: a result from the grid's memo
-    when every probe it fetched still has the t_k it had, else a fresh
-    search, kept in the memo."""
+    """search(grid.h_many, *inputs), served from and kept in the grid's memo
+    if it has one."""
     memo = grid.memo
     if memo is None:
         return search(grid.h_many, *inputs)
+    memo.sync(grid)
     key = (search, *inputs)
-    kept = memo.searches.get(key)
-    if kept is not None:
-        probes, t_ks, result = kept
-        generation, now = grid.path.memo_keys(probes, grid.t, grid.x)
-        if memo.sync(generation, grid.t) and np.array_equal(now, t_ks):
-            memo.search_hits += 1
-            return result
-    fetched = []
-
-    def h_many(taus):
-        fetched.extend(taus)
-        return grid.h_many(taus)
-
-    result = search(h_many, *inputs)
+    if key in memo.searches:
+        memo.search_hits += 1
+        return memo.searches[key]
     memo.search_misses += 1
-    probes = np.array(fetched, dtype=float)
-    memo.searches[key] = (probes, grid.path.memo_keys(probes, grid.t, grid.x)[1], result)
+    result = memo.searches[key] = search(grid.h_many, *inputs)
     return result
 
 

@@ -42,14 +42,13 @@ class Path(Protocol):
     def nominal_control(self, t, x) -> np.ndarray:
         """The nominal law mu(t, x)."""
 
-    def memo_keys(self, taus, t, x):
+    def memo_token(self, t, x):
         """None for a path that keeps no forecast between calls: the horizon
         then memoizes nothing along it and pays nothing for the memo.
-        Otherwise (generation, t_k) for the forecast from (t, x): a token
-        that changes whenever a state of the held forecast can change, and
-        per tau the time of the knot its state steps from.  Under one token,
-        equal (tau, t_k) give equal p(tau) bits, so values along the path
-        may be reused by that key."""
+        Otherwise a token for the forecast from (t, x) that changes whenever
+        a state of the held forecast can change.  Under one token p(tau)
+        has the same bits for the same tau, so values along the path may be
+        reused by tau alone."""
 
 
 class AnalyticCarPath:
@@ -99,7 +98,7 @@ class AnalyticCarPath:
     def nominal_control(self, t, x):
         return self.k * (self.v - x[..., 1::2])
 
-    def memo_keys(self, taus, t, x):
+    def memo_token(self, t, x):
         return None
 
 
@@ -107,8 +106,13 @@ class OdePath:
     """Path function defined by RK4 integration of xdot = f + g mu.
 
     The path holds one forecast from the last (t, x) asked about, keyed by t
-    and the exact bytes of x: state knots every `step` seconds in one
-    (n_knots, dim) array, grown in one loop up to the latest time asked for.
+    and the exact bytes of x: state knots in one (n_knots, dim) array and
+    their times beside them, grown in one loop up to the latest time asked
+    for.  Knot 0 is x at t; knot
+    j >= 1 sits on the absolute time lattice, at (k0 + j) step with
+    k0 = floor(t / step + 1e-9), so an off-lattice t steps to the lattice
+    first.  Each knot is one RK4 step from the knot before it, whose length
+    is the difference of their times.
 
     The input response dp/dx g(t, x) comes from `sensitivity`, a callable
     (tau, t, x) -> n x m that the scenario supplies in closed form
@@ -116,21 +120,17 @@ class OdePath:
     state_sensitivity, like evaluate_many, rejects a tau before t with
     ValueError; on a path built without `sensitivity` it raises TypeError.
 
-    A new key whose x is byte-equal to knot k >= 1 (the plant followed the
-    forecast) keeps the knots from k on.  Knot k+j+1 is kept only while the
-    start time of the RK4 step that produced it, t0 + (k+j) step, equals the
-    fresh t + j step bit for bit, so a time-dependent field gets exactly a
-    fresh forecast's states.  Any other key starts afresh.  memo_keys names
-    the held forecast by (forecast_restarts, forecast_cuts): it changes on a
-    fresh forecast and on a kept one whose later knots are cut, the two
-    events that can change a held state, and on nothing else.  The knot
-    time in each key carries the rest: a tau whose knot index or knot time
-    moved with the new start t gets a new key.
+    A new key keeps the held knots from knot j >= 1 on when t is knot j's
+    lattice time bit for bit and x has knot j's bytes (the plant followed
+    the forecast); any other key starts afresh.  A kept forecast then takes
+    exactly a fresh one's steps, so under one memo_token, forecast_restarts,
+    the state at tau depends on tau alone.
 
-    A time between knots takes one partial RK4 step from the knot before it;
-    a query makes all of its partial steps as one batched RK4 step, calling
-    the field with one time per row of x.  The path keeps no off-knot state:
-    the horizon memo reuses values along the forecast by memo_keys.
+    A time tau steps from knot floor(tau / step + 1e-9) - k0 by the time
+    left from that knot's time; a query makes all of its partial steps as
+    one batched RK4 step, calling the field with one time per row of x.
+    The path keeps no off-knot state: the horizon memo reuses values along
+    the forecast by tau.
 
     Given step_one, one RK4 step (t, y, dt) -> y of one state held as floats
     that makes core.rk4's operations on the closed-loop field in its order
@@ -142,8 +142,7 @@ class OdePath:
 
     Plain integer work counters, over the path's life: knot_steps, the RK4
     steps that grew the knots (either chain); forecast_restarts, the
-    forecasts started afresh; forecast_cuts, the kept forecasts whose later
-    knots were dropped; partial_steps, the off-knot rows stepped.
+    forecasts started afresh; partial_steps, the off-knot rows stepped.
     """
 
     def __init__(self, model: DynamicsModel, mu, step: float, sensitivity=None, step_one=None):
@@ -156,11 +155,11 @@ class OdePath:
         self._step_one = step_one  # float RK4 step of one state for the knot steps
         self.knot_steps = 0
         self.forecast_restarts = 0
-        self.forecast_cuts = 0
         self.partial_steps = 0
         self._key = None
-        self._t0 = 0.0
+        self._k0 = 0
         self._states = np.empty((0, 0))  # (n_knots, dim)
+        self._times = np.empty(0)  # (n_knots,), the knot times
 
     def field(self, t, x):
         """Closed-loop field, broadcasting over leading batch axes of x; the
@@ -181,49 +180,47 @@ class OdePath:
         if key == self._key:
             return
         self._key = key
-        states, t0, step = self._states, self._t0, self.step
-        k = round((t - t0) / step) if len(states) else 0
-        if 1 <= k < len(states) and states[k].tobytes() == key[1]:
-            # knot k + j + 1 came from an RK4 step started at the time compared
-            j = np.arange(len(states) - k - 1)
-            keep = 1 + int(np.argmin(np.append(t0 + (k + j) * step == t + j * step, False)))
-            self.forecast_cuts += k + keep < len(states)
-            self._states = states[k:k + keep]
+        k0 = math.floor(t / self.step + 1e-9)
+        j = k0 - self._k0
+        if 1 <= j < len(self._states) and k0 * self.step == t \
+                and self._states[j].tobytes() == key[1]:
+            self._states, self._times = self._states[j:], self._times[j:]
         else:
-            self._states = x[None].copy()
+            self._states, self._times = x[None].copy(), np.array([t])
             self.forecast_restarts += 1
-        self._t0 = t
-
-    def _index(self, taus, t):
-        """(taus raised to t, k, t_k): for each tau the last knot at or
-        before it and that knot's time."""
-        taus = _not_before(taus, t)
-        k = np.floor((taus - self._t0) / self.step + 1e-9).astype(int)
-        return taus, k, self._t0 + k * self.step
+        self._k0 = k0
 
     def _knots(self, taus, t):
         """(k, t_k, rem) for each tau: the last knot at or before it, that
         knot's time and the time left from it to tau, with the state knots
         grown up to the largest k."""
-        taus, k, t_k = self._index(taus, t)
+        taus = _not_before(taus, t)
+        k = np.floor(taus / self.step + 1e-9).astype(int) - self._k0
+        if k.max(initial=0) >= len(self._states):
+            self._grow(k.max())
+        t_k = self._times[k]
         rem = taus - t_k
         rem[rem < 1e-12 * np.maximum(1.0, np.abs(taus))] = 0.0
-        one, n = self._step_one, len(self._states)
+        return k, t_k, rem
+
+    def _grow(self, last):
+        """Grow the knots up to knot last, each one RK4 step from the one
+        before it."""
+        n, one = len(self._states), self._step_one
+        times = np.append(self._times[-1], (self._k0 + np.arange(n, last + 1)) * self.step)
         y = self._states[-1].tolist() if one else self._states[-1]
         grown = []
         try:
-            for j in range(n - 1, k.max(initial=0)):
-                tj = self._t0 + j * self.step
-                y = one(tj, y, self.step) if one else rk4(self.field, tj, y, self.step)
+            for ta, tb in zip(times.tolist(), times[1:].tolist()):
+                y = one(ta, y, tb - ta) if one else rk4(self.field, ta, y, tb - ta)
                 if not all(map(math.isfinite, y)):
-                    raise PropagationError(
-                        f"non-finite state while propagating to tau={tj + self.step}")
+                    raise PropagationError(f"non-finite state while propagating to tau={tb}")
                 grown.append(y)
         finally:
             if grown:
                 self._states = np.concatenate([self._states, grown])
+                self._times = np.concatenate([self._times, times[1:len(grown) + 1]])
                 self.knot_steps += len(grown)
-        return k, t_k, rem
 
     def _at(self, taus, t):
         k, t_k, rem = self._knots(taus, t)
@@ -243,11 +240,9 @@ class OdePath:
         self._forecast(t, x)
         return self._at(taus, t)
 
-    def memo_keys(self, taus, t, x):
-        # p(tau) is the knot at t_k stepped by max(tau, t) - t_k: (tau, t_k)
-        # fixes that, as a tau raised to t is within rounding of t_k = t
+    def memo_token(self, t, x):
         self._forecast(t, x)
-        return (self.forecast_restarts, self.forecast_cuts), self._index(taus, t)[2]
+        return self.forecast_restarts
 
     def state_sensitivity(self, tau, t, x):
         if self._sensitivity is None:

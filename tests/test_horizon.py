@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcbf import horizon
-from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel
+from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, rk4
 from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, HorizonMemo, MaximizerEntry,
-                          MaximizerSet, _bisect_root, _golden_max, _searched,
+                          MaximizerSet, _bisect_root, _golden_max,
                           find_maximizers, find_root_before, scan)
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import LeftTurnLane, SeparationConstraint, StraightLane
@@ -601,7 +601,7 @@ def test_memo_serves_a_kept_forecast():
         grid = scan(path, h, t, x, T, N, memo=memo)
         assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N)
         x, t = path.evaluate_many([k * path.step], t, x)[0], k * path.step
-    assert (path.forecast_restarts, path.forecast_cuts) == (1, 0)
+    assert path.forecast_restarts == 1
     assert memo.h_misses == (N + 1) + 4 and memo.h_hits == 4 * N  # one new end per step
     assert memo.search_hits > 0
 
@@ -609,21 +609,21 @@ def test_memo_serves_a_kept_forecast():
 @settings(max_examples=40, deadline=None)
 @given(step=st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3]),
        N=st.integers(50, 120), grid_steps=st.sampled_from([1.0, 2.0, 0.5, None]),
-       T=st.floats(1.0, 4.0), two_level=st.booleans(),
+       T=st.floats(1.0, 4.0), two_level=st.booleans(), start=st.sampled_from([0.0, 0.3, 0.7]),
        moves=st.lists(st.sampled_from(["follow", "follow", "intervene"]), min_size=2, max_size=5))
-def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level, moves):
+def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level, start, moves):
     """Along forecasts that the plant follows or leaves, scan and
     find_maximizers through the memo equal, bit for bit, those of a fresh
     path at the same (t, x): taus, h values, every maximizer entry and the
     evaluation at each entry's tau and root_eta.  The grid step T/N is
     drawn apart from the control step too, so scan times and search probes
-    fall between knots, and steps like 0.1 make kept forecasts whose later
-    knots are cut."""
+    fall between knots, and the first start, start * step, may lie off the
+    knot time lattice, from which the first followed step joins it."""
     if grid_steps is not None:
         T = N * step * grid_steps
     path, memo = OdePath(_Oscillator(), _wavy_law, step=step), HorizonMemo()
     h = _Height(two_level)
-    t, x = 0.0, np.array([1.0, 0.0])
+    t, x = start * step, np.array([1.0, 0.0])
     for k, move in enumerate(moves, start=1):
         grid = scan(path, h, t, x, T, N, memo=memo)
         assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N, two_level)
@@ -634,80 +634,82 @@ def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level
 
 
 class TestMemoInvalidation:
-    """Each event that can change a held state drops the whole memo; each
-    later value is then a fresh path's."""
+    """A fresh forecast drops the whole memo, a followed step keeps it, and
+    each later value is a fresh path's."""
 
     T, N = 3.0, 60
 
     def _first_scan(self, t, step):
         path, memo = OdePath(_Oscillator(), _steep_law, step=step), HorizonMemo()
         x = np.array([1.0, -0.5])
-        _searched_bits(scan(path, _Height(), t, x, self.T, self.N, memo=memo))
-        assert memo.searches  # there is a search result to drop
-        return path, memo, x
+        grid = scan(path, _Height(), t, x, self.T, self.N, memo=memo)
+        _searched_bits(grid)
+        assert memo.searches and memo.evaluations  # there is a result to drop
+        return path, memo, x, grid
 
     def _assert_dropped(self, path, memo, t, x):
-        hits, generation = (memo.h_hits, memo.search_hits), memo.generation
+        hits, token = (memo.h_hits, memo.search_hits), memo.token
         got = _searched_bits(scan(path, _Height(), t, x, self.T, self.N, memo=memo))
-        assert (memo.h_hits, memo.search_hits) == hits and memo.generation != generation
+        assert (memo.h_hits, memo.search_hits) == hits and memo.token != token
         assert got == _fresh_bits(path, t, x, self.T, self.N)
 
-    def test_kept_forecast_with_cut_knots(self):
-        """The plant follows the forecast from t = 0.3 for one 0.1 step, but
-        t0 + (k+j) step and t + j step part in the last bit at some j, so
-        the knots from there on are cut and grown again.  Some (tau, t_k)
-        keys of the new scan are then keys of the old memo with other h
-        values: only the generation token tells them apart."""
+    def test_followed_step_keeps_every_knot(self):
+        """At step 0.1 from t = 0.3 the plant follows the forecast to
+        t1 = 0.4, knot 1's lattice time: every knot is kept, the memo serves
+        the next scan, and its values are a fresh path's, although t + j step
+        and t1 + j step part in the last bit at some j."""
         t, step = 0.3, 0.1
-        path, memo, x = self._first_scan(t, step)
-        old = {(tau, t_k): v for tau, t_k, v in memo.table[:, :-1].T}  # without the end
-        t1 = t + step
+        path, memo, x, grid = self._first_scan(t, step)
+        t1, knot_steps, h_hits, token = t + step, path.knot_steps, memo.h_hits, memo.token
+        assert t1 == 4 * step
         assert any(t + (1 + j) * step != t1 + j * step for j in range(int(self.T / step)))
         x1 = path.evaluate_many([t1], t, x)[0]
-        self._assert_dropped(path, memo, t1, x1)
-        assert (path.forecast_restarts, path.forecast_cuts) == (1, 1)
-        assert any(old.get((tau, t_k), v) != v for tau, t_k, v in memo.table[:, :-1].T)
+        kept = scan(path, _Height(), t1, x1, self.T, self.N, memo=memo)
+        assert _searched_bits(kept) == _fresh_bits(path, t1, x1, self.T, self.N)
+        assert path.forecast_restarts == 1 and memo.token == token
+        assert path.knot_steps == knot_steps + 1  # the new horizon end's knot alone
+        # every scan time that the first scan looked up bit for bit is served
+        served = np.isin(kept.taus, grid.taus).sum()
+        assert memo.h_hits == h_hits + served and served > self.N // 2
+        assert memo.search_hits > 0
+
+    def test_off_lattice_start_steps_to_the_lattice(self):
+        """A fresh forecast from t = 0.03 at step 0.1 takes its first step to
+        0.1 and then steps along the lattice, as an independent chain of
+        single RK4 steps does; the plant following it to 0.1 keeps it."""
+        t, step = 0.03, 0.1
+        path, memo, x, _ = self._first_scan(t, step)
+        token = memo.token
+        times = [t] + [j * step for j in range(1, 40)]
+        knots = [x]
+        for a, b in zip(times, times[1:]):
+            knots.append(rk4(path.field, a, knots[-1], b - a))
+        assert np.array_equal(path.evaluate_many(times[:32], t, x), np.array(knots[:32]))
+        tau = times[5] + 0.04
+        want = rk4(path.field, times[5], knots[5], tau - times[5])
+        assert np.array_equal(path.evaluate_many([tau], t, x)[0], want)
+        t1, x1 = times[1], knots[1]
+        got = _searched_bits(scan(path, _Height(), t1, x1, self.T, self.N, memo=memo))
+        assert got == _fresh_bits(path, t1, x1, self.T, self.N)
+        assert path.forecast_restarts == 1 and memo.token == token
 
     def test_fresh_forecast_after_an_intervening_step(self):
         """The plant leaves the forecast, so a fresh one starts."""
-        t, step = 0.25, 0.125  # dyadic: a followed forecast would keep every knot
-        path, memo, x = self._first_scan(t, step)
+        t, step = 0.25, 0.125
+        path, memo, x, _ = self._first_scan(t, step)
         x1 = path.evaluate_many([t + step], t, x)[0] + np.array([1e-9, 0.0])
         self._assert_dropped(path, memo, t + step, x1)
-        assert (path.forecast_restarts, path.forecast_cuts) == (2, 0)
+        assert path.forecast_restarts == 2
 
-    def test_kept_last_knot_whose_time_moved(self):
-        """From t1 = t0 + step the kept knot times match the held ones up to
-        the last knot, whose time in t1's terms parts from its old one in
-        the last bit.  Nothing is cut and the generation stands, but a tau
-        past that knot steps from the new time: its h, its evaluation and
-        any search that probed past it are looked up under new keys, not
-        served."""
-        s, t0, k, K = 0.1, 0.1, 1, 5
-        t1 = t0 + k * s
-        assert all(t0 + (k + j) * s == t1 + j * s for j in range(K - k))
-        assert t0 + K * s != t1 + (K - k) * s
-        path, memo, h = OdePath(_Oscillator(), _steep_law, step=s), HorizonMemo(), _Height()
-        taus = np.array([t0 + (K + 0.5) * s])  # between the last knot and the next
-        bracket = t0 + (K + 0.1) * s, t0 + (K + 0.9) * s
-
-        def h_and_search(t, x):
-            grid = HorizonGrid(t=t, x=x, T=1.0, taus=taus, h_values=taus, path=path, h=h,
-                               memo=memo)
-            return (memo.h_many(grid, taus), _searched(grid, _golden_max, *bracket, 1e-6),
-                    grid.evaluation(taus[0]).state)
-
-        x0 = np.array([1.0, -0.5])
-        old = h_and_search(t0, x0)
-        x1 = path.evaluate_many([t1], t0, x0)[0]
-        got = h_and_search(t1, x1)
-        assert (path.forecast_restarts, path.forecast_cuts) == (1, 0)
-        assert (memo.h_hits, memo.search_hits) == (0, 0)
-        fresh = OdePath(path.model, path.mu, step=s)
-        grid = HorizonGrid(t=t1, x=x1, T=1.0, taus=taus, h_values=taus, path=fresh, h=h)
-        want = grid.h_many(taus), _searched(grid, _golden_max, *bracket, 1e-6)
-        want += (grid.evaluation(taus[0]).state,)
-        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-        assert got[2].tobytes() == want[2].tobytes()
-        assert old[0].tobytes() != want[0].tobytes() and old[1] != want[1]
-        assert old[2].tobytes() != want[2].tobytes()
+    def test_grid_that_outlives_its_forecast(self):
+        """After the path forecasts from another (t, x), a grid of the old
+        forecast is served none of the new one's searches or evaluations:
+        its values are a fresh path's again."""
+        t, step = 0.25, 0.125
+        path, memo, x, grid = self._first_scan(t, step)
+        want = _fresh_bits(path, t, x, self.T, self.N)
+        other = scan(path, _Height(), t, x + np.array([1e-3, 0.0]), self.T, self.N, memo=memo)
+        _searched_bits(other)
+        assert memo.searches and memo.evaluations
+        assert _searched_bits(grid) == want
+        assert path.forecast_restarts == 3

@@ -1,5 +1,6 @@
 """Path functions: closed-form car flow and RK4-propagated flows."""
 
+import bisect
 import math
 
 import numpy as np
@@ -483,6 +484,22 @@ class TestForecastReuse:
                               fresh.evaluate_many(on_knots, t1, x1))
 
 
+    def test_knot_state_off_its_lattice_time_starts_afresh(self):
+        """x with knot 3's bytes at t1 = 0.6, one bit before that knot's
+        lattice time 6 * 0.1, starts a fresh forecast: a kept one would
+        step its first interval from the other time."""
+        step, t = 0.1, 0.3
+        path = OdePath(_DrivenLinear(), _steep_law, step=step)
+        x = np.array([1.0, -0.5])
+        x1 = path.evaluate_many([6 * step, t + 4.0], t, x)[0]
+        t1 = 0.6
+        assert t1 != 6 * step and math.floor(t1 / step + 1e-9) == 6
+        taus = t1 + step * np.arange(20) + 0.03
+        got = path.evaluate_many(taus, t1, x1)
+        assert path.forecast_restarts == 2
+        fresh = OdePath(_DrivenLinear(), _steep_law, step=step)
+        assert np.array_equal(got, fresh.evaluate_many(taus, t1, x1))
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("make", [
         lambda: (_sat_path(step=1.0)[1], _sat_state(), 2.0),
@@ -530,30 +547,37 @@ class TestForecastReuse:
 
 
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("make", [
-        lambda: (_sat_path(step=1.0)[1], _sat_state()),
-        lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5])),
-    ], ids=["satellite", "time_dependent"])
-    def test_matches_per_tau_and_scalar_steps(self, make):
+    @pytest.mark.parametrize("make, t", [
+        (lambda: (_sat_path(step=1.0)[1], _sat_state()), 3.0),
+        (lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5])), 3.0),
+        (lambda: (_sat_path(step=1.0)[1], _sat_state()), 3.03),
+        (lambda: (OdePath(_DrivenLinear(), _time_law, step=0.1), np.array([1.0, -0.5])), 3.03),
+    ], ids=["satellite", "time_dependent", "satellite_off_lattice", "time_dependent_off_lattice"])
+    def test_matches_per_tau_and_scalar_steps(self, make, t):
         """evaluate_many equals one call per tau and an independent chain of
-        single RK4 steps: whole steps to the last knot, then one partial."""
+        single RK4 steps: knot 0 at t, knot j >= 1 at the lattice time
+        (k0 + j) step, each stepped from the knot before it, then one partial
+        step from the last knot at or before tau."""
         path, x = make()
-        t, s = 3.0, path.step
-        taus = t + s * np.array([0.0, 2.0, 2.5, 5.0, 9.75, 9.0, 0.25, 30.0, 41.6])
+        s = path.step
+        k0 = math.floor(t / s + 1e-9)
+        taus = (k0 + np.array([0.0, 2.0, 2.5, 5.0, 9.75, 9.0, 0.0, 30.0, 41.6])) * s
+        taus[0], taus[6] = t, t + 0.25 * s  # knot 0, and a partial step from it
         taus[3] += 2e-13  # within the remainder threshold of knot 5
-        many = path.evaluate_many(taus[:7], t, x)  # knots grown to t + 9 s
+        many = path.evaluate_many(taus[:7], t, x)  # knots grown to (k0 + 9) s
         many = np.vstack([many, path.evaluate_many(taus[7:], t, x)])
         single = np.array([path.evaluate_many([tau], t, x)[0] for tau in taus])
         assert np.array_equal(many, single)
 
+        times = [t] + [(k0 + j) * s for j in range(1, 43)]
         knots = [x]
-        for j in range(42):
-            knots.append(rk4(path.field, t + j * path.step, knots[-1], path.step))
+        for a, b in zip(times, times[1:]):
+            knots.append(rk4(path.field, a, knots[-1], b - a))
         for tau, got in zip(taus, many):
-            k = math.floor((tau - t) / path.step + 1e-9)
-            rem = tau - (t + k * path.step)
-            want = knots[k] if rem < 1e-12 * max(1.0, tau) else rk4(
-                path.field, t + k * path.step, knots[k], rem)
+            thr = 1e-12 * max(1.0, tau)
+            k = bisect.bisect_right(times, tau + thr) - 1
+            rem = tau - times[k]
+            want = knots[k] if rem < thr else rk4(path.field, times[k], knots[k], rem)
             assert np.array_equal(got, want)
         assert np.array_equal(many[0], x)
         assert np.array_equal(many[3], knots[5])  # within the remainder threshold

@@ -494,15 +494,16 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     intervention follow; 250 for a fresh horizon after each of the 40
     intervening steps; one for each other step that follows the forecast.
     It starts 41 forecasts afresh (the build's, and one after each
-    intervening step) and steps 11 494 off-knot rows.  No kept forecast is
-    cut (the times are whole seconds).
+    intervening step) and steps 11 494 off-knot rows.
 
     The horizon memo serves 185 580 of the 200 451 scan-time lookups and
     420 of the 500 golden-section and bisection searches.  It also serves
-    evaluations at the maximizers and roots: without that, 11 915 off-knot
-    rows are stepped.  The 40 steps after an intervention start a fresh
-    forecast and miss everything.  The other 661 keep the forecast; the
-    first of them finds the memo empty, and each later one (N + 1 = 251
+    421 of the 704 evaluations at path states, at the maximizers and
+    roots: without that, 11 915 off-knot rows are stepped.  An evaluation
+    counts once per HorizonGrid.evaluation(tau) call through the memo, a
+    hit when the memo holds tau.  The 40 steps after an intervention start
+    a fresh forecast and miss everything.  The other 661 keep the forecast;
+    the first of them finds the memo empty, and each later one (N + 1 = 251
     coarse and 0 or more dense times) misses a median of one h, its new
     horizon end, and all but one of their 421 searches hit."""
     built, controllers = [], []
@@ -515,10 +516,10 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     path = built[0][2]
     assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 11494)
     assert path.partial_steps < 11915  # the count with no evaluation reuse
-    assert path.forecast_cuts == 0
     memo = controllers[0].ctx.memo
     assert (memo.h_hits, memo.h_misses) == (185580, 14871)
     assert (memo.search_hits, memo.search_misses) == (420, 80)
+    assert (memo.evaluation_hits, memo.evaluation_misses) == (421, 283)
 
 
 def test_kepler_solve_failure_aborts_the_run(monkeypatch):
