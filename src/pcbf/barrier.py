@@ -23,8 +23,8 @@ from pcbf.core import (
     MarginFunction,
     TangentialCrossingError,
 )
-from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, HorizonMemo, MaximizerEntry,
-                          MaximizerSet, find_maximizers, scan)
+from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
+                          find_maximizers, scan)
 from pcbf.paths import Path
 
 CASE_INTERIOR = "I_interior"
@@ -34,24 +34,25 @@ CASE_BOUNDARY_ROOT_SELF = "III_boundary_root_self"
 
 @dataclass
 class PcbfContext:
-    """Everything needed to evaluate the barrier at a (t, x) pair, and the
-    horizon memo its scans share along the path's held forecast.  The memo
-    holds values of this path and h, so a context keeps both for its life."""
+    """Everything needed to evaluate the barrier at a (t, x) pair.  memo is
+    the last grid scanned, from which the next scan starts along the path's
+    held forecast; it holds values of this path and h, so a context keeps
+    both for its life."""
 
     path: Path
     h: ConstraintFunction
     margin: MarginFunction
     T: float
     N: int
-    memo: HorizonMemo = field(default_factory=HorizonMemo, init=False, repr=False,
-                              compare=False)
+    memo: HorizonGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def grid_step(self) -> float:
         return self.T / self.N
 
     def scan(self, t, x) -> HorizonGrid:
-        return scan(self.path, self.h, t, x, self.T, self.N, memo=self.memo)
+        self.memo = scan(self.path, self.h, t, x, self.T, self.N, prev=self.memo)
+        return self.memo
 
 
 @dataclass

@@ -7,21 +7,19 @@ Each search evaluates a missing probe in one batch with every probe its next
 _LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
 keeps each value's bits, so both return what one probe per step returns.
 
-Along a path that keeps its forecast between steps (Path.memo_token), a
-HorizonMemo, the one layer of reuse, serves the work of earlier steps.
-Under one token the path state at tau depends on tau alone (OdePath's knots
-sit on the absolute time lattice), so h and HorizonGrid.evaluation at a
-path state are looked up by tau, and a search by its inputs; a search that
-runs reads h directly, as its probes recur only when the whole search does.
-Each lookup checks the token first: a new one, on a fresh forecast, drops
-the whole memo, and entries before the horizon start go at each step.  A
-served value has the bits a memo-free evaluation returns.
+Each HorizonGrid keeps what is looked up along its own path state: h by
+tau, the evaluations at path states by tau, and each search's result by its
+inputs; a search that runs reads h directly, as its probes recur only when
+the whole search does.  Under one Path.memo_token the path state at tau
+depends on tau alone (OdePath's knots sit on the absolute time lattice), so
+a scan given the last grid along the same forecast starts from that grid's
+values at or after its t.  A carried value has the bits a fresh evaluation
+returns, and a grid that outlives its forecast still holds only its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,102 +48,84 @@ class PathEvaluation:
     dh_dtau: float
 
 
-class HorizonMemo:
-    """h, search results and evaluations along one path's held forecast,
-    each keyed by tau or the search's inputs under one Path.memo_token.
-
-    The h memo is a table sorted by its first row, tau; its second row is
-    h(tau, p(tau)), and an end column at tau = inf keeps every lookup in
-    range.  searches maps (search, *inputs) to its result, and evaluations
-    maps tau to the PathEvaluation at p(tau).  Plain integer work counters,
-    over the memo's life: h_hits and h_misses per tau looked up,
-    search_hits and search_misses per search, and evaluation_hits and
-    evaluation_misses per HorizonGrid.evaluation at a path state.
-    """
-
-    def __init__(self):
-        self.token = None
-        self.h_hits = self.h_misses = self.search_hits = self.search_misses = 0
-        self.evaluation_hits = self.evaluation_misses = 0
-        self._drop()
-
-    def _drop(self):
-        self.table = np.array([[np.inf], [np.nan]])
-        self.searches = {}
-        self.evaluations = {}
-
-    def sync(self, grid):
-        """Keep the entries at or after grid.t of the forecast the grid's
-        path holds from (grid.t, grid.x), and drop all others."""
-        token, t = grid.path.memo_token(grid.t, grid.x), grid.t
-        if token != self.token:
-            self.token = token
-            self._drop()
-            return
-        self.table = self.table[:, np.searchsorted(self.table[0], t):]
-        self.searches = {key: v for key, v in self.searches.items() if key[1] >= t}
-        self.evaluations = {tau: v for tau, v in self.evaluations.items() if tau >= t}
-
-    def h_many(self, grid, taus) -> np.ndarray:
-        """grid.h_many(taus) through the memo, whose misses it evaluates in
-        one batch."""
-        self.sync(grid)
-        at = np.searchsorted(self.table[0], taus)
-        miss = np.flatnonzero(self.table[0, at] != taus)
-        values = self.table[1, at]
-        self.h_hits += len(taus) - len(miss)
-        self.h_misses += len(miss)
-        if miss.size:
-            values[miss] = grid.h_many(taus[miss])
-            table = np.concatenate([[taus[miss], values[miss]], self.table], axis=1)
-            self.table = table[:, np.argsort(table[0])]
-        return values
-
-    def evaluation(self, grid, tau) -> PathEvaluation:
-        """grid.evaluation(tau) at the path state, through the memo."""
-        self.sync(grid)
-        ev = self.evaluations.get(tau)
-        if ev is not None:
-            self.evaluation_hits += 1
-            return ev
-        self.evaluation_misses += 1
-        state = grid.path.evaluate_many([tau], grid.t, grid.x)[0]
-        ev = self.evaluations[tau] = grid.evaluation(tau, state)
-        return ev
+_COUNTERS = ("h_hits", "h_misses", "search_hits", "search_misses",
+             "evaluation_hits", "evaluation_misses")
 
 
-@dataclass
 class HorizonGrid:
-    """Sampled trajectory of h along the path over [t, t+T].
+    """Sampled trajectory of h along the path over [t, t+T], with the values
+    looked up along the path state from (t, x).
 
     taus are strictly increasing with taus[0] = t and taus[-1] = t + T; they
     are uniform unless the two-level scan split each interval with a hot
-    endpoint into _REFINE_FACTOR equal steps.  memo, through which the
-    searches and the evaluations at path states go, is None unless the path
-    keeps its forecast and the scan was given a memo.
+    endpoint into _REFINE_FACTOR equal steps.  token is the path's
+    memo_token(t, x).  table is h along the path, sorted by its first row,
+    tau, with h(tau, p(tau)) in its second and an end column at tau = inf
+    that keeps every lookup in range; evaluations maps tau to the
+    PathEvaluation at p(tau), and searches maps (search, *inputs) to its
+    result.  Given prev, the last grid, the grid starts with prev's entries
+    at or after t when both share a token that is not None, and with none
+    otherwise.  Plain integer work counters, carried on from prev: h_hits
+    and h_misses per tau looked up in the table, search_hits and
+    search_misses per search, and evaluation_hits and evaluation_misses
+    per evaluation at a path state.
     """
 
-    t: float
-    x: np.ndarray
-    T: float
-    taus: np.ndarray
-    h_values: np.ndarray
-    path: Path
-    h: object
-    memo: HorizonMemo | None = field(default=None, repr=False, compare=False)
+    def __init__(self, t, x, taus, h_values, path: Path, h, token=None, prev=None):
+        self.t, self.x, self.taus, self.h_values = t, x, taus, h_values
+        self.path, self.h, self.token = path, h, token
+        for name in _COUNTERS:
+            setattr(self, name, 0 if prev is None else getattr(prev, name))
+        self.table, self.searches, self.evaluations = np.array([[np.inf], [np.nan]]), {}, {}
+        if prev is not None and token is not None and token == prev.token:
+            self.table = prev.table[:, np.searchsorted(prev.table[0], t):]
+            self.searches = {key: v for key, v in prev.searches.items() if key[1] >= t}
+            self.evaluations = {tau: v for tau, v in prev.evaluations.items() if tau >= t}
 
     def h_many(self, taus) -> np.ndarray:
         """h along the path at each of taus."""
         taus = np.asarray(taus, dtype=float)
         return self.h.value(taus, self.path.evaluate_many(taus, self.t, self.x))
 
+    def h_kept(self, taus) -> np.ndarray:
+        """h_many(taus) through the table, whose misses it evaluates in one
+        batch and keeps."""
+        at = np.searchsorted(self.table[0], taus)
+        miss = np.flatnonzero(self.table[0, at] != taus)
+        values = self.table[1, at]
+        self.h_hits += len(taus) - len(miss)
+        self.h_misses += len(miss)
+        if miss.size:
+            values[miss] = self.h_many(taus[miss])
+            table = np.concatenate([[taus[miss], values[miss]], self.table], axis=1)
+            self.table = table[:, np.argsort(table[0])]
+        return values
+
+    def searched(self, search, *inputs):
+        """search(self.h_many, *inputs), kept by its inputs."""
+        key = (search, *inputs)
+        if key in self.searches:
+            self.search_hits += 1
+            return self.searches[key]
+        self.search_misses += 1
+        result = self.searches[key] = search(self.h_many, *inputs)
+        return result
+
     def evaluation(self, tau: float, state=None) -> PathEvaluation:
-        """The field, grad_x h and dh/dtau at the path state at tau, or at
-        the given state."""
-        if state is None and self.memo is not None:
-            return self.memo.evaluation(self, tau)
-        if state is None:
-            state = self.path.evaluate_many([tau], self.t, self.x)[0]
+        """The field, grad_x h and dh/dtau at the path state at tau, kept by
+        tau, or at the given state, not kept."""
+        if state is not None:
+            return self._evaluate(tau, state)
+        ev = self.evaluations.get(tau)
+        if ev is not None:
+            self.evaluation_hits += 1
+            return ev
+        self.evaluation_misses += 1
+        state = self.path.evaluate_many([tau], self.t, self.x)[0]
+        ev = self.evaluations[tau] = self._evaluate(tau, state)
+        return ev
+
+    def _evaluate(self, tau, state) -> PathEvaluation:
         dp_dtau = self.path.field(tau, state)
         dh_dt, grad_x = self.h.partials(tau, state)
         dh_dtau = float(dh_dt + grad_x @ dp_dtau)
@@ -178,21 +158,16 @@ class MaximizerSet:
         return self.entries[0]
 
 
-@dataclass(frozen=True)
-class RootResult:
-    eta: float
-    already_unsafe: bool
-
-
-def scan(path, h, t, x, T, N, memo=None):
+def scan(path, h, t, x, T, N, prev=None):
     """Sample h along the path at N+1 uniform times over [t, t+T].
 
     Where h.two_level is true, each interval [lo, lo + T/N] with an endpoint
     whose h-value comes within _THREAT_FRACTION * h_max of zero is refined
     once, at lo + k T/N/_REFINE_FACTOR for k = 1 .. _REFINE_FACTOR - 1, so
-    narrow violation spikes are resolved without a uniformly fine grid.  Given a
-    memo, the scan, the searches and the evaluations on its grid read and
-    fill it where the path keeps its forecast.
+    narrow violation spikes are resolved without a uniformly fine grid.  The
+    grid starts from prev, the last grid, as HorizonGrid says.  It reads h
+    through its table unless the path keeps no forecast (token None): no
+    later grid takes that table, and building it costs more than h does.
     """
     if not 0 < T < np.inf:  # NaN included
         raise ConfigurationError(f"horizon T must be positive and finite, got {T}")
@@ -200,11 +175,9 @@ def scan(path, h, t, x, T, N, memo=None):
         raise ConfigurationError(f"grid sample count N must be in [50, {_MAX_N}], got {N}")
     taus = t + np.arange(N + 1) * (T / N)
     taus[-1] = t + T
-    grid = HorizonGrid(t=float(t), x=np.asarray(x, dtype=float), T=float(T), taus=taus,
-                       h_values=None, path=path, h=h)
-    if memo is not None and path.memo_token(t, x) is not None:
-        grid.memo = memo
-    h_many = grid.h_many if grid.memo is None else partial(memo.h_many, grid)
+    grid = HorizonGrid(float(t), np.asarray(x, dtype=float), taus, None, path, h,
+                       path.memo_token(t, x), prev)
+    h_many = grid.h_many if grid.token is None else grid.h_kept
     h_values = np.asarray(h_many(taus), dtype=float)
 
     if h.two_level:
@@ -219,22 +192,6 @@ def scan(path, h, t, x, T, N, memo=None):
 
     grid.taus, grid.h_values = taus, h_values
     return grid
-
-
-def _searched(grid, search, *inputs):
-    """search(grid.h_many, *inputs), served from and kept in the grid's memo
-    if it has one."""
-    memo = grid.memo
-    if memo is None:
-        return search(grid.h_many, *inputs)
-    memo.sync(grid)
-    key = (search, *inputs)
-    if key in memo.searches:
-        memo.search_hits += 1
-        return memo.searches[key]
-    memo.search_misses += 1
-    result = memo.searches[key] = search(grid.h_many, *inputs)
-    return result
 
 
 def _batched(h_many, tree):
@@ -298,7 +255,7 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
         raise ConfigurationError(f"root_tol must be nonnegative, got {root_tol}")
     taus, hv = grid.taus, grid.h_values
     K = len(taus) - 1
-    t, tend = grid.t, grid.t + grid.T
+    t, tend = grid.t, taus[-1]
 
     candidates = []  # (tau, h_value, at_start, at_end)
     if hv[0] >= hv[1]:
@@ -315,7 +272,7 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
         end = j
         while end + 1 < K and abs(hv[end + 1] - hv[j]) <= tol_j:
             end += 1
-        tau_r, h_r = _searched(grid, _golden_max, taus[j - 1], taus[j + 1], refine_tol)
+        tau_r, h_r = grid.searched(_golden_max, taus[j - 1], taus[j + 1], refine_tol)
         candidates.append((tau_r, h_r, False, False))
     if hv[K] >= hv[K - 1]:
         candidates.append((tend, float(hv[K]), False, True))
@@ -329,34 +286,34 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
 
     entries = []
     for tau, h_val, at_start, at_end in merged:
-        root = find_root_before(grid, tau, h_val, root_tol)
+        eta, unsafe = find_root_before(grid, tau, h_val, root_tol)
         entries.append(MaximizerEntry(
-            tau=tau, h_value=h_val, at_start=at_start, at_end=at_end,
-            root_eta=root.eta, root_is_self=(root.eta == tau and not root.already_unsafe),
-            already_unsafe=root.already_unsafe,
+            tau=tau, h_value=h_val, at_start=at_start, at_end=at_end, root_eta=eta,
+            root_is_self=(eta == tau and not unsafe), already_unsafe=unsafe,
         ))
     return MaximizerSet(entries=entries)
 
 
-def find_root_before(grid: HorizonGrid, tau: float, h_tau: float, root_tol: float) -> RootResult:
-    """Latest upcrossing zero of h along the path at or before tau; h(tau) = h_tau.
+def find_root_before(grid: HorizonGrid, tau: float, h_tau: float,
+                     root_tol: float) -> tuple[float, bool]:
+    """(eta, already_unsafe): the latest upcrossing zero eta of h along the
+    path at or before tau, where h(tau) = h_tau.
 
-    Returns tau itself when the path is safe there.  When h(tau) > 0 and no
+    eta is tau itself when the path is safe there.  When h(tau) > 0 and no
     sign change exists on [t, tau], the state is already outside the safe
-    set; the start time is returned with the already_unsafe flag raised.
+    set; eta is the start time and already_unsafe is true.
     """
     if h_tau <= 0:
-        return RootResult(eta=tau, already_unsafe=False)
+        return tau, False
 
     idx = np.searchsorted(grid.taus, tau + 1e-12)
     knot_taus = np.append(grid.taus[:idx], tau)
     knot_h = np.append(grid.h_values[:idx], h_tau)
     for j in range(len(knot_taus) - 2, -1, -1):
         if knot_h[j] < 0 <= knot_h[j + 1]:
-            eta = _searched(grid, _bisect_root, knot_taus[j], knot_taus[j + 1],
-                            knot_h[j], knot_h[j + 1], root_tol)
-            return RootResult(eta=eta, already_unsafe=False)
-    return RootResult(eta=grid.t, already_unsafe=True)
+            return grid.searched(_bisect_root, knot_taus[j], knot_taus[j + 1],
+                                 knot_h[j], knot_h[j + 1], root_tol), False
+    return grid.t, True
 
 
 def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):

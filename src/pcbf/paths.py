@@ -43,12 +43,12 @@ class Path(Protocol):
         """The nominal law mu(t, x)."""
 
     def memo_token(self, t, x):
-        """None for a path that keeps no forecast between calls: the horizon
-        then memoizes nothing along it and pays nothing for the memo.
-        Otherwise a token for the forecast from (t, x) that changes whenever
-        a state of the held forecast can change.  Under one token p(tau)
-        has the same bits for the same tau, so values along the path may be
-        reused by tau alone."""
+        """None for a path that keeps no forecast between calls: no horizon
+        grid along it then takes values from the one before.  Otherwise a
+        token for the forecast from (t, x) that changes whenever a state of
+        the held forecast can change.  Under one token p(tau) has the same
+        bits for the same tau, so values along the path may be reused by tau
+        alone."""
 
 
 class AnalyticCarPath:
@@ -129,8 +129,8 @@ class OdePath:
     A time tau steps from knot floor(tau / step + 1e-9) - k0 by the time
     left from that knot's time; a query makes all of its partial steps as
     one batched RK4 step, calling the field with one time per row of x.
-    The path keeps no off-knot state: the horizon memo reuses values along
-    the forecast by tau.
+    The path keeps no off-knot state: each horizon grid keeps the values it
+    looks up, and the next grid along the forecast starts from them.
 
     Given step_one, one RK4 step (t, y, dt) -> y of one state held as floats
     that makes core.rk4's operations on the closed-loop field in its order

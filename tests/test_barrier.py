@@ -74,8 +74,8 @@ def _eval_hp(tau, t, ctx, grid):
     """Predicted safety at horizon time tau: h along the path minus the
     margin in the time until the path first becomes unsafe."""
     h_tau = float(grid.h_many([tau])[0])
-    root = find_root_before(grid, tau, h_tau, ROOT_TOL)
-    return h_tau - ctx.margin.value(root.eta - t)
+    eta, _ = find_root_before(grid, tau, h_tau, ROOT_TOL)
+    return h_tau - ctx.margin.value(eta - t)
 
 
 def test_value_consistency_intersection():
@@ -157,10 +157,10 @@ def test_tangential_root_raises():
     ctx = _static_ctx(h)
     x = np.zeros(1)
     grid = ctx.scan(0.0, x)
-    root = find_root_before(grid, 9.0, grid.h_many([9.0])[0], 1e-12)
-    assert root.eta == pytest.approx(4.0, abs=1e-3)
+    eta, _ = find_root_before(grid, 9.0, grid.h_many([9.0])[0], 1e-12)
+    assert eta == pytest.approx(4.0, abs=1e-3)
     with pytest.raises(TangentialCrossingError):
-        root_sensitivity_C1(root.eta, grid)
+        root_sensitivity_C1(eta, grid)
 
 
 def test_root_sensitivity_matches_rescan(intersection_pcbf):

@@ -1,8 +1,9 @@
 """Closed-loop fuzz: short pcbf runs over drawn scenario parameters.
 
 Each drawn configuration either is rejected as a configuration error or runs
-twice, the second time without the horizon memo, and the two runs must agree
-bit for bit; any other exception fails the test.  A run whose first barrier value is nonpositive, and that runs to its
+twice, the second time with no scan started from the last grid, and the two
+runs must agree bit for bit; any other exception fails the test.  A run whose
+first barrier value is nonpositive, and that runs to its
 end, must stay within the safety gate of the pinned runs, max h <= 1e-3 rho,
 even when some step falls back to the nominal input; a run that starts with a
 positive barrier value, or is cut short, must say so in a note.  At every
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcbf import simulate
+from pcbf import barrier, simulate
 from pcbf.core import ConfigurationError
 from pcbf.horizon import REFINE_TOL
 from pcbf.scenarios import default_config
@@ -22,25 +23,20 @@ from pcbf.scenarios import default_config
 _FUZZ = settings(derandomize=True, deadline=None, database=None)
 
 
-def _run(cfg, memo=True):
+def _run(cfg, carry=True):
     """The run's log and the maximizer times of each step that scanned;
-    with memo=False the filter's scans keep no horizon memo."""
-    eval_pcbf, make_context, taus = simulate.eval_pcbf, simulate.make_context, []
+    with carry=False no scan of the filter is given the last grid."""
+    eval_pcbf, scan, taus = simulate.eval_pcbf, barrier.scan, []
 
     def recorded(t, x, ctx):
         val = eval_pcbf(t, x, ctx)
         taus.append([e.tau for e in val.maximizers.entries])
         return val
 
-    def memo_free(*args):
-        ctx = make_context(*args)
-        ctx.memo = None
-        return ctx
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "eval_pcbf", recorded)
-        if not memo:
-            mp.setattr(simulate, "make_context", memo_free)
+        if not carry:
+            mp.setattr(barrier, "scan", lambda *args, prev: scan(*args))
         return simulate.run_closed_loop(cfg), taus
 
 
@@ -56,7 +52,7 @@ def _check_closed_loop(cfg):
         log, taus = _run(cfg)
     except ConfigurationError:
         return
-    assert _recorded(_run(cfg, memo=False)[0]) == _recorded(log)
+    assert _recorded(_run(cfg, carry=False)[0]) == _recorded(log)
 
     if log.initial_h_star is not None and log.initial_h_star > 0 or log.truncated:
         assert log.notes
@@ -98,7 +94,7 @@ def test_satellite_closed_loop(phase_offset, conjunction_time, T, N, inclination
     and are configuration errors.  The debris orbit's inclination and both
     orbits' radius are drawn too, from a slow prograde crossing to a fast
     retrograde one.  The grid step T / N is drawn apart from the 1 s
-    control step, so the memo's scan times and search probes fall between
+    control step, so the carried scan times and search probes fall between
     the forecast's knots."""
     cfg = default_config("satellite", "pcbf")
     cfg.duration = conjunction_time + 20.0

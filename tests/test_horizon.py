@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcbf import horizon
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, rk4
-from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, HorizonMemo, MaximizerEntry,
-                          MaximizerSet, _bisect_root, _golden_max,
-                          find_maximizers, find_root_before, scan)
+from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
+                          _bisect_root, _golden_max, find_maximizers, find_root_before,
+                          scan)
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import LeftTurnLane, SeparationConstraint, StraightLane
 
@@ -168,8 +168,8 @@ def test_entry_invariants_on_sinusoids(freq, phase, offset):
 
 def test_root_before_safe_time_is_identity():
     grid = _scan_time_only(np.sin, np.cos)
-    res = find_root_before(grid, 4.0, math.sin(4.0), 1e-9)  # sin(4) < 0
-    assert res.eta == 4.0 and not res.already_unsafe
+    eta, already_unsafe = find_root_before(grid, 4.0, math.sin(4.0), 1e-9)  # sin(4) < 0
+    assert eta == 4.0 and not already_unsafe
 
 
 def _car_grid(N):
@@ -206,6 +206,9 @@ class _Clock:
 
     def evaluate_many(self, taus, t, x):
         return np.array(taus, dtype=float)[:, None]
+
+    def memo_token(self, t, x):
+        return None
 
 
 class _Envelope(ConstraintFunction):
@@ -451,7 +454,7 @@ def _sequential_find_maximizers(grid, refine_tol, root_tol, golden):
     """find_maximizers walking the samples one at a time (oracle)."""
     taus, hv = grid.taus, grid.h_values
     K = len(taus) - 1
-    t, tend = grid.t, grid.t + grid.T
+    t, tend = grid.t, taus[-1]
     candidates = []
     if hv[0] >= hv[1]:
         candidates.append((t, float(hv[0]), True, False))
@@ -477,11 +480,10 @@ def _sequential_find_maximizers(grid, refine_tol, root_tol, golden):
             merged.append(c)
     entries = []
     for tau, h_val, at_start, at_end in merged:
-        root = find_root_before(grid, tau, h_val, root_tol)
+        eta, unsafe = find_root_before(grid, tau, h_val, root_tol)
         entries.append(MaximizerEntry(
-            tau=tau, h_value=h_val, at_start=at_start, at_end=at_end,
-            root_eta=root.eta, root_is_self=(root.eta == tau and not root.already_unsafe),
-            already_unsafe=root.already_unsafe,
+            tau=tau, h_value=h_val, at_start=at_start, at_end=at_end, root_eta=eta,
+            root_is_self=(eta == tau and not unsafe), already_unsafe=unsafe,
         ))
     return MaximizerSet(entries=entries)
 
@@ -496,6 +498,9 @@ class _Samples:
 
     def evaluate_many(self, taus, t, x):
         return np.asarray(taus, dtype=float)[:, None]
+
+    def memo_token(self, t, x):
+        return None
 
     def value(self, t, x):
         return np.interp(x[..., 0], self.taus, self.hv)
@@ -515,8 +520,7 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
     hv = np.array(levels) + np.array(jitter[:len(levels)])
     taus = np.arange(len(hv), dtype=float)
     samples = _Samples(taus, hv)
-    grid = HorizonGrid(t=0.0, x=np.zeros(1), T=taus[-1], taus=taus, h_values=hv,
-                       path=samples, h=samples)
+    grid = HorizonGrid(t=0.0, x=np.zeros(1), taus=taus, h_values=hv, path=samples, h=samples)
     brackets = {"one_pass": [], "sequential": []}
 
     def recording(key):
@@ -585,25 +589,43 @@ def _searched_bits(grid):
             np.array(fields, dtype=float).tobytes(), np.array(evs).tobytes())
 
 
-def _fresh_bits(path, t, x, T, N, two_level=False):
-    """_searched_bits of a memo-free scan on a fresh path like `path`."""
+def _fresh_grid(path, t, x, T, N, two_level=False):
+    """A scan with no prev on a fresh path like `path`."""
     fresh = OdePath(path.model, path.mu, step=path.step)
-    return _searched_bits(scan(fresh, _Height(two_level), t, x, T, N))
+    return scan(fresh, _Height(two_level), t, x, T, N)
+
+
+def _fresh_bits(path, t, x, T, N, two_level=False):
+    """_searched_bits of _fresh_grid(path, t, x, T, N, two_level)."""
+    return _searched_bits(_fresh_grid(path, t, x, T, N, two_level))
+
+
+def _chain(path, h, T, N):
+    """scan(t, x) on the path, each grid started from the last, as
+    PcbfContext.scan does."""
+    last = None
+
+    def next_scan(t, x):
+        nonlocal last
+        last = scan(path, h, t, x, T, N, prev=last)
+        return last
+    return next_scan
 
 
 def test_memo_serves_a_kept_forecast():
     """With the grid step equal to the control step, each step after the
-    first finds its scan times and search brackets in the memo, and the
-    result is a fresh path's bit for bit."""
-    path, memo, h = OdePath(_Oscillator(), _wavy_law, step=0.25), HorizonMemo(), _Height()
+    first finds its scan times and search brackets in the last grid, and
+    the result is a fresh path's bit for bit."""
+    path, h = OdePath(_Oscillator(), _wavy_law, step=0.25), _Height()
     t, x, T, N = 0.0, np.array([1.0, 0.0]), 20.0, 80
+    next_scan = _chain(path, h, T, N)
     for k in range(1, 6):
-        grid = scan(path, h, t, x, T, N, memo=memo)
+        grid = next_scan(t, x)
         assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N)
         x, t = path.evaluate_many([k * path.step], t, x)[0], k * path.step
     assert path.forecast_restarts == 1
-    assert memo.h_misses == (N + 1) + 4 and memo.h_hits == 4 * N  # one new end per step
-    assert memo.search_hits > 0
+    assert grid.h_misses == (N + 1) + 4 and grid.h_hits == 4 * N  # one new end per step
+    assert grid.search_hits > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,19 +635,20 @@ def test_memo_serves_a_kept_forecast():
        moves=st.lists(st.sampled_from(["follow", "follow", "intervene"]), min_size=2, max_size=5))
 def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level, start, moves):
     """Along forecasts that the plant follows or leaves, scan and
-    find_maximizers through the memo equal, bit for bit, those of a fresh
-    path at the same (t, x): taus, h values, every maximizer entry and the
-    evaluation at each entry's tau and root_eta.  The grid step T/N is
-    drawn apart from the control step too, so scan times and search probes
-    fall between knots, and the first start, start * step, may lie off the
-    knot time lattice, from which the first followed step joins it."""
+    find_maximizers on grids each started from the last equal, bit for bit,
+    those of a fresh path at the same (t, x): taus, h values, every
+    maximizer entry and the evaluation at each entry's tau and root_eta.
+    The grid step T/N is drawn apart from the control step too, so scan
+    times and search probes fall between knots, and the first start,
+    start * step, may lie off the knot time lattice, from which the first
+    followed step joins it."""
     if grid_steps is not None:
         T = N * step * grid_steps
-    path, memo = OdePath(_Oscillator(), _wavy_law, step=step), HorizonMemo()
-    h = _Height(two_level)
+    path = OdePath(_Oscillator(), _wavy_law, step=step)
+    next_scan = _chain(path, _Height(two_level), T, N)
     t, x = start * step, np.array([1.0, 0.0])
     for k, move in enumerate(moves, start=1):
-        grid = scan(path, h, t, x, T, N, memo=memo)
+        grid = next_scan(t, x)
         assert _searched_bits(grid) == _fresh_bits(path, t, x, T, N, two_level)
         x = path.evaluate_many([k * step], t, x)[0]  # the plant follows the forecast
         if move == "intervene":
@@ -634,52 +657,90 @@ def test_memo_is_bit_for_bit_with_a_fresh_path(step, N, grid_steps, T, two_level
 
 
 class TestMemoInvalidation:
-    """A fresh forecast drops the whole memo, a followed step keeps it, and
-    each later value is a fresh path's."""
+    """A fresh forecast starts a grid with nothing of the last, a followed
+    step carries the last grid's values on, and each later value is a fresh
+    path's."""
 
     T, N = 3.0, 60
 
     def _first_scan(self, t, step):
-        path, memo = OdePath(_Oscillator(), _steep_law, step=step), HorizonMemo()
+        path = OdePath(_Oscillator(), _steep_law, step=step)
         x = np.array([1.0, -0.5])
-        grid = scan(path, _Height(), t, x, self.T, self.N, memo=memo)
+        grid = scan(path, _Height(), t, x, self.T, self.N)
         _searched_bits(grid)
-        assert memo.searches and memo.evaluations  # there is a result to drop
-        return path, memo, x, grid
+        assert grid.searches and grid.evaluations  # there is a result to drop
+        return path, x, grid
 
-    def _assert_dropped(self, path, memo, t, x):
-        hits, token = (memo.h_hits, memo.search_hits), memo.token
-        got = _searched_bits(scan(path, _Height(), t, x, self.T, self.N, memo=memo))
-        assert (memo.h_hits, memo.search_hits) == hits and memo.token != token
-        assert got == _fresh_bits(path, t, x, self.T, self.N)
+    def _assert_dropped(self, path, prev, t, x):
+        hits = (prev.h_hits, prev.search_hits)
+        grid = scan(path, _Height(), t, x, self.T, self.N, prev=prev)
+        assert _searched_bits(grid) == _fresh_bits(path, t, x, self.T, self.N)
+        assert (grid.h_hits, grid.search_hits) == hits
+        assert grid.token != prev.token
 
     def test_followed_step_keeps_every_knot(self):
         """At step 0.1 from t = 0.3 the plant follows the forecast to
-        t1 = 0.4, knot 1's lattice time: every knot is kept, the memo serves
-        the next scan, and its values are a fresh path's, although t + j step
-        and t1 + j step part in the last bit at some j."""
+        t1 = 0.4, knot 1's lattice time: every knot is kept, the next scan
+        starts from the last grid's values, and its values are a fresh
+        path's, although t + j step and t1 + j step part in the last bit at
+        some j."""
         t, step = 0.3, 0.1
-        path, memo, x, grid = self._first_scan(t, step)
-        t1, knot_steps, h_hits, token = t + step, path.knot_steps, memo.h_hits, memo.token
+        path, x, grid = self._first_scan(t, step)
+        t1, knot_steps = t + step, path.knot_steps
         assert t1 == 4 * step
         assert any(t + (1 + j) * step != t1 + j * step for j in range(int(self.T / step)))
         x1 = path.evaluate_many([t1], t, x)[0]
-        kept = scan(path, _Height(), t1, x1, self.T, self.N, memo=memo)
+        kept = scan(path, _Height(), t1, x1, self.T, self.N, prev=grid)
         assert _searched_bits(kept) == _fresh_bits(path, t1, x1, self.T, self.N)
-        assert path.forecast_restarts == 1 and memo.token == token
+        assert path.forecast_restarts == 1 and kept.token == grid.token
         assert path.knot_steps == knot_steps + 1  # the new horizon end's knot alone
         # every scan time that the first scan looked up bit for bit is served
         served = np.isin(kept.taus, grid.taus).sum()
-        assert memo.h_hits == h_hits + served and served > self.N // 2
-        assert memo.search_hits > 0
+        assert kept.h_hits == grid.h_hits + served and served > self.N // 2
+        assert kept.search_hits > grid.search_hits
+
+    def test_carried_values_start_at_t(self):
+        """A grid scanned along the kept forecast from t1 starts with every
+        h, evaluation and search of the last grid at or after t1, the same
+        objects, and none before; one scanned under a new token starts with
+        nothing of the last grid's."""
+        t, step = 0.3, 0.1
+        path, x, grid = self._first_scan(t, step)
+        t1 = t + step
+        grid.evaluation(t)
+        grid.searched(_golden_max, t, t + 2 * step, REFINE_TOL)
+        assert (grid.table[0] < t1).any()
+        x1 = path.evaluate_many([t1], t, x)[0]
+        kept = scan(path, _Height(), t1, x1, self.T, self.N, prev=grid)
+        assert kept.token == grid.token and kept.table[0].min() >= t1
+        assert np.isin(grid.table[0][grid.table[0] >= t1], kept.table[0]).all()
+        assert kept.evaluations == {tau: ev for tau, ev in grid.evaluations.items() if tau >= t1}
+        assert kept.searches == {key: r for key, r in grid.searches.items() if key[1] >= t1}
+        assert kept.evaluations and kept.searches
+        assert all(kept.evaluations[tau] is grid.evaluations[tau] for tau in kept.evaluations)
+        other = scan(path, _Height(), t1, x1 + np.array([1e-3, 0.0]), self.T, self.N, prev=kept)
+        assert other.token != kept.token
+        assert not other.searches and not other.evaluations
+        assert other.h_hits == kept.h_hits
+        assert other.h_misses == kept.h_misses + len(other.taus)
+
+    def test_evaluation_at_a_given_state_is_not_kept(self):
+        """An evaluation at a given state, as the maximizer sensitivity makes
+        them, is neither kept nor served in place of the path state's."""
+        path, x, grid = self._first_scan(0.25, 0.125)
+        tau = 0.25 + 1.234
+        want = _fresh_grid(path, 0.25, x, self.T, self.N).evaluation(tau)
+        ev = grid.evaluation(tau, want.state + 1e-3)
+        assert tau not in grid.evaluations and not np.array_equal(ev.state, want.state)
+        got = grid.evaluation(tau)
+        assert np.array_equal(got.state, want.state) and got.dh_dtau == want.dh_dtau
 
     def test_off_lattice_start_steps_to_the_lattice(self):
         """A fresh forecast from t = 0.03 at step 0.1 takes its first step to
         0.1 and then steps along the lattice, as an independent chain of
         single RK4 steps does; the plant following it to 0.1 keeps it."""
         t, step = 0.03, 0.1
-        path, memo, x, _ = self._first_scan(t, step)
-        token = memo.token
+        path, x, grid = self._first_scan(t, step)
         times = [t] + [j * step for j in range(1, 40)]
         knots = [x]
         for a, b in zip(times, times[1:]):
@@ -689,27 +750,27 @@ class TestMemoInvalidation:
         want = rk4(path.field, times[5], knots[5], tau - times[5])
         assert np.array_equal(path.evaluate_many([tau], t, x)[0], want)
         t1, x1 = times[1], knots[1]
-        got = _searched_bits(scan(path, _Height(), t1, x1, self.T, self.N, memo=memo))
-        assert got == _fresh_bits(path, t1, x1, self.T, self.N)
-        assert path.forecast_restarts == 1 and memo.token == token
+        kept = scan(path, _Height(), t1, x1, self.T, self.N, prev=grid)
+        assert _searched_bits(kept) == _fresh_bits(path, t1, x1, self.T, self.N)
+        assert path.forecast_restarts == 1 and kept.token == grid.token
 
     def test_fresh_forecast_after_an_intervening_step(self):
         """The plant leaves the forecast, so a fresh one starts."""
         t, step = 0.25, 0.125
-        path, memo, x, _ = self._first_scan(t, step)
+        path, x, grid = self._first_scan(t, step)
         x1 = path.evaluate_many([t + step], t, x)[0] + np.array([1e-9, 0.0])
-        self._assert_dropped(path, memo, t + step, x1)
+        self._assert_dropped(path, grid, t + step, x1)
         assert path.forecast_restarts == 2
 
     def test_grid_that_outlives_its_forecast(self):
         """After the path forecasts from another (t, x), a grid of the old
-        forecast is served none of the new one's searches or evaluations:
-        its values are a fresh path's again."""
+        forecast still serves its own searches and evaluations, without a
+        step of the path: its values are a fresh path's."""
         t, step = 0.25, 0.125
-        path, memo, x, grid = self._first_scan(t, step)
+        path, x, grid = self._first_scan(t, step)
         want = _fresh_bits(path, t, x, self.T, self.N)
-        other = scan(path, _Height(), t, x + np.array([1e-3, 0.0]), self.T, self.N, memo=memo)
+        other = scan(path, _Height(), t, x + np.array([1e-3, 0.0]), self.T, self.N, prev=grid)
         _searched_bits(other)
-        assert memo.searches and memo.evaluations
+        assert other.searches and other.evaluations
         assert _searched_bits(grid) == want
-        assert path.forecast_restarts == 3
+        assert path.forecast_restarts == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcbf.core import ConfigurationError, ConstraintFunction, DynamicsModel, PropagationError, rk4
-from pcbf.horizon import HorizonMemo, scan
+from pcbf.horizon import scan
 from pcbf.paths import AnalyticCarPath, OdePath
 from pcbf.scenarios import CarPairModel, TwoBodyModel, default_config, satellite_initial_state
 from sensitivity_oracle import cointegrated_sensitivity, two_body_jacobian
@@ -377,9 +377,10 @@ class TestOdePath:
     def test_off_knot_evaluation_steps_once(self):
         """An off-knot horizon evaluation away from the scan grid makes one
         partial RK4 step for the state and one field call for its
-        tau-derivative: 4 + 1 drift calls, on each ask without a memo.
-        Through the horizon memo a second ask makes no drift call and
-        returns the same bits, until the path's forecast is replaced."""
+        tau-derivative: 4 + 1 drift calls.  The grid keeps it, so a second
+        ask makes no drift call and returns the same object, also after the
+        path forecasts from another (t, x).  A grid scanned next under the
+        new token takes none of it and steps again, to the same bits."""
         model = _CountingLinear()
         path = OdePath(model, lambda t, x: np.zeros(x.shape[:-1] + (1,)), step=0.5)
         t, x = 1.0, np.array([1.0, -0.5])
@@ -394,23 +395,19 @@ class TestOdePath:
                 calls.append(model.calls - before)
             return evs, calls
 
-        (ev, again), calls = asks(scan(path, _FirstCoordinate(), t, x, 5.0, 50))
-        assert calls == [5, 5]
+        grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50)
+        (ev, again), calls = asks(grid)
+        assert calls == [5, 0] and again is ev
         assert np.array_equal(ev.dp_dtau, path.field(tau, ev.state))
-        assert np.array_equal(again.state, ev.state)
-
-        grid = scan(path, _FirstCoordinate(), t, x, 5.0, 50, memo=HorizonMemo())
-        (first, again), calls = asks(grid)
-        assert calls == [5, 0] and again is first
+        path.evaluate_many([tau], t, x + 1e-3)
+        (again, _), calls = asks(grid)
+        assert calls == [0, 0] and again is ev
+        new = scan(path, _FirstCoordinate(), t, x, 5.0, 50, prev=grid)
+        assert new.token != grid.token
+        (first, _), calls = asks(new)
+        assert calls == [5, 0] and first is not ev  # its scan grew the knots
         assert np.array_equal(first.state, ev.state)
         assert np.array_equal(first.dp_dtau, ev.dp_dtau)
-        # another (t, x) starts a new forecast, so the held one's next
-        # evaluation steps its knots and state again
-        path.evaluate_many([tau], t, x + 1e-3)
-        before = model.calls
-        new = grid.evaluation(tau)
-        assert model.calls == before + 4 * 2 + 5  # two knots to t + 1, then 4 + 1
-        assert np.array_equal(new.state, ev.state)
 
 
 class _DrivenLinear(DynamicsModel):

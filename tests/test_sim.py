@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from pcbf import scenarios, simulate
+from pcbf import barrier, scenarios, simulate
 from pcbf.barrier import (
     CASE_BOUNDARY_ROOT_SELF,
     CASE_END_ROOT_BEFORE,
@@ -496,30 +496,54 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     It starts 41 forecasts afresh (the build's, and one after each
     intervening step) and steps 11 494 off-knot rows.
 
-    The horizon memo serves 185 580 of the 200 451 scan-time lookups and
-    420 of the 500 golden-section and bisection searches.  It also serves
-    421 of the 704 evaluations at path states, at the maximizers and
-    roots: without that, 11 915 off-knot rows are stepped.  An evaluation
-    counts once per HorizonGrid.evaluation(tau) call through the memo, a
-    hit when the memo holds tau.  The 40 steps after an intervention start
-    a fresh forecast and miss everything.  The other 661 keep the forecast;
-    the first of them finds the memo empty, and each later one (N + 1 = 251
+    Each scan reads the path's memo_token once, 701 in all.  The values
+    each grid keeps, carried on from the last grid along a kept forecast,
+    serve 185 580 of the 200 451 scan-time lookups and 420 of the 500
+    golden-section and bisection searches.  They also serve 421 of the 704
+    evaluations at path states, at the maximizers and roots: without that,
+    11 915 off-knot rows are stepped.  An evaluation counts once per
+    HorizonGrid.evaluation(tau) call, a hit when the grid holds tau.  The
+    40 steps after an intervention start a fresh forecast and miss
+    everything.  The other 661 keep the forecast; the first of them starts
+    from a grid with nothing to carry, and each later one (N + 1 = 251
     coarse and 0 or more dense times) misses a median of one h, its new
-    horizon end, and all but one of their 421 searches hit."""
+    horizon end, and all but one of their 421 searches hit.  The counters
+    are read from the context's last grid."""
     built, controllers = [], []
     monkeypatch.setattr(simulate, "build_scenario",
                         lambda cfg: built.append(build_scenario(cfg)) or built[-1])
     monkeypatch.setattr(simulate, "make_controller",
                         lambda *a: controllers.append(make_controller(*a)) or controllers[-1])
+    memo_token, tokens = OdePath.memo_token, []
+    monkeypatch.setattr(OdePath, "memo_token",
+                        lambda self, t, x: tokens.append(t) or memo_token(self, t, x))
     log = run_closed_loop(default_config("satellite", "pcbf"))
     assert len(log.t) == 701 and not log.truncated
+    assert len(tokens) == 701
     path = built[0][2]
     assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 11494)
     assert path.partial_steps < 11915  # the count with no evaluation reuse
-    memo = controllers[0].ctx.memo
-    assert (memo.h_hits, memo.h_misses) == (185580, 14871)
-    assert (memo.search_hits, memo.search_misses) == (420, 80)
-    assert (memo.evaluation_hits, memo.evaluation_misses) == (421, 283)
+    grid = controllers[0].ctx.memo
+    assert (grid.h_hits, grid.h_misses) == (185580, 14871)
+    assert (grid.search_hits, grid.search_misses) == (420, 80)
+    assert (grid.evaluation_hits, grid.evaluation_misses) == (421, 283)
+
+
+def test_pinned_satellite_run_without_carried_values(satellite_pcbf, monkeypatch):
+    """The pinned satellite pcbf run, 661 of whose 701 steps keep the
+    forecast, logs the same bits in every SimLog field but step_ms when no
+    scan is given the last grid."""
+    scan, dropped = barrier.scan, []
+    monkeypatch.setattr(barrier, "scan",
+                        lambda *args, prev: dropped.append(prev is not None) or scan(*args))
+    log = run_closed_loop(default_config("satellite", "pcbf"))
+    assert len(dropped) == 701 and sum(dropped) == 700
+
+    def logged(log):
+        return [v.tobytes() if isinstance(v, np.ndarray) else v
+                for f in dataclasses.fields(log) if f.name != "step_ms"
+                for v in [getattr(log, f.name)]]
+    assert logged(log) == logged(satellite_pcbf.log)
 
 
 def test_kepler_solve_failure_aborts_the_run(monkeypatch):
