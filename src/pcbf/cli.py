@@ -114,18 +114,21 @@ def write_csv(log: SimLog, path: Path) -> None:
               + ["h", "Hstar", "case", "feasible"]
               + [f"slack{i}" for i in range(n_slack)]
               + ["step_ms"])
+    # each column as Python floats once: they format as their numpy scalars do
+    t, x, u, mu = log.t.tolist(), log.x.tolist(), log.u.tolist(), log.mu.tolist()
+    h, h_star, step_ms = log.h.tolist(), log.h_star.tolist(), log.step_ms.tolist()
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(n):
             slack = list(log.slack[k]) + [0.0] * (n_slack - len(log.slack[k]))
-            row = ([_fmt(log.t[k])]
-                   + [_fmt(v) for v in log.x[k]]
-                   + [_fmt(v) for v in log.u[k]]
-                   + [_fmt(v) for v in log.mu[k]]
-                   + [_fmt(log.h[k]), _fmt(log.h_star[k]), log.case[k],
+            row = ([_fmt(t[k])]
+                   + [_fmt(v) for v in x[k]]
+                   + [_fmt(v) for v in u[k]]
+                   + [_fmt(v) for v in mu[k]]
+                   + [_fmt(h[k]), _fmt(h_star[k]), log.case[k],
                       str(int(log.feasible[k]))]
                    + [_fmt(v) for v in slack]
-                   + [_fmt(log.step_ms[k])])
+                   + [_fmt(step_ms[k])])
             fh.write(",".join(row) + "\n")
 
 

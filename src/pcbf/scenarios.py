@@ -87,8 +87,9 @@ class StraightLane:
         return z[..., None] * self._dir
 
     def tangent(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(self._dir, z.shape + (2,)).copy()
+        out = np.empty(np.shape(z) + (2,))
+        out[...] = self._dir
+        return out
 
 
 class LeftTurnLane:
@@ -103,32 +104,29 @@ class LeftTurnLane:
 
     def point(self, z):
         z = np.asarray(z, dtype=float)
-        theta = np.clip(z, 0.0, self._arc_len) / self.R
+        R, end = self.R, self._arc_len
+        # np.clip's operations without its wrapper; on the approach theta is
+        # 0, so -R + R cos(theta) is 0.0; a NaN z gives NaN in both columns
+        theta = np.minimum(np.maximum(z, 0.0), end) / R
         out = np.empty(z.shape + (2,))
-        # approach segment
-        out[..., 0] = 0.0
-        out[..., 1] = np.where(z <= 0, z, 0.0)
-        # arc around (-R, 0)
-        on_arc = (z > 0) & (z < self._arc_len)
-        out[..., 0] = np.where(on_arc, -self.R + self.R * np.cos(theta), out[..., 0])
-        out[..., 1] = np.where(on_arc, self.R * np.sin(theta), out[..., 1])
-        # exit segment
-        past = z >= self._arc_len
-        out[..., 0] = np.where(past, -self.R - (z - self._arc_len), out[..., 0])
-        out[..., 1] = np.where(past, self.R, out[..., 1])
+        out[..., 0] = np.where(z < end, -R + R * np.cos(theta), -R - (z - end))
+        out[..., 1] = np.where(z >= end, R, np.where(z > 0, R * np.sin(theta), z))
         return out
 
     def tangent(self, z):
         z = np.asarray(z, dtype=float)
-        theta = np.clip(z, 0.0, self._arc_len) / self.R
+        theta = np.minimum(np.maximum(z, 0.0), self._arc_len) / self.R
         out = np.empty(z.shape + (2,))
         out[..., 0] = np.where(z <= 0, 0.0, np.where(z >= self._arc_len, -1.0, -np.sin(theta)))
-        out[..., 1] = np.where(z <= 0, 1.0, np.where(z >= self._arc_len, 0.0, np.cos(theta)))
+        out[..., 1] = np.where(z >= self._arc_len, 0.0, np.cos(theta))
         return out
 
 
 class CarPairModel(DynamicsModel):
     """Two lane-following double integrators: zddot_i = u_i."""
+
+    _G = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    _G.flags.writeable = False
 
     def drift(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -138,9 +136,9 @@ class CarPairModel(DynamicsModel):
         return out
 
     def input_matrix(self, t, x):
-        x = np.asarray(x, dtype=float)
-        g = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        return np.broadcast_to(g, x.shape[:-1] + (4, 2))
+        if np.ndim(x) == 1:
+            return self._G
+        return np.broadcast_to(self._G, np.shape(x)[:-1] + (4, 2))
 
 
 class SeparationConstraint(ConstraintFunction):
@@ -157,12 +155,14 @@ class SeparationConstraint(ConstraintFunction):
         return self.lane1.point(x[..., 0]) - self.lane2.point(x[..., 2])
 
     def value(self, t, x):
-        d = np.linalg.norm(self._delta(x), axis=-1)
-        return self.rho - d
+        d = self._delta(x)
+        # np.linalg.norm's own sum for real input, without its wrapper
+        return self.rho - np.sqrt(np.add.reduce(d * d, axis=-1))
 
     def partials(self, t, x):
         delta = self._delta(x)
-        d = max(float(np.linalg.norm(delta)), 1e-12)
+        # np.linalg.norm of a vector is the square root of its dot product
+        d = max(math.sqrt(delta.dot(delta)), 1e-12)
         unit = delta / d
         g = np.zeros(4)
         g[0] = -float(unit @ self.lane1.tangent(np.asarray(x)[0]))
@@ -408,7 +408,8 @@ class DebrisSpline:
             (pos.transpose(2, 1, 0), np.broadcast_to(x[:-1], (1, 3, len(x) - 1)))))
         self._inner = self._breaks.tolist()
         self._starts = x[:-1].tolist()
-        self._segments = list(zip(pos.tolist(), vel.tolist()))
+        # state's table, (n - 1, 21): pos's 4 and vel's 3 coefficients per component
+        self._segments = np.concatenate((pos.reshape(-1, 12), vel.reshape(-1, 9)), axis=1)
 
     def __call__(self, t):
         """Positions at t, an array or a scalar, as (..., 3)."""
@@ -425,9 +426,9 @@ class DebrisSpline:
         s = t - self._starts[i]
         ss = s * s
         sss = ss * s
-        pos, vel = self._segments[i]
-        return ([((c3 + c2 * s) + c1 * ss) + c0 * sss for c0, c1, c2, c3 in pos],
-                [(d2 + d1 * s) + d0 * ss for d0, d1, d2 in vel])
+        c = self._segments[i].tolist()
+        return ([((c[k + 3] + c[k + 2] * s) + c[k + 1] * ss) + c[k] * sss for k in (0, 4, 8)],
+                [(c[k + 2] + c[k + 1] * s) + c[k] * ss for k in (12, 15, 18)])
 
 
 def _solve_tridiagonal(dl, d, du, columns):

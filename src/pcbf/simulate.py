@@ -116,14 +116,15 @@ class PcbfController:
 
     def step(self, t, x) -> StepDecision:
         ctx = self.ctx
-        h_now = float(ctx.h.value(t, np.asarray(x, dtype=float)))
         mu = np.asarray(ctx.path.nominal_control(t, x), dtype=float)
         try:
             val = eval_pcbf(t, x, ctx)
         except PropagationError as exc:
-            return StepDecision(u=mu, mu=mu, h=h_now, h_star=float("nan"),
-                                case="", feasible=False,
+            return StepDecision(u=mu, mu=mu, h=float(ctx.h.value(t, np.asarray(x, dtype=float))),
+                                h_star=float("nan"), case="", feasible=False,
                                 note=f"scan failed: {exc}")
+        # h(t, x): the grid's first sample is at tau = t, where the path is x
+        h_now = float(val.grid.h_values[0])
 
         notes = []
         first = val.maximizers.first

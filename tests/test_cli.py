@@ -3,7 +3,7 @@
 import csv
 import math
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +156,47 @@ def test_write_csv_round_trips_values(tmp_path, short_log):
     assert float(rows[k]["h"]) == short_log.h[k]
     assert float(rows[k]["Hstar"]) == short_log.h_star[k]
     assert rows[k]["case"] == short_log.case[k]
+
+
+def _parent_write_csv(log, path):
+    """write_csv as it was when it formatted each cell's numpy scalar
+    (oracle)."""
+    n, n_x = log.x.shape
+    n_u = log.u.shape[1]
+    n_slack = max(max((len(s) for s in log.slack), default=0), 1)
+    header = (["t"] + [f"x{i}" for i in range(n_x)] + [f"u{i}" for i in range(n_u)]
+              + [f"mu{i}" for i in range(n_u)] + ["h", "Hstar", "case", "feasible"]
+              + [f"slack{i}" for i in range(n_slack)] + ["step_ms"])
+    fmt = "{:.17g}".format
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(n):
+            slack = list(log.slack[k]) + [0.0] * (n_slack - len(log.slack[k]))
+            row = ([fmt(log.t[k])] + [fmt(v) for v in log.x[k]] + [fmt(v) for v in log.u[k]]
+                   + [fmt(v) for v in log.mu[k]]
+                   + [fmt(log.h[k]), fmt(log.h_star[k]), log.case[k], str(int(log.feasible[k]))]
+                   + [fmt(v) for v in slack] + [fmt(log.step_ms[k])])
+            fh.write(",".join(row) + "\n")
+
+
+def test_write_csv_matches_numpy_scalar_formatting(tmp_path, short_log):
+    """The same bytes as the per-cell oracle, on a log of signed zeros, the
+    smallest subnormal, NaN, infinities and 1e300 in every column."""
+    special = [-0.0, 5e-324, np.nan, np.inf, -np.inf, 1e300, 0.0, -1.5e-323]
+    cycle = [special[k:] + special[:k] for k in range(len(special))]
+    log = replace(short_log, t=np.array(special), x=np.array(cycle)[:, :4],
+                  u=np.array(cycle)[:, 4:6], mu=np.array(cycle)[:, 6:],
+                  h=np.array(special[::-1]), h_star=np.array(cycle)[:, 3],
+                  case=["I_interior", ""] * 4, feasible=np.arange(8) % 3 == 0,
+                  slack=[[], [np.float64(-0.0)], [1e300, np.nan], [-np.inf]] * 2,
+                  step_ms=np.array(cycle)[:, 5])
+    for name, each in (("special", log), ("short", short_log)):
+        write_csv(each, tmp_path / f"{name}.csv")
+        _parent_write_csv(each, tmp_path / f"{name}-parent.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}-parent.csv").read_bytes()
+    cells = set((tmp_path / "special.csv").read_text().replace("\n", ",").split(","))
+    assert {"-0", "4.9406564584124654e-324", "nan", "inf", "-inf", "1.0000000000000001e+300"} <= cells
 
 
 def test_summarize_fields(short_log):

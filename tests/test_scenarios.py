@@ -88,6 +88,126 @@ def test_separation_constraint_coincidence_and_bound():
     assert np.all(vals <= h.h_max + 1e-12)
 
 
+# The lane geometry, the separation value and the car input matrix in the
+# forms they had before their ufunc calls were trimmed, kept as oracles: the
+# lean forms must return their bits, apart from the left turn at NaN.
+
+def _parent_straight_tangent(lane, z):
+    z = np.asarray(z, dtype=float)
+    return np.broadcast_to(lane._dir, z.shape + (2,)).copy()
+
+
+def _parent_left_point(lane, z):
+    z = np.asarray(z, dtype=float)
+    theta = np.clip(z, 0.0, lane._arc_len) / lane.R
+    out = np.empty(z.shape + (2,))
+    out[..., 0] = 0.0
+    out[..., 1] = np.where(z <= 0, z, 0.0)
+    on_arc = (z > 0) & (z < lane._arc_len)
+    out[..., 0] = np.where(on_arc, -lane.R + lane.R * np.cos(theta), out[..., 0])
+    out[..., 1] = np.where(on_arc, lane.R * np.sin(theta), out[..., 1])
+    past = z >= lane._arc_len
+    out[..., 0] = np.where(past, -lane.R - (z - lane._arc_len), out[..., 0])
+    out[..., 1] = np.where(past, lane.R, out[..., 1])
+    return out
+
+
+def _parent_left_tangent(lane, z):
+    z = np.asarray(z, dtype=float)
+    theta = np.clip(z, 0.0, lane._arc_len) / lane.R
+    out = np.empty(z.shape + (2,))
+    out[..., 0] = np.where(z <= 0, 0.0, np.where(z >= lane._arc_len, -1.0, -np.sin(theta)))
+    out[..., 1] = np.where(z <= 0, 1.0, np.where(z >= lane._arc_len, 0.0, np.cos(theta)))
+    return out
+
+
+def _parent_separation_value(h, x):
+    return h.rho - np.linalg.norm(h._delta(x), axis=-1)
+
+
+def _parent_input_matrix(x):
+    x = np.asarray(x, dtype=float)
+    g = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    return np.broadcast_to(g, x.shape[:-1] + (4, 2))
+
+
+def _lane_probes(radius):
+    """Both joints of a left turn of this radius and their neighbours,
+    signed zeros, subnormals, and values far past both ends."""
+    arc = radius * math.pi / 2
+    joints = [0.0, -0.0, 5e-324, -5e-324, arc, 0.5 * arc]
+    joints += [np.nextafter(j, d) for j in (0.0, arc) for d in (-np.inf, np.inf)]
+    return joints + [-3.0, arc + 2.0, -1e300, 1e300, -np.inf, np.inf]
+
+
+_RADII = [0.1, 4.5, 1000.0]
+
+
+@pytest.mark.parametrize("radius", _RADII)
+@settings(deadline=None, max_examples=50)
+@given(drawn=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_lanes_match_parent_bit_for_bit(radius, drawn):
+    """point and tangent of both lanes on a batch and on each 0-d z."""
+    left, straight = LeftTurnLane(radius), StraightLane((3.0, -radius))
+    zs = np.array(_lane_probes(radius) + drawn)
+    for z in [zs, zs.reshape(2, -1) if zs.size % 2 == 0 else zs[None], *zs]:
+        z = np.asarray(z)
+        assert _same_bytes(left.point(z), _parent_left_point(left, z))
+        assert _same_bytes(left.tangent(z), _parent_left_tangent(left, z))
+        assert _same_bytes(straight.point(z), z[..., None] * straight._dir)
+        assert _same_bytes(straight.tangent(z), _parent_straight_tangent(straight, z))
+    assert _same_bytes(straight.tangent(2.0), _parent_straight_tangent(straight, 2.0))
+
+
+@pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
+@settings(deadline=None, max_examples=50)
+@given(drawn=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=40))
+def test_separation_value_matches_parent_bit_for_bit(scenario, drawn):
+    """value on a batch of states and on each alone, with the joints' probes
+    as positions of both cars."""
+    h = build_intersection(default_config(scenario))[1]
+    probes = _lane_probes(default_config(scenario).params["turn_radius"])
+    z = np.array(probes + drawn[:len(drawn) // 4 * 4])
+    xs = np.stack([z, np.ones_like(z), z[::-1], np.ones_like(z)], axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e300 squared
+        want = _parent_separation_value(h, xs)
+        assert _same_bytes(h.value(0.0, xs), want)
+        for x, w in zip(xs, want):
+            assert _same_bytes(h.value(0.0, x), w)
+
+
+def test_car_input_matrix_matches_parent():
+    """Bit for bit on a single state and on batches; the single state's
+    matrix is one read-only constant."""
+    model = CarPairModel()
+    for shape in [(4,), (3, 4), (2, 5, 4)]:
+        x = np.ones(shape)
+        g = model.input_matrix(0.0, x)
+        assert g.shape == shape[:-1] + (4, 2) and _same_bytes(g, _parent_input_matrix(x))
+        assert not g.flags.writeable
+    assert model.input_matrix(1.0, [0.0, 1.0, 2.0, 3.0]) is model.input_matrix(0.0, np.zeros(4))
+
+
+@pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
+def test_lanes_and_separation_at_nan(scenario):
+    """A NaN position gives a NaN point on either lane, and NaN in value and
+    partials; the left turn once gave the origin, so h read 1.0.  The left
+    turn's tangent there is NaN, and a straight lane's is its direction."""
+    h = build_intersection(default_config(scenario))[1]
+    lane = h.lane2
+    assert np.isnan(lane.point(np.nan)).all() and np.isnan(h.lane1.point(np.nan)).all()
+    assert np.isnan(lane.point(np.array([np.nan, 1.0]))).tolist() == [[True, True], [False, False]]
+    if isinstance(lane, LeftTurnLane):
+        assert np.isnan(lane.tangent(np.nan)).all()
+    else:
+        assert lane.tangent(np.nan).tolist() == [0.0, 1.0]
+    x = np.array([0.0, 1.0, np.nan, 1.0])
+    assert np.isnan(h.value(0.0, x))
+    assert np.isnan(h.value(0.0, np.array([x, [0.0, 1.0, 3.0, 1.0]]))).tolist() == [True, False]
+    dh_dt, g = h.partials(0.0, x)
+    assert dh_dt == 0.0 and np.isnan(g[[0, 2]]).all()
+
+
 @pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
 def test_separation_gradients_match_finite_difference(scenario):
     cfg = default_config(scenario)

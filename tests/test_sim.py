@@ -355,6 +355,37 @@ def test_pcbf_controller_step_fields(intersection_setup):
                         CASE_BOUNDARY_ROOT_SELF}
 
 
+@pytest.mark.parametrize("fixture", ["intersection_pcbf", "intersection_left_pcbf",
+                                     "satellite_pcbf"])
+def test_pcbf_step_h_is_h_value_at_the_state(fixture, request):
+    """Each step reads h(t, x) from its grid's first sample, at tau = t:
+    h.value(t, x) bit for bit at every logged state."""
+    log = request.getfixturevalue(fixture).log
+    h = build_scenario(log.cfg)[1]
+    want = [float(h.value(t, x)) for t, x in zip(log.t.tolist(), log.x)]
+    assert log.h.tobytes() == np.array(want).tobytes()
+
+
+def test_pcbf_step_when_the_scan_fails(intersection_setup, monkeypatch):
+    """A scan that raises PropagationError passes mu through, and still logs
+    h(t, x), from the constraint itself: there is no grid to read it from."""
+    cfg, model, h, path, mu_law, x0 = intersection_setup
+    ctx = make_context(cfg, h, path)
+    ctrl = PcbfController(ctx, make_compatible_alpha(ctx.margin, cfg.gamma))
+
+    def failing_scan(t, x, ctx):
+        raise PropagationError("non-finite state at tau=3.5")
+
+    monkeypatch.setattr(simulate, "eval_pcbf", failing_scan)
+    x = x0 + 0.25
+    dec = ctrl.step(0.5, x)
+    mu = path.nominal_control(0.5, x)
+    assert type(dec.h) is float and dec.h == float(h.value(0.5, x))
+    assert np.array_equal(dec.u, mu) and np.array_equal(dec.mu, mu)
+    assert np.isnan(dec.h_star) and dec.case == "" and not dec.feasible
+    assert dec.note == "scan failed: non-finite state at tau=3.5"
+
+
 def _full_step(ctrl, t, x):
     """Oracle for PcbfController.step: every row built (derivative_affine
     on each entry) and the QP solved, as the filter did before it tested
