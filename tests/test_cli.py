@@ -196,7 +196,8 @@ def test_write_csv_matches_numpy_scalar_formatting(tmp_path, short_log):
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / f"{name}-parent.csv").read_bytes()
     cells = set((tmp_path / "special.csv").read_text().replace("\n", ",").split(","))
-    assert {"-0", "4.9406564584124654e-324", "nan", "inf", "-inf", "1.0000000000000001e+300"} <= cells
+    assert {"-0", "4.9406564584124654e-324", "nan", "inf", "-inf",
+            "1.0000000000000001e+300"} <= cells
 
 
 def test_summarize_fields(short_log):
