@@ -57,7 +57,13 @@ class PcbfContext:
 
 @dataclass
 class PcbfValue:
-    """Barrier value with the maximizer structure it was built from."""
+    """Barrier value with the maximizer structure it was built from.
+
+    h_vector holds one score per maximizer entry, in the entries' order,
+    which is by tau.  h_star is the earliest maximizer's score, h_vector[0],
+    not the largest one; the controller gives that maximizer
+    (maximizers.first) the hard row and the others slacked rows.
+    """
 
     h_star: float
     h_vector: list[float]

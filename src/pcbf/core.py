@@ -48,6 +48,15 @@ class DynamicsModel:
     def input_matrix(self, t, x):
         raise NotImplementedError
 
+    def field(self, t, x, u):
+        """f + g u at (t, x) for an ndarray u, broadcasting over leading batch
+        axes of x and u.  Where u is all zero g is not formed, and the field
+        is drift's own array."""
+        f = self.drift(t, x)
+        if u.any():
+            return f + np.matmul(self.input_matrix(t, x), u[..., None])[..., 0]
+        return f
+
 
 class ConstraintFunction:
     """Scalar constraint h(t,x); the safe set is {x | h(t,x) <= 0}.

@@ -164,12 +164,7 @@ class OdePath:
     def field(self, t, x):
         """Closed-loop field, broadcasting over leading batch axes of x; the
         nominal law mu returns an ndarray."""
-        u = self.mu(t, x)
-        f = self.model.drift(t, x)
-        if u.any():
-            g = self.model.input_matrix(t, x)
-            return f + np.einsum("...ij,...j->...i", g, u)
-        return f
+        return self.model.field(t, x, self.mu(t, x))
 
     def _forecast(self, t, x):
         """Make the held forecast the one from (t, x), keeping what it shares

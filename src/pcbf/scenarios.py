@@ -46,7 +46,6 @@ _INTERSECTION_PARAMS = {
     "dz1_0": 1.0,
     "z2_0": -11.5,
     "dz2_0": 1.0,
-    "turn_radius": 4.5,  # lane half-width 1.5 times 3
 }
 
 _SATELLITE_PARAMS = {
@@ -58,6 +57,12 @@ _SATELLITE_PARAMS = {
     "rho": 1.0,              # km
 }
 
+# the parameters each scenario reads: only the left turn's lane has an arc,
+# its radius 3 times the lane half-width of 1.5
+_PARAMS = {"intersection_cross": _INTERSECTION_PARAMS,
+           "intersection_left_turn": dict(_INTERSECTION_PARAMS, turn_radius=4.5),
+           "satellite": _SATELLITE_PARAMS}
+
 
 def default_config(scenario: str, controller: str = "pcbf") -> ScenarioConfig:
     if scenario not in SCENARIOS:
@@ -67,9 +72,9 @@ def default_config(scenario: str, controller: str = "pcbf") -> ScenarioConfig:
     if scenario.startswith("intersection"):
         return ScenarioConfig(scenario, controller, T=10.0, N=200, duration=30.0, step=0.05,
                               gamma=4.0, ecbf_k1=2.0, ecbf_k2=0.05,
-                              params=dict(_INTERSECTION_PARAMS))
+                              params=dict(_PARAMS[scenario]))
     return ScenarioConfig(scenario, controller, T=250.0, N=250, duration=700.0, step=1.0,
-                          gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, params=dict(_SATELLITE_PARAMS))
+                          gamma=2.0, ecbf_k1=0.2, ecbf_k2=0.01, params=dict(_PARAMS[scenario]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,7 @@ def _check_positive(p, *keys):
 
 
 def build_intersection(cfg: ScenarioConfig):
-    """Returns (model, constraint, path, nominal control law)."""
+    """Returns (model, constraint, path); the path carries the nominal law."""
     p = cfg.params
     _check_positive(p, "rho", "k")
     k, v1, v2 = p["k"], p["v1"], p["v2"]
@@ -190,7 +195,7 @@ def build_intersection(cfg: ScenarioConfig):
     model = CarPairModel()
     h = SeparationConstraint(StraightLane((1.0, 0.0)), lane2, p["rho"])
     path = AnalyticCarPath(k=k, v=np.array([v1, v2]))
-    return model, h, path, path.nominal_control
+    return model, h, path
 
 
 def intersection_initial_state(cfg: ScenarioConfig) -> np.ndarray:
@@ -540,7 +545,7 @@ def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
 
 
 def build_satellite(cfg: ScenarioConfig):
-    """Returns (model, constraint, path, nominal control law).
+    """Returns (model, constraint, path); the path carries the nominal law.
 
     The debris trajectory is propagated once over the mission window and
     cubic-interpolated at 1 s knots.  The zero-control path must actually
@@ -562,7 +567,7 @@ def build_satellite(cfg: ScenarioConfig):
             f"configured orbits do not conjunct: zero-control max h = {max_h:.3f} "
             f"<= 0.5 rho"
         )
-    return model, h, path, _zero_thrust
+    return model, h, path
 
 
 def zero_control_max_h(cfg: ScenarioConfig, h, path) -> float:

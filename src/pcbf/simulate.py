@@ -251,19 +251,19 @@ class SimLog:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """(model, constraint, path, nominal law, initial state) for a config."""
+    """(model, constraint, path, path.nominal_control, initial state) for a config."""
     if cfg.scenario.startswith("intersection"):
-        model, h, path, mu_law = build_intersection(cfg)
+        model, h, path = build_intersection(cfg)
         x0 = intersection_initial_state(cfg)
     elif cfg.scenario == "satellite":
-        model, h, path, mu_law = build_satellite(cfg)
+        model, h, path = build_satellite(cfg)
         x0 = satellite_initial_state(cfg)
     else:
         raise ConfigurationError(f"unknown scenario {cfg.scenario!r}")
     h0 = float(h.value(0.0, x0))
     if not h0 <= 0.0:  # NaN included
         raise ConfigurationError(f"the initial state must be safe, h(0, x0) <= 0, got {h0}")
-    return model, h, path, mu_law, x0
+    return model, h, path, path.nominal_control, x0
 
 
 def make_context(cfg: ScenarioConfig, h, path) -> PcbfContext:
@@ -314,8 +314,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> SimLog:
 
         if k == n_steps:
             break
-        x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
-                t, x, cfg.step)
+        x = rk4(lambda tq, y: model.field(tq, y, dec.u), t, x, cfg.step)
         if not np.all(np.isfinite(x)):
             stop_note = f"t={t + cfg.step}: non-finite state, run truncated"
             break

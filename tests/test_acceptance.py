@@ -9,8 +9,10 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from pcbf.barrier import derivative_affine, eval_pcbf
+from pcbf.cli import summarize
 from pcbf.core import make_default_margin
 from pcbf.paths import OdePath
 from pcbf.qp import solve_min_deviation
@@ -311,3 +313,51 @@ def test_flow_map_contracts():
 
     ok = all(c[1] for c in checks)
     _report("flow map contracts", ok, "; ".join(c[0] for c in checks))
+
+
+# -- 11. the abstract's first two claims hold on drawn conflicting scenarios -
+
+# Draws from the fuzz's parameter ranges at full duration, numpy
+# default_rng(7): 20 car-pair draws (the scenario, then z1_0, offset, v1, v2,
+# dz1_0, dz2_0, k and turn_radius, with z2_0 = z1_0 v2 / v1 + offset), then 12
+# satellite draws (phase_offset, conjunction_time, T, N, inclination_deg,
+# radius).  Kept are the conflicting ones, whose uncontrolled run is unsafe,
+# that start with H*(0) <= 0; these are the first two of each family, their
+# ids the draw's index within it.  No kept draw of the 32 broke either claim.
+_CLAIM_DRAWS = [
+    ("intersection_left_turn", {}, dict(
+        z1_0=-10.320650471562793, z2_0=-10.711119963483295, dz1_0=0.8901526117652931,
+        dz2_0=1.0090965179159066, v1=0.91763841815116, v2=0.8823043814811868,
+        k=2.7898118927687374, turn_radius=9.95725269262673)),
+    ("intersection_left_turn", {}, dict(
+        z1_0=-6.598311828416104, z2_0=-7.2714894780346, dz1_0=1.1893697409765571,
+        dz2_0=1.3185500132181265, v1=1.405668537975298, v2=1.2187947423344372,
+        k=1.567964479899916, turn_radius=9.63283302499634)),
+    ("satellite", dict(T=227.04523677994263, N=72), dict(
+        phase_offset=-4.099195792665009e-06, conjunction_time=290.7858889635326,
+        inclination_deg=18.66115854189238, radius=7176.123552897165)),
+    ("satellite", dict(T=245.997849800413, N=96), dict(
+        phase_offset=3.168361061261624e-05, conjunction_time=375.9259136727561,
+        inclination_deg=25.84869335353122, radius=7878.696806143464)),
+]
+
+
+@pytest.mark.parametrize("scenario, top, params", _CLAIM_DRAWS,
+                         ids=["left_turn_1", "left_turn_19", "satellite_0", "satellite_1"])
+def test_pcbf_deviates_less_and_pushes_less_than_ecbf(scenario, top, params):
+    """Less modification of the nominal input, and a smaller peak input,
+    than the reactive CBF, on drawn conflicting scenarios."""
+    runs = {}
+    for controller in ("none", "pcbf", "ecbf"):
+        cfg = default_config(scenario, controller)
+        for key, value in top.items():
+            setattr(cfg, key, value)
+        cfg.params.update(params)
+        runs[controller] = run_closed_loop(cfg)
+    none, pcbf, ecbf = (summarize(runs[c]) for c in ("none", "pcbf", "ecbf"))
+    assert not none["safe"] and runs["pcbf"].initial_h_star <= 0 and pcbf["safe"]
+    _report("pcbf deviates less than ecbf", pcbf["total_deviation"] < ecbf["total_deviation"],
+            f"total deviation {pcbf['total_deviation']:.4g} against {ecbf['total_deviation']:.4g}")
+    _report("pcbf's peak input is below ecbf's",
+            pcbf["max_control_norm"] < ecbf["max_control_norm"],
+            f"peak |u| {pcbf['max_control_norm']:.4g} against {ecbf['max_control_norm']:.4g}")

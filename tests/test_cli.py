@@ -125,8 +125,15 @@ def test_schema_doc_lists_exactly_the_config_keys():
     """One row per top-level key and per scenario parameter, no more."""
     top, intersection, satellite = _schema_tables()
     assert top == [f.name for f in fields(ScenarioConfig) if f.name != "params"]
-    for name in ("intersection_cross", "intersection_left_turn"):
-        assert sorted(intersection) == sorted(f"params.{k}" for k in default_config(name).params)
+    left, cross = ([f"params.{k}" for k in default_config(name).params]
+                   for name in ("intersection_left_turn", "intersection_cross"))
+    assert sorted(intersection) == sorted(left)
+    # the crossing has every intersection row but the one marked for the left turn only
+    assert sorted(cross) == sorted(set(left) - {"params.turn_radius"})
+    doc = Path(__file__).resolve().parent.parent / "docs" / "config_schema.md"
+    row, = [line for line in doc.read_text().splitlines()
+            if line.startswith("| `params.turn_radius`")]
+    assert row.endswith("(left-turn variant only) |")
     assert sorted(satellite) == sorted(f"params.{k}" for k in default_config("satellite").params)
 
 
@@ -275,7 +282,8 @@ _BAD_VALUES = [("intersection_cross", key, value) for key, value in [
     ("refine_tol", "0"), ("step", "0"), ("step", "-0.05"), ("duration", "-1"),
     ("duration", "nan"), ("T", "inf"), ("gamma", "nan"), ("root_tol", "-1"),
     ("params.k", "inf"), ("params.k", "0"), ("params.k", "-1"), ("params.rho", "-inf"),
-    ("params.rho", "-1"), ("step", "1e-300"), ("step", "1e-320"), ("N", "100000000")]] + [
+    ("params.rho", "-1"), ("step", "1e-300"), ("step", "1e-320"), ("N", "100000000"),
+    ("params.turn_radius", "-5.0")]] + [
     ("intersection_left_turn", "params.turn_radius", "0")] + [
     ("satellite", key, value) for key, value in [
         ("step", "1e-300"),

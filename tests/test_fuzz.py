@@ -82,7 +82,9 @@ def test_intersection_closed_loop(scenario, z1_0, offset, v1, v2, dz1_0, dz2_0, 
     cfg = default_config(scenario, "pcbf")
     cfg.duration = 20.0
     cfg.params.update(z1_0=z1_0, z2_0=z1_0 * v2 / v1 + offset, dz1_0=dz1_0, dz2_0=dz2_0,
-                      v1=v1, v2=v2, k=k, turn_radius=turn_radius)
+                      v1=v1, v2=v2, k=k)
+    if scenario == "intersection_left_turn":
+        cfg.params.update(turn_radius=turn_radius)
     _check_closed_loop(cfg)
 
 

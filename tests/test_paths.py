@@ -653,10 +653,10 @@ class TestFloatKnotChain:
         reference = OdePath(model, scenarios._zero_thrust, step=1.0)
         assert np.array_equal(debris, reference.evaluate_many(knots, 0.0, debris0)[:, :3])
 
-        _, _, path_one, _ = scenarios.build_satellite(cfg)
+        _, _, path_one = scenarios.build_satellite(cfg)
         monkeypatch.setattr(scenarios, "OdePath",
                             lambda *a, step_one=None, **kw: OdePath(*a, **kw))
-        _, _, path_arr, _ = scenarios.build_satellite(cfg)
+        _, _, path_arr = scenarios.build_satellite(cfg)
         assert path_one._step_one is not None and path_arr._step_one is None
         x0 = satellite_initial_state(cfg)
         taus = np.arange(0.0, cfg.duration + cfg.step, 0.7)

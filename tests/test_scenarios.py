@@ -166,7 +166,7 @@ def test_separation_value_matches_parent_bit_for_bit(scenario, drawn):
     """value on a batch of states and on each alone, with the joints' probes
     as positions of both cars."""
     h = build_intersection(default_config(scenario))[1]
-    probes = _lane_probes(default_config(scenario).params["turn_radius"])
+    probes = _lane_probes(default_config("intersection_left_turn").params["turn_radius"])
     z = np.array(probes + drawn)
     xs = np.stack([z, np.ones_like(z), z[::-1], np.ones_like(z)], axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e300 squared
@@ -211,7 +211,7 @@ def test_lanes_and_separation_at_nan(scenario):
 @pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
 def test_separation_gradients_match_finite_difference(scenario):
     cfg = default_config(scenario)
-    model, h, path, mu_law = build_intersection(cfg)
+    model, h, path = build_intersection(cfg)
     rng = np.random.default_rng(1)
     for _ in range(1000):
         x = np.concatenate([rng.uniform(-15, 15, 1), rng.uniform(-2, 2, 1),

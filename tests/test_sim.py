@@ -29,7 +29,7 @@ from pcbf.core import (
 from pcbf.horizon import MaximizerEntry
 from pcbf.paths import OdePath
 from pcbf.qp import AffineConstraint, build_cbf_constraint, solve_min_deviation
-from pcbf.scenarios import CarPairModel, default_config
+from pcbf.scenarios import CarPairModel, TwoBodyModel, default_config
 from pcbf.simulate import (
     SLACK_WEIGHT,
     EcbfController,
@@ -105,13 +105,63 @@ def test_rk4_plant_matches_double_integrator():
     u = np.array([0.5, -0.25])
     dt = 0.1
     # the plant step: one RK4 step of the field under the held input
-    got = rk4(lambda t, y: model.drift(t, y) + model.input_matrix(t, y) @ u, 0.0, x, dt)
+    got = rk4(lambda t, y: model.field(t, y, u), 0.0, x, dt)
     # constant acceleration: exact for a polynomial of degree two
     exact = np.array([x[0] + x[1] * dt + 0.5 * u[0] * dt * dt,
                       x[1] + u[0] * dt,
                       x[2] + x[3] * dt + 0.5 * u[1] * dt * dt,
                       x[3] + u[1] * dt])
     assert np.allclose(got, exact, atol=1e-14)
+
+
+@pytest.mark.parametrize("model, n", [(CarPairModel(), 4), (TwoBodyModel(398600.4418), 6)],
+                         ids=["car_pair", "two_body"])
+def test_model_field_is_drift_plus_input_matrix_times_u(model, n, monkeypatch):
+    """field(t, x, 0) is drift's array and forms no input matrix; with a
+    nonzero u it has the bytes of drift + g u as the plant and the path each
+    formed it, for single states and batches."""
+    rng = np.random.default_rng(3)
+    m = model.input_matrix(0.0, np.ones(n)).shape[1]
+    calls, orig = [], model.input_matrix
+    monkeypatch.setattr(model, "input_matrix", lambda t, x: calls.append(t) or orig(t, x))
+    for shape in [(), (1,), (15,), (3, 5)]:
+        x = rng.uniform(-8000.0, 8000.0, shape + (n,))
+        x[..., -1] = -0.0  # a -0.0 in drift, which adding a zero g u would turn to 0.0
+        t = rng.uniform(0.0, 700.0, shape)
+        assert model.field(t, x, np.zeros(shape + (m,))).tobytes() == model.drift(t, x).tobytes()
+        assert not calls
+        u = rng.normal(size=shape + (m,))
+        g = model.input_matrix(t, x)
+        want = (model.drift(t, x) + g @ u if shape == () else
+                model.drift(t, x) + np.einsum("...ij,...j->...i", g, u))
+        assert model.field(t, x, u).tobytes() == want.tobytes()
+        calls.clear()
+
+
+def test_coasting_plant_step_is_the_fused_coast_step():
+    """A plant step under zero thrust is the drift's RK4 step, which the
+    forecast's float knot chain takes: a plant that follows the forecast
+    lands on a knot's bytes.  States lie near the pinned orbit, all round it."""
+    p = default_config("satellite").params
+    model = TwoBodyModel(p["mu_grav"])
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        t = float(rng.integers(0, 700))
+        x = scenarios._circular_state(p["radius"], p["mu_grav"], 0.0, rng.uniform(0.0, 2 * np.pi))
+        x *= 1.0 + rng.normal(scale=1e-3, size=6)
+        step = rk4(lambda tq, y: model.field(tq, y, np.zeros(3)), t, x, 1.0)
+        assert step.tobytes() == np.array(model.coast_step(t, x.tolist(), 1.0)).tobytes()
+
+
+def test_uncontrolled_satellite_run_forms_one_input_matrix(monkeypatch):
+    """The uncontrolled run's plant and forecast both coast, so the only
+    input matrix is the one that sizes the log's input columns."""
+    calls = []
+    orig = TwoBodyModel.input_matrix
+    monkeypatch.setattr(TwoBodyModel, "input_matrix",
+                        lambda self, t, x: calls.append(t) or orig(self, t, x))
+    log = run_closed_loop(default_config("satellite", "none"))
+    assert len(log.t) == 701 and len(calls) == 1
 
 
 class _ConstantConstraint(ConstraintFunction):
@@ -513,8 +563,7 @@ def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monke
         dec = ctrl.step(t, x)
         assert dec.feasible and not dec.active
         assert path.knot_steps - before == (round(cfg.T / cfg.step) if k == 0 else 1)
-        x = rk4(lambda tq, y: model.drift(tq, y) + model.input_matrix(tq, y) @ dec.u,
-                t, x, cfg.step)
+        x = rk4(lambda tq, y: model.field(tq, y, dec.u), t, x, cfg.step)
     assert not sensitivity_calls
 
 
