@@ -3,9 +3,16 @@
 A dense grid over [t, t+T] locates candidate local maximizers of
 h(tau, p(tau; t, x)); golden-section search refines interior candidates and
 bisection finds the last upcrossing zero preceding each unsafe maximizer.
-Each search evaluates a missing probe in one batch with every probe its next
-_LOOKAHEAD steps could ask for, either way each comparison goes.  Batching
-keeps each value's bits, so both return what one probe per step returns.
+Each search evaluates a missing probe in one batch with the probes it may
+ask for next: every probe of its next _LOOKAHEAD steps, either way each
+comparison goes, and the path it would take over its next _WALK steps if h
+followed a model of the values it holds, with the other outcome's probe at
+each of those steps.  The model is the parabola through the best held value
+and its two neighbours for golden section (seeded by the grid samples around
+the peak) and the regula-falsi line of the bracket for bisection (Press et
+al., Numerical Recipes, 3rd ed., sections 10.3 and 9.2).  Batching keeps
+each value's bits, so both return what one probe per step returns; a wrong
+prediction costs a batch, never a bit.
 
 Each HorizonGrid keeps what is looked up along its own path state: h by
 tau, the evaluations at path states by tau, and each search's result by its
@@ -19,6 +26,7 @@ returns, and a grid that outlives its forecast still holds only its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +39,8 @@ REFINE_TOL = 1e-6       # golden section: final bracket width, s
 ROOT_TOL = 1e-9         # bisection: |h| at which a midpoint is the root
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
 _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
-_LOOKAHEAD = 4          # search steps evaluated ahead per batch (<= 15 probes)
+_LOOKAHEAD = 4          # search steps, both outcomes each, per batch (<= 15 probes)
+_WALK = 32              # search steps along the predicted path per batch
 # scan: N bound, 400x the pinned 250; memory grows with N.  One pcbf step at
 # 1e5 took 0.03 s, 40 MB peak RSS on intersection_cross (t = 10.1) and 0.32 s,
 # 98 MB on the two-level satellite (t = 411), on a 2-vCPU host.
@@ -48,8 +57,8 @@ class PathEvaluation:
     dh_dtau: float
 
 
-_COUNTERS = ("h_hits", "h_misses", "search_hits", "search_misses",
-             "evaluation_hits", "evaluation_misses")
+_COUNTERS = ("h_hits", "h_misses", "search_hits", "search_misses", "search_batches",
+             "search_probes", "evaluation_hits", "evaluation_misses")
 
 
 class HorizonGrid:
@@ -67,8 +76,9 @@ class HorizonGrid:
     at or after t when both share a token that is not None, and with none
     otherwise.  Plain integer work counters, carried on from prev: h_hits
     and h_misses per tau looked up in the table, search_hits and
-    search_misses per search, and evaluation_hits and evaluation_misses
-    per evaluation at a path state.
+    search_misses per search, search_batches and search_probes per h batch
+    and probe that a missed search evaluates, and evaluation_hits and
+    evaluation_misses per evaluation at a path state.
     """
 
     def __init__(self, t, x, taus, h_values, path: Path, h, token=None, prev=None):
@@ -102,14 +112,20 @@ class HorizonGrid:
         return values
 
     def searched(self, search, *inputs):
-        """search(self.h_many, *inputs), kept by its inputs."""
+        """search(h, *inputs), kept by its inputs, where h is h_many counted
+        per batch and probe."""
         key = (search, *inputs)
         if key in self.searches:
             self.search_hits += 1
             return self.searches[key]
         self.search_misses += 1
-        result = self.searches[key] = search(self.h_many, *inputs)
+        result = self.searches[key] = search(self._search_batch, *inputs)
         return result
+
+    def _search_batch(self, taus):
+        self.search_batches += 1
+        self.search_probes += len(taus)
+        return self.h_many(taus)
 
     def evaluation(self, tau: float, state=None) -> PathEvaluation:
         """The field, grad_x h and dh/dtau at the path state at tau, kept by
@@ -194,24 +210,57 @@ def scan(path, h, t, x, T, N, prev=None):
     return grid
 
 
-def _batched(h_many, tree):
-    """h through a dict of the search's probes; a miss evaluates tree(*state),
-    the probes due next."""
+def _batched(h_many, prefetch):
+    """h through a dict of the search's probes; a miss evaluates the probes
+    that prefetch(memo, *state) lists and the dict lacks."""
     memo = {}
 
     def f(tau, *state):
         if tau not in memo:
-            taus = tree(*state)
+            taus = [p for p in prefetch(memo, *state) if p not in memo]
             memo.update(zip(taus, h_many(taus).tolist()))
         return memo[tau]
     return f
 
 
-def _golden_max(h_many, lo, hi, tol):
-    """Golden-section maximization of h on [lo, hi] to an interval of width tol."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+def _parabola(held, lo, hi):
+    """h as the parabola through the best of held, a dict of h by tau, and
+    its two neighbours in tau (the nearest three where the best is an end):
+    a function that ranks taus by their distance from the parabola's
+    maximizer on [lo, hi], or from the end it rises to from the best where
+    it has no maximum; None where it is not finite."""
+    taus = sorted(held)
+    if len(taus) < 3:
+        return None
+    best = max(taus, key=held.get)  # the first, as ties keep the left part
+    i = min(max(taus.index(best), 1), len(taus) - 2)
+    x0, x1, x2 = taus[i - 1:i + 2]
+    s01, s12 = (held[x1] - held[x0]) / (x1 - x0), (held[x2] - held[x1]) / (x2 - x1)
+    curvature = (s12 - s01) / (x2 - x0)
+    if not math.isfinite(curvature):
+        return None
+    if curvature < 0:
+        top = min(max(0.5 * (x0 + x1) - 0.5 * s01 / curvature, lo), hi)
+    else:
+        top = hi if s01 + (2.0 * best - x0 - x1) * curvature > 0 else lo
+    return lambda tau: -abs(tau - top)
 
-    def tree(a, b, c, d, pending, depth=_LOOKAHEAD):
+
+def _secant(lo, hi, flo, fhi):
+    """h as the line through (lo, flo) and (hi, fhi), whose root is the
+    regula-falsi root, or None where its slope is zero or not finite."""
+    slope = (fhi - flo) / (hi - lo) if hi != lo else 0.0
+    return (lambda tau: flo + slope * (tau - lo)) if slope and math.isfinite(slope) else None
+
+
+def _golden_max(h_many, lo, hi, tol, samples=()):
+    """Golden-section maximization of h on [lo, hi] to an interval of width
+    tol.  samples, (tau, h) pairs such as the grid's around the peak, join
+    the search's own probes in the prefetch's model."""
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def tree(a, b, c, d, pending, depth):
         # pending probes, then both outcomes of each comparison that follows
         out, depth = list(pending), depth - len(pending)
         if depth and b - a > tol:
@@ -221,7 +270,24 @@ def _golden_max(h_many, lo, hi, tol):
             out.append(0.5 * (a + b))
         return out
 
-    f = _batched(h_many, tree)
+    def prefetch(memo, a, b, c, d, pending, depth=_LOOKAHEAD):
+        # the tree, then the predicted path past its skip levels with both
+        # outcomes' probes; the final probe alone (skip 0) has no step to predict
+        out, skip = tree(a, b, c, d, pending, depth), depth - len(pending)
+        model = _parabola({**dict(samples), **memo}, lo, hi) if skip else None
+        for k in range(_WALK if model else 0):
+            if not b - a > tol:
+                out += (0.5 * (a + b),) if k >= skip else ()
+                break
+            c2, d2 = d - invphi * (d - a), c + invphi * (b - c)
+            out += (c2, d2) if k >= skip else ()
+            if model(c) >= model(d):
+                b, d, c = d, c, c2
+            else:
+                a, c, d = c, d, d2
+        return out
+
+    f = _batched(h_many, prefetch)
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -272,7 +338,8 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
         end = j
         while end + 1 < K and abs(hv[end + 1] - hv[j]) <= tol_j:
             end += 1
-        tau_r, h_r = grid.searched(_golden_max, taus[j - 1], taus[j + 1], refine_tol)
+        samples = tuple(zip(taus[j - 1:j + 2].tolist(), hv[j - 1:j + 2].tolist()))
+        tau_r, h_r = grid.searched(_golden_max, taus[j - 1], taus[j + 1], refine_tol, samples)
         candidates.append((tau_r, h_r, False, False))
     if hv[K] >= hv[K - 1]:
         candidates.append((tend, float(hv[K]), False, True))
@@ -318,23 +385,40 @@ def find_root_before(grid: HorizonGrid, tau: float, h_tau: float,
 
 def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
     """Bisection on [lo, hi] with flo = h(lo) < 0 <= h(hi) = fhi, to |h| <= root_tol."""
+    lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
+
     def tree(lo, hi, depth=_LOOKAHEAD):
         # the midpoint, then those of both halves it may keep
         mid = 0.5 * (lo + hi)
         return [mid] + (tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1) if depth > 1 else [])
 
-    f = _batched(h_many, tree)
+    def prefetch(memo, lo, hi, flo, fhi):
+        # the tree, then the predicted path past its levels with both halves'
+        # midpoints
+        out, model = tree(lo, hi), _secant(lo, hi, flo, fhi)
+        for k in range(_WALK if model else 0):
+            mid = 0.5 * (lo + hi)
+            if (hi - lo) < 1e-15 * max(1.0, abs(mid)):
+                break
+            out += (0.5 * (lo + mid), 0.5 * (mid + hi)) if k >= _LOOKAHEAD - 1 else ()
+            fm = model(mid)
+            if abs(fm) <= root_tol:
+                break
+            lo, hi = (mid, hi) if fm < 0 else (lo, mid)
+        return out
+
+    f = _batched(h_many, prefetch)
     if abs(fhi) <= root_tol:
         return hi
     if abs(flo) <= root_tol:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid, lo, hi)
+        fm = f(mid, lo, hi, flo, fhi)
         if abs(fm) <= root_tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fm < 0:
-            lo = mid
+            lo, flo = mid, fm
         else:
-            hi = mid
+            hi, fhi = mid, fm
     return 0.5 * (lo + hi)

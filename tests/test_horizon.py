@@ -384,7 +384,8 @@ def _batches(func):
 
 
 def _assert_batching(sizes, sequential):
-    assert all(n <= 15 for n in sizes)
+    # the depth-_LOOKAHEAD tree and two probes per step of the predicted path
+    assert all(n <= 2 ** horizon._LOOKAHEAD - 1 + 2 * horizon._WALK for n in sizes)
     assert len(sizes) <= math.ceil(sequential / 4) + 1
 
 
@@ -446,6 +447,69 @@ def test_bisect_root_width_stop():
     func = lambda t: np.sin(t) - 0.3
     eta = _bisect_matches(func, 0.0, 1.0, 0.0)
     assert func(np.array([eta]))[0] != 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(["quadratic", "sine"]), lo=st.floats(-5.0, 5.0),
+       width=st.floats(1e-3, 0.1), shift=st.floats(-1.0, 1.0),
+       tol_frac=st.floats(1e-6, 0.5), seeded=st.booleans())
+def test_golden_max_on_smooth_h_takes_three_batches(shape, lo, width, shift, tol_frac, seeded):
+    """Where h is smooth on the scale of the bracket, here at most two grid
+    steps of the pinned intersections wide, and the tolerance is above its
+    rounding, the parabola predicts the path so far that a search takes at
+    most three batches, seeded by samples at the bracket's ends and middle
+    or not."""
+    func = lambda t: _SHAPES[shape](t, lo + shift * width)
+    hi = lo + width
+    samples = tuple((t, float(func(np.array([t]))[0])) for t in (lo, 0.5 * (lo + hi), hi))
+    f, _ = _alone(func)
+    h_many, sizes = _batches(func)
+    got = _golden_max(h_many, lo, hi, tol_frac * width, *([samples] if seeded else []))
+    assert got == _sequential_golden(f, lo, hi, tol_frac * width)
+    assert len(sizes) <= 3
+
+
+_UPCROSSINGS = {  # h(t, s) and an upcrossing root, with h rising within 0.25 of it
+    "quadratic": (lambda t, s: 1.0 - (t - s) ** 2, lambda s: s - 1.0),
+    "sine": (_SHAPES["sine"], lambda s: (math.asin(-0.2 * s) - s) / 3.0),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(sorted(_UPCROSSINGS)), s=st.floats(-1.0, 1.0),
+       left=st.floats(1e-3, 0.025), right=st.floats(1e-3, 0.025),
+       root_tol=st.sampled_from([1e-12, 1e-9, 1e-4]))
+def test_bisect_root_on_smooth_h_takes_three_batches(shape, s, left, right, root_tol):
+    """Bisection of a bracket at most one grid step of the pinned
+    intersections wide around an upcrossing of smooth h, to a root
+    tolerance above the rounding of h, takes at most three batches."""
+    h, root = _UPCROSSINGS[shape]
+    func = lambda t: h(t, s)
+    lo, hi = root(s) - left, root(s) + right
+    flo, fhi = (float(func(np.array([v]))[0]) for v in (lo, hi))
+    assert flo < 0 <= fhi
+    f, _ = _alone(func)
+    h_many, sizes = _batches(func)
+    assert _bisect_root(h_many, lo, hi, flo, fhi, root_tol) == _sequential_bisect(
+        f, lo, hi, root_tol)
+    assert len(sizes) <= 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)), lo=st.floats(-5.0, 5.0),
+       width=st.floats(1e-6, 5.0), shift=st.floats(-1.0, 1.0),
+       tol_frac=st.floats(1e-9, 2.0), root_tol=st.sampled_from([0.0, 1e-9, 1e-4]))
+def test_wrong_predictions_cost_batches_not_bits(shape, lo, width, shift, tol_frac, root_tol):
+    """Models that predict every comparison wrong, -h itself, leave each
+    search the sequential search's result, within the count bound that the
+    lookahead tree in every batch keeps."""
+    func = lambda t: _SHAPES[shape](t, lo + shift * width)
+    wrong = lambda *fit: (lambda tau: -float(func(np.array([tau]))[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(horizon, "_parabola", wrong)
+        mp.setattr(horizon, "_secant", wrong)
+        _golden_matches(func, lo, lo + width, tol_frac * width)
+        _bisect_matches(func, lo, lo + width, root_tol)
 
 
 # -- one-pass peak detection against the sequential scan ----------------------
@@ -524,9 +588,9 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
     brackets = {"one_pass": [], "sequential": []}
 
     def recording(key):
-        def golden(h_many, lo, hi, tol):
+        def golden(h_many, lo, hi, tol, *samples):
             brackets[key].append((lo, hi))
-            return _golden_max(h_many, lo, hi, tol)
+            return _golden_max(h_many, lo, hi, tol, *samples)
         return golden
 
     want = _sequential_find_maximizers(grid, 1e-6, 1e-9, recording("sequential"))

@@ -574,14 +574,18 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     intervention follow; 250 for a fresh horizon after each of the 40
     intervening steps; one for each other step that follows the forecast.
     It starts 41 forecasts afresh (the build's, and one after each
-    intervening step) and steps 11 494 off-knot rows.
+    intervening step) and steps 12 117 off-knot rows.  That was 11 494
+    while each search evaluated the lookahead tree alone: the 80 searches
+    that run now evaluate 7 320 probes in 199 batches, the predicted path
+    and the tree, where the tree alone took 6 697 probes in 498 batches,
+    and the probes off the knots are other ones.
 
     Each scan reads the path's memo_token once, 701 in all.  The values
     each grid keeps, carried on from the last grid along a kept forecast,
     serve 185 580 of the 200 451 scan-time lookups and 420 of the 500
     golden-section and bisection searches.  They also serve 421 of the 704
     evaluations at path states, at the maximizers and roots: without that,
-    11 915 off-knot rows are stepped.  An evaluation counts once per
+    12 538 off-knot rows are stepped.  An evaluation counts once per
     HorizonGrid.evaluation(tau) call, a hit when the grid holds tau.  The
     40 steps after an intervention start a fresh forecast and miss
     everything.  The other 661 keep the forecast; the first of them starts
@@ -601,12 +605,31 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     assert len(log.t) == 701 and not log.truncated
     assert len(tokens) == 701
     path = built[0][2]
-    assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 11494)
-    assert path.partial_steps < 11915  # the count with no evaluation reuse
+    assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 12117)
+    assert path.partial_steps < 12538  # the count with no evaluation reuse
     grid = controllers[0].ctx.memo
     assert (grid.h_hits, grid.h_misses) == (185580, 14871)
     assert (grid.search_hits, grid.search_misses) == (420, 80)
+    assert (grid.search_batches, grid.search_probes) == (199, 7320)
     assert (grid.evaluation_hits, grid.evaluation_misses) == (421, 283)
+
+
+@pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
+def test_pinned_intersection_searches_take_few_batches(scenario, monkeypatch):
+    """Each golden-section or bisection search of the pinned intersection
+    pcbf runs evaluates h in at most 2.5 batches on average, where the
+    lookahead tree alone took 6.5: the first batch follows the path that
+    the grid samples predict, and the next mends where the search left
+    it.  They evaluate about 90 probes each, as the tree did.
+    The car path keeps no forecast, so no search result is carried."""
+    controllers = []
+    monkeypatch.setattr(simulate, "make_controller",
+                        lambda *a: controllers.append(make_controller(*a)) or controllers[-1])
+    run_closed_loop(default_config(scenario, "pcbf"))
+    grid = controllers[0].ctx.memo
+    assert grid.search_hits == 0 and grid.search_misses > 400
+    assert grid.search_batches <= 2.5 * grid.search_misses
+    assert grid.search_probes <= 100 * grid.search_misses
 
 
 def test_pinned_satellite_run_without_carried_values(satellite_pcbf, monkeypatch):

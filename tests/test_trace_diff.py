@@ -1,11 +1,13 @@
 """scripts/trace_diff.py: byte comparison of two experiment trees, timings
-aside; scripts/reproduce_experiments.py, which writes those trees; and a
-smoke run of scripts/sweep_horizon.py."""
+aside; scripts/reproduce_experiments.py, which writes those trees; and
+smoke runs of scripts/sweep_horizon.py, scripts/claims_sweep.py and
+scripts/work_counters.py."""
 
 import importlib.util
 from pathlib import Path
 
 from pcbf.scenarios import CONTROLLERS, SCENARIOS
+from test_acceptance import _CLAIM_DRAWS
 
 
 def _load(name):
@@ -112,3 +114,47 @@ def test_sweep_horizon_short_horizon_acts_later(capsys):
     assert [r[0] for r in table] == [4.0, 14.0]
     assert all(r[3] <= 0.0 for r in table)  # max_h: both runs safe
     assert table[0][1] > table[1][1]
+
+
+claims_sweep = _load("claims_sweep")
+
+
+def test_claims_sweep_draws_are_the_claims_tests():
+    """The sweep draws, under their ids, the four draws that
+    test_acceptance.py's claims test pins."""
+    drawn = {draw_id: rest for draw_id, *rest in claims_sweep.draws()}
+    assert len(drawn) == 32
+    ids = ["left_turn_1", "left_turn_19", "satellite_0", "satellite_1"]
+    for draw_id, pinned in zip(ids, _CLAIM_DRAWS):
+        assert drawn[draw_id] == list(pinned)
+
+
+def test_claims_sweep_one_draw_per_family(capsys):
+    """A car and a satellite draw that start with H*(0) <= 0: pcbf and ECBF
+    stay safe, both ratios are below 1, and car draw 19 conflicts with
+    u = 0 but not with its nominal law."""
+    assert claims_sweep.main(["--only", "left_turn_19,satellite_0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== H*(0) <= 0: 2 draws ==" and out[1] == claims_sweep.HEADER
+    rows = {cells[0]: cells for cells in (line.split() for line in out[2:4])}
+    assert rows["left_turn_19"][2:4] == ["yes", "no"]
+    assert rows["satellite_0"][2:4] == ["yes", "yes"]
+    for cells in rows.values():
+        assert float(cells[1]) <= 0 and cells[4:6] == ["yes", "yes"]
+        assert float(cells[6]) < 1 and float(cells[7]) < 1
+    assert out[4] == ("both claims hold on 2 of 2 that conflict by none, "
+                      "and on 1 of 1 that conflict by nominal")
+    assert out[5] == "== H*(0) > 0: 0 draws =="
+
+
+def test_work_counters_table(capsys):
+    """One Markdown row per pinned pcbf run: the cars' path steps no knots,
+    and the satellite's counts are those the pinned test holds."""
+    assert _load("work_counters").main() == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.count("|") == rule.count("|") == 7
+    cells = {row.split("|")[1].strip(): [c.strip() for c in row.split("|")[2:-1]]
+             for row in rows}
+    assert list(cells) == ["intersection_cross", "intersection_left_turn", "satellite"]
+    assert cells["intersection_cross"][:2] == ["-", "-"]
+    assert cells["satellite"][:4] == ["11160", "12117", "80", "2.49"]
