@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Check the abstract's first two claims on drawn scenarios: pcbf modifies
 the nominal input less (total_deviation) and pushes less (max_control_norm)
-than the reactive ECBF.
+than the reactive ECBF.  The peak filter push (max_deviation_norm, the peak
+of |u - mu|) is printed next to the peak input, which on the cars is mostly
+the nominal law's own.
 
 The draws are those of test_acceptance.py's claims test: numpy
 default_rng(7), 20 car-pair draws (the scenario, then z1_0, offset, v1, v2,
@@ -11,9 +13,10 @@ radius), from the fuzz's ranges at each scenario's full duration.  Each draw
 runs none, nominal, pcbf and ecbf.  The draws are split by the sign of pcbf's
 H*(0): the paper's safety theorem starts from H*(0) <= 0.  Each row gives the
 pcbf/ECBF ratios of both metrics (a claim holds where its ratio is below 1)
-and whether the draw conflicts, that is whether h > 0 is reached, with u = 0
-(`none`) and with the nominal law (`nominal`): the cars' nominal law is not
-u = 0, so a car draw can conflict by one and not by the other.
+and of the peak push, and whether the draw conflicts, that is whether h > 0
+is reached, with u = 0 (`none`) and with the nominal law (`nominal`): the
+cars' nominal law is not u = 0, so a car draw can conflict by one and not by
+the other.
 
     python3 scripts/claims_sweep.py
     python3 scripts/claims_sweep.py --only left_turn_19,satellite_0
@@ -81,15 +84,17 @@ def row(draw_id, summaries, h0):
     pcbf, ecbf = summaries["pcbf"], summaries["ecbf"]
     dev = _ratio(pcbf["total_deviation"], ecbf["total_deviation"])
     peak = _ratio(pcbf["max_control_norm"], ecbf["max_control_norm"])
+    push = _ratio(pcbf["max_deviation_norm"], ecbf["max_deviation_norm"])
     yes = lambda v: "yes" if v else "no"
     cells = [draw_id, f"{h0:.3g}", yes(not summaries["none"]["safe"]),
              yes(not summaries["nominal"]["safe"]), yes(pcbf["safe"]), yes(ecbf["safe"]),
-             f"{dev:.3f}", f"{peak:.3f}"]
+             f"{dev:.3f}", f"{peak:.3f}", f"{push:.3f}"]
     return "".join(f"{c:>14}" for c in cells), dev < 1 and peak < 1
 
 
 HEADER = "".join(f"{c:>14}" for c in ("draw", "H*(0)", "conflict_none", "conflict_nom",
-                                         "pcbf_safe", "ecbf_safe", "dev_ratio", "peak_ratio"))
+                                         "pcbf_safe", "ecbf_safe", "dev_ratio", "peak_ratio",
+                                         "push_ratio"))
 
 
 def main(argv=None) -> int:

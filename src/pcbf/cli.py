@@ -145,6 +145,7 @@ def summarize(log: SimLog) -> dict:
         "max_h": float(np.max(log.h)),
         "final_h": float(log.h[-1]),
         "max_control_norm": float(np.max(u_norm)),
+        "max_deviation_norm": float(np.max(dev)),
         "total_deviation": float(np.sum(dev) * log.cfg.step),
         "mean_step_ms": float(np.mean(log.step_ms)),
         "max_step_ms": float(np.max(log.step_ms)),

@@ -7,12 +7,13 @@ Each search evaluates a missing probe in one batch with the probes it may
 ask for next: every probe of its next _LOOKAHEAD steps, either way each
 comparison goes, and the path it would take over its next _WALK steps if h
 followed a model of the values it holds, with the other outcome's probe at
-each of those steps.  The model is the parabola through the best held value
-and its two neighbours for golden section (seeded by the grid samples around
-the peak) and the regula-falsi line of the bracket for bisection (Press et
-al., Numerical Recipes, 3rd ed., sections 10.3 and 9.2).  Batching keeps
-each value's bits, so both return what one probe per step returns; a wrong
-prediction costs a batch, never a bit.
+each of those steps.  Both searches use one model: the polynomial through
+the held values nearest the bracket's midpoint, a line through two and a
+parabola through three (Press et al., Numerical Recipes, 3rd ed., sections
+3.2 and 10.3), seeded by the grid samples around the peak for golden section
+and by the bracket's ends for bisection.  Batching keeps each value's bits,
+so both return what one probe per step returns; a wrong prediction costs a
+batch, never a bit.
 
 Each HorizonGrid keeps what is looked up along its own path state: h by
 tau, the evaluations at path states by tau, and each search's result by its
@@ -223,34 +224,24 @@ def _batched(h_many, prefetch):
     return f
 
 
-def _parabola(held, lo, hi):
-    """h as the parabola through the best of held, a dict of h by tau, and
-    its two neighbours in tau (the nearest three where the best is an end):
-    a function that ranks taus by their distance from the parabola's
-    maximizer on [lo, hi], or from the end it rises to from the best where
-    it has no maximum; None where it is not finite."""
-    taus = sorted(held)
-    if len(taus) < 3:
+def _model(held, near):
+    """h as the polynomial through held, a dict of h by tau, at the (up to)
+    three taus nearest near, in Newton form: a line through two, a parabola
+    through three; None where fewer than two are held or the fit is not
+    finite."""
+    taus = sorted(held, key=lambda tau: abs(tau - near))[:3]
+    if len(taus) < 2:
         return None
-    best = max(taus, key=held.get)  # the first, as ties keep the left part
-    i = min(max(taus.index(best), 1), len(taus) - 2)
-    x0, x1, x2 = taus[i - 1:i + 2]
-    s01, s12 = (held[x1] - held[x0]) / (x1 - x0), (held[x2] - held[x1]) / (x2 - x1)
-    curvature = (s12 - s01) / (x2 - x0)
-    if not math.isfinite(curvature):
+    x0, x1 = taus[:2]
+    s01 = (held[x1] - held[x0]) / (x1 - x0)
+    c = 0.0
+    if len(taus) == 3:
+        x2 = taus[2]
+        c = ((held[x2] - held[x1]) / (x2 - x1) - s01) / (x2 - x0)
+    if not (math.isfinite(s01) and math.isfinite(c)):
         return None
-    if curvature < 0:
-        top = min(max(0.5 * (x0 + x1) - 0.5 * s01 / curvature, lo), hi)
-    else:
-        top = hi if s01 + (2.0 * best - x0 - x1) * curvature > 0 else lo
-    return lambda tau: -abs(tau - top)
-
-
-def _secant(lo, hi, flo, fhi):
-    """h as the line through (lo, flo) and (hi, fhi), whose root is the
-    regula-falsi root, or None where its slope is zero or not finite."""
-    slope = (fhi - flo) / (hi - lo) if hi != lo else 0.0
-    return (lambda tau: flo + slope * (tau - lo)) if slope and math.isfinite(slope) else None
+    f0 = held[x0]
+    return lambda tau: f0 + (tau - x0) * (s01 + (tau - x1) * c)
 
 
 def _golden_max(h_many, lo, hi, tol, samples=()):
@@ -274,7 +265,7 @@ def _golden_max(h_many, lo, hi, tol, samples=()):
         # the tree, then the predicted path past its skip levels with both
         # outcomes' probes; the final probe alone (skip 0) has no step to predict
         out, skip = tree(a, b, c, d, pending, depth), depth - len(pending)
-        model = _parabola({**dict(samples), **memo}, lo, hi) if skip else None
+        model = _model({**dict(samples), **memo}, 0.5 * (a + b)) if skip else None
         for k in range(_WALK if model else 0):
             if not b - a > tol:
                 out += (0.5 * (a + b),) if k >= skip else ()
@@ -386,16 +377,17 @@ def find_root_before(grid: HorizonGrid, tau: float, h_tau: float,
 def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
     """Bisection on [lo, hi] with flo = h(lo) < 0 <= h(hi) = fhi, to |h| <= root_tol."""
     lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
+    ends = {lo: flo, hi: fhi}
 
     def tree(lo, hi, depth=_LOOKAHEAD):
         # the midpoint, then those of both halves it may keep
         mid = 0.5 * (lo + hi)
         return [mid] + (tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1) if depth > 1 else [])
 
-    def prefetch(memo, lo, hi, flo, fhi):
+    def prefetch(memo, lo, hi):
         # the tree, then the predicted path past its levels with both halves'
         # midpoints
-        out, model = tree(lo, hi), _secant(lo, hi, flo, fhi)
+        out, model = tree(lo, hi), _model({**ends, **memo}, 0.5 * (lo + hi))
         for k in range(_WALK if model else 0):
             mid = 0.5 * (lo + hi)
             if (hi - lo) < 1e-15 * max(1.0, abs(mid)):
@@ -414,11 +406,11 @@ def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid, lo, hi, flo, fhi)
+        fm = f(mid, lo, hi)
         if abs(fm) <= root_tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fm < 0:
-            lo, flo = mid, fm
+            lo = mid
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)

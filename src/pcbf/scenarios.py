@@ -528,20 +528,19 @@ def _zero_thrust(t, x):
 
 def debris_knots(cfg: ScenarioConfig, model: TwoBodyModel):
     """(knots, positions): the debris propagated once over the mission
-    window, at 1 s knots."""
+    window, at 1 s knots, by a zero-thrust OdePath's float knot chain."""
     p = cfg.params
     debris0 = _circular_state(p["radius"], p["mu_grav"], math.radians(p["inclination_deg"]),
                               -_node_angle(p) - p["phase_offset"])
     t_end = cfg.duration + cfg.T + 10.0
     knots = np.arange(0.0, t_end + 1.0, 1.0)
-    states = [debris0.tolist()]
+    path = OdePath(model, _zero_thrust, step=1.0, step_one=model.coast_step)
     with np.errstate(all="ignore"):  # a non-finite state is reported below
-        for t in knots[:-1].tolist():
-            states.append(model.coast_step(t, states[-1], 1.0))
-            if not all(map(math.isfinite, states[-1])):
-                raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
-                                         f"{p['mu_grav']} (non-finite state at t = {t + 1.0})")
-    return knots, np.array(states)[:, :3]
+        try:
+            return knots, path.evaluate_many(knots, 0.0, debris0)[:, :3]
+        except PropagationError as exc:
+            raise ConfigurationError(f"params.mu_grav must give a finite debris orbit, got "
+                                     f"{p['mu_grav']} ({exc})") from None
 
 
 def build_satellite(cfg: ScenarioConfig):

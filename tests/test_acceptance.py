@@ -323,7 +323,8 @@ def test_flow_map_contracts():
 # satellite draws (phase_offset, conjunction_time, T, N, inclination_deg,
 # radius).  Kept are the conflicting ones, whose uncontrolled run is unsafe,
 # that start with H*(0) <= 0; these are the first two of each family, their
-# ids the draw's index within it.  No kept draw of the 32 broke either claim.
+# ids the draw's index within it.  No kept draw of the 32 broke any of the
+# three checks below.
 _CLAIM_DRAWS = [
     ("intersection_left_turn", {}, dict(
         z1_0=-10.320650471562793, z2_0=-10.711119963483295, dz1_0=0.8901526117652931,
@@ -345,8 +346,9 @@ _CLAIM_DRAWS = [
 @pytest.mark.parametrize("scenario, top, params", _CLAIM_DRAWS,
                          ids=["left_turn_1", "left_turn_19", "satellite_0", "satellite_1"])
 def test_pcbf_deviates_less_and_pushes_less_than_ecbf(scenario, top, params):
-    """Less modification of the nominal input, and a smaller peak input,
-    than the reactive CBF, on drawn conflicting scenarios."""
+    """Less modification of the nominal input, a smaller peak input and a
+    smaller peak push |u - mu| than the reactive CBF, on drawn conflicting
+    scenarios."""
     runs = {}
     for controller in ("none", "pcbf", "ecbf"):
         cfg = default_config(scenario, controller)
@@ -361,3 +363,7 @@ def test_pcbf_deviates_less_and_pushes_less_than_ecbf(scenario, top, params):
     _report("pcbf's peak input is below ecbf's",
             pcbf["max_control_norm"] < ecbf["max_control_norm"],
             f"peak |u| {pcbf['max_control_norm']:.4g} against {ecbf['max_control_norm']:.4g}")
+    _report("pcbf's peak push is below ecbf's",
+            pcbf["max_deviation_norm"] < ecbf["max_deviation_norm"],
+            f"peak |u - mu| {pcbf['max_deviation_norm']:.4g} "
+            f"against {ecbf['max_deviation_norm']:.4g}")

@@ -219,6 +219,15 @@ def test_summarize_fields(short_log):
         assert s["first_intervention_t"] >= 0.0
 
 
+def test_summarize_peak_push(intersection_pcbf):
+    """max_deviation_norm is the peak filter push |u - mu|, here on a run
+    where it differs from the peak input |u|."""
+    log = intersection_pcbf.log
+    s = summarize(log)
+    assert s["max_deviation_norm"] == float(np.max(np.linalg.norm(log.u - log.mu, axis=1)))
+    assert s["max_deviation_norm"] != s["max_control_norm"]
+
+
 def _write_cfg(tmp_path, text):
     p = tmp_path / "cfg.txt"
     p.write_text(text)

@@ -456,7 +456,7 @@ def test_bisect_root_width_stop():
 def test_golden_max_on_smooth_h_takes_three_batches(shape, lo, width, shift, tol_frac, seeded):
     """Where h is smooth on the scale of the bracket, here at most two grid
     steps of the pinned intersections wide, and the tolerance is above its
-    rounding, the parabola predicts the path so far that a search takes at
+    rounding, the model predicts the path so far that a search takes at
     most three batches, seeded by samples at the bracket's ends and middle
     or not."""
     func = lambda t: _SHAPES[shape](t, lo + shift * width)
@@ -500,14 +500,13 @@ def test_bisect_root_on_smooth_h_takes_three_batches(shape, s, left, right, root
        width=st.floats(1e-6, 5.0), shift=st.floats(-1.0, 1.0),
        tol_frac=st.floats(1e-9, 2.0), root_tol=st.sampled_from([0.0, 1e-9, 1e-4]))
 def test_wrong_predictions_cost_batches_not_bits(shape, lo, width, shift, tol_frac, root_tol):
-    """Models that predict every comparison wrong, -h itself, leave each
+    """A model that predicts every comparison wrong, -h itself, leaves each
     search the sequential search's result, within the count bound that the
     lookahead tree in every batch keeps."""
     func = lambda t: _SHAPES[shape](t, lo + shift * width)
     wrong = lambda *fit: (lambda tau: -float(func(np.array([tau]))[0]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(horizon, "_parabola", wrong)
-        mp.setattr(horizon, "_secant", wrong)
+        mp.setattr(horizon, "_model", wrong)
         _golden_matches(func, lo, lo + width, tol_frac * width)
         _bisect_matches(func, lo, lo + width, root_tol)
 

@@ -131,7 +131,7 @@ def test_claims_sweep_draws_are_the_claims_tests():
 
 def test_claims_sweep_one_draw_per_family(capsys):
     """A car and a satellite draw that start with H*(0) <= 0: pcbf and ECBF
-    stay safe, both ratios are below 1, and car draw 19 conflicts with
+    stay safe, all three ratios are below 1, and car draw 19 conflicts with
     u = 0 but not with its nominal law."""
     assert claims_sweep.main(["--only", "left_turn_19,satellite_0"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -141,7 +141,7 @@ def test_claims_sweep_one_draw_per_family(capsys):
     assert rows["satellite_0"][2:4] == ["yes", "yes"]
     for cells in rows.values():
         assert float(cells[1]) <= 0 and cells[4:6] == ["yes", "yes"]
-        assert float(cells[6]) < 1 and float(cells[7]) < 1
+        assert float(cells[6]) < 1 and float(cells[7]) < 1 and float(cells[8]) < 1
     assert out[4] == ("both claims hold on 2 of 2 that conflict by none, "
                       "and on 1 of 1 that conflict by nominal")
     assert out[5] == "== H*(0) > 0: 0 draws =="
@@ -157,4 +157,4 @@ def test_work_counters_table(capsys):
              for row in rows}
     assert list(cells) == ["intersection_cross", "intersection_left_turn", "satellite"]
     assert cells["intersection_cross"][:2] == ["-", "-"]
-    assert cells["satellite"][:4] == ["11160", "12117", "80", "2.49"]
+    assert cells["satellite"][:4] == ["11160", "11297", "80", "2.01"]
