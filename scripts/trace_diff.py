@@ -2,7 +2,7 @@
 """Compare two trees written by scripts/reproduce_experiments.py --out.
 
 Every run.csv is compared without its step_ms column, every notes.txt as it
-is, and every summary.txt without its mean_step_ms and max_step_ms lines.
+is, and every summary.txt without its step-time lines (TIMING_KEYS).
 Prints the first differing row of each file that differs, or that only one
 tree has, and exits 1 on any difference.  A differing run.csv also gets the
 largest |delta| of each numeric column that moved, with its row, and the rows
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 COMPARED = ("run.csv", "notes.txt", "summary.txt")
-TIMING_KEYS = ("mean_step_ms", "max_step_ms")
+TIMING_KEYS = ("mean_step_ms", "p50_step_ms", "p99_step_ms", "max_step_ms")
 
 
 def _rows(path: Path) -> list[str]:

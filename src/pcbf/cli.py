@@ -138,6 +138,7 @@ def summarize(log: SimLog) -> dict:
                 "truncated": log.truncated}
     dev = np.linalg.norm(log.u - log.mu, axis=1)
     u_norm = np.linalg.norm(log.u, axis=1)
+    ms, n = np.sort(log.step_ms), len(log.t)
     out = {
         "scenario": log.cfg.scenario,
         "controller": log.cfg.controller,
@@ -148,7 +149,10 @@ def summarize(log: SimLog) -> dict:
         "max_deviation_norm": float(np.max(dev)),
         "total_deviation": float(np.sum(dev) * log.cfg.step),
         "mean_step_ms": float(np.mean(log.step_ms)),
-        "max_step_ms": float(np.max(log.step_ms)),
+        # nearest rank: the ceil(p n / 100)-th smallest step time
+        "p50_step_ms": float(ms[(50 * n + 99) // 100 - 1]),
+        "p99_step_ms": float(ms[(99 * n + 99) // 100 - 1]),
+        "max_step_ms": float(ms[-1]),
         "infeasible_steps": log.infeasible_steps,
         "monitor_violations": log.monitor_violations,
         "truncated": log.truncated,
@@ -207,8 +211,8 @@ def cmd_compare(args) -> int:
     table = [_run_one(replace(cfg, controller=name, params=dict(cfg.params)),
                       out_dir / name)
              for name in names]
-    cols = ["controller", "max_h", "safe", "max_control_norm", "total_deviation",
-            "mean_step_ms"]
+    cols = ["controller", "max_h", "safe", "max_control_norm", "max_deviation_norm",
+            "total_deviation", "mean_step_ms"]
     lines = ["\t".join(cols)]
     for s in table:
         lines.append("\t".join(str(s.get(c, "")) for c in cols))

@@ -18,11 +18,15 @@ batch, never a bit.
 Each HorizonGrid keeps what is looked up along its own path state: h by
 tau, the evaluations at path states by tau, and each search's result by its
 inputs; a search that runs reads h directly, as its probes recur only when
-the whole search does.  Under one Path.memo_token the path state at tau
-depends on tau alone (OdePath's knots sit on the absolute time lattice), so
-a scan given the last grid along the same forecast starts from that grid's
-values at or after its t.  A carried value has the bits a fresh evaluation
-returns, and a grid that outlives its forecast still holds only its own.
+the whole search does.  It keeps the states its searches' batches computed,
+too: a search returns one of its probes, save a bisection whose bracket end
+is already a root, so the evaluation at a maximizer or root takes that
+probe's state and asks the path for none.  Under one Path.memo_token the
+path state at tau depends on tau alone (OdePath's knots sit on the absolute
+time lattice), so a scan given the last grid along the same forecast starts
+from that grid's values at or after its t.  A carried value has the bits a
+fresh evaluation returns, and a grid that outlives its forecast still holds
+only its own.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class PathEvaluation:
 
 
 _COUNTERS = ("h_hits", "h_misses", "search_hits", "search_misses", "search_batches",
-             "search_probes", "evaluation_hits", "evaluation_misses")
+             "search_probes", "evaluation_hits", "evaluation_misses", "probe_states")
 
 
 class HorizonGrid:
@@ -75,11 +79,16 @@ class HorizonGrid:
     PathEvaluation at p(tau), and searches maps (search, *inputs) to its
     result.  Given prev, the last grid, the grid starts with prev's entries
     at or after t when both share a token that is not None, and with none
-    otherwise.  Plain integer work counters, carried on from prev: h_hits
-    and h_misses per tau looked up in the table, search_hits and
-    search_misses per search, search_batches and search_probes per h batch
-    and probe that a missed search evaluates, and evaluation_hits and
-    evaluation_misses per evaluation at a path state.
+    otherwise.  probed holds (taus, states) of this grid's search batches,
+    not carried, whose rows have a one-tau call's bytes where the path
+    computes each row alone (the car path, the two-body coast; a field that
+    multiplies the batch in one BLAS matmul may part in the last bit).
+    Plain integer work counters, carried on from prev: h_hits and h_misses
+    per tau looked up in the table, search_hits and search_misses per
+    search, search_batches and search_probes per h batch and probe that a
+    missed search evaluates, evaluation_hits and evaluation_misses per
+    evaluation at a path state, and probe_states per missed evaluation
+    whose state came from a probe.
     """
 
     def __init__(self, t, x, taus, h_values, path: Path, h, token=None, prev=None):
@@ -88,6 +97,7 @@ class HorizonGrid:
         for name in _COUNTERS:
             setattr(self, name, 0 if prev is None else getattr(prev, name))
         self.table, self.searches, self.evaluations = np.array([[np.inf], [np.nan]]), {}, {}
+        self.probed = []
         if prev is not None and token is not None and token == prev.token:
             self.table = prev.table[:, np.searchsorted(prev.table[0], t):]
             self.searches = {key: v for key, v in prev.searches.items() if key[1] >= t}
@@ -126,11 +136,15 @@ class HorizonGrid:
     def _search_batch(self, taus):
         self.search_batches += 1
         self.search_probes += len(taus)
-        return self.h_many(taus)
+        at = np.asarray(taus, dtype=float)
+        states = self.path.evaluate_many(at, self.t, self.x)
+        self.probed.append((taus, states))
+        return self.h.value(at, states)
 
     def evaluation(self, tau: float, state=None) -> PathEvaluation:
         """The field, grad_x h and dh/dtau at the path state at tau, kept by
-        tau, or at the given state, not kept."""
+        tau, or at the given state, not kept.  The path state is a search
+        probe's where one was at tau."""
         if state is not None:
             return self._evaluate(tau, state)
         ev = self.evaluations.get(tau)
@@ -138,7 +152,12 @@ class HorizonGrid:
             self.evaluation_hits += 1
             return ev
         self.evaluation_misses += 1
-        state = self.path.evaluate_many([tau], self.t, self.x)[0]
+        state = next((states[taus.index(tau)] for taus, states in self.probed if tau in taus),
+                     None)
+        if state is None:
+            state = self.path.evaluate_many([tau], self.t, self.x)[0]
+        else:
+            self.probe_states += 1
         ev = self.evaluations[tau] = self._evaluate(tau, state)
         return ev
 

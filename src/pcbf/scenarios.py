@@ -232,24 +232,29 @@ class TwoBodyModel(DynamicsModel):
         left to right as np.add.reduce sums three, and |r|^3 is the np.power
         ufunc's float64 loop (SIMD where numpy has one), the array rn**3's;
         Python's ** (libm pow) differs in the last bit on ~5% of states, and
-        an int exponent costs numpy a type resolution.  |r|^3 = 0 at any
-        stage takes the array step, for numpy's inf or nan."""
+        an int exponent costs numpy a type resolution.  The cubes come in
+        pairs, one np.power call each, as a call costs more than a stage's
+        float operations: stage 2's position x + dt/2 v needs no gravity,
+        and stage 3's and 4's, x + dt/2 w and x + dt s, need gravity only at
+        stages 1 and 2.  The loop gives an element the bits it gives it
+        alone, at any length, and every other operation keeps its order.
+        |r|^3 = 0 at any stage takes the array step, for numpy's inf or nan."""
         c, h2, h6 = -self.mu_grav, dt / 2, dt / 6
         x0, x1, x2, v0, v1, v2 = y
+        p0, p1, p2 = x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2
         try:
-            r3 = float(np.power(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 3.0))
+            r3, p3 = np.power(np.array((math.sqrt(x0 * x0 + x1 * x1 + x2 * x2),
+                                        math.sqrt(p0 * p0 + p1 * p1 + p2 * p2))), 3.0).tolist()
             a0, a1, a2 = c * x0 / r3, c * x1 / r3, c * x2 / r3
-            p0, p1, p2, w0, w1, w2 = (x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2,
-                                      v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2)
-            r3 = float(np.power(math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), 3.0))
-            b0, b1, b2 = c * p0 / r3, c * p1 / r3, c * p2 / r3
+            w0, w1, w2 = v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2
+            b0, b1, b2 = c * p0 / p3, c * p1 / p3, c * p2 / p3
             q0, q1, q2, s0, s1, s2 = (x0 + h2 * w0, x1 + h2 * w1, x2 + h2 * w2,
                                       v0 + h2 * b0, v1 + h2 * b1, v2 + h2 * b2)
-            r3 = float(np.power(math.sqrt(q0 * q0 + q1 * q1 + q2 * q2), 3.0))
-            d0, d1, d2 = c * q0 / r3, c * q1 / r3, c * q2 / r3
-            e0, e1, e2, f0, f1, f2 = (x0 + dt * s0, x1 + dt * s1, x2 + dt * s2,
-                                      v0 + dt * d0, v1 + dt * d1, v2 + dt * d2)
-            r3 = float(np.power(math.sqrt(e0 * e0 + e1 * e1 + e2 * e2), 3.0))
+            e0, e1, e2 = x0 + dt * s0, x1 + dt * s1, x2 + dt * s2
+            q3, r3 = np.power(np.array((math.sqrt(q0 * q0 + q1 * q1 + q2 * q2),
+                                        math.sqrt(e0 * e0 + e1 * e1 + e2 * e2))), 3.0).tolist()
+            d0, d1, d2 = c * q0 / q3, c * q1 / q3, c * q2 / q3
+            f0, f1, f2 = v0 + dt * d0, v1 + dt * d1, v2 + dt * d2
             # k1..k4 are (v, a), (w, b), (s, d), (f, gravity at e).  A list, not
             # a tuple: the cyclic GC untracks tuples of floats, which delays its
             # full collections, so garbage cycles hold more memory (as a tuple,
@@ -345,17 +350,22 @@ _COMPLEX_STEP = 2.0 ** -70
 _KEPLER_ITERATIONS = 50
 # Stumpff c2, c3: Taylor coefficients of sum (-z)^k / (2k+2)! and / (2k+3)!,
 # used for |z| < 0.5, where these 10 terms are exact to rounding and the cos
-# form loses more digits to cancellation the nearer z is to 0
-_C2 = [(-1.0) ** k / math.factorial(2 * k + 2) for k in range(10)][::-1]
-_C3 = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(10)][::-1]
+# form loses more digits to cancellation the nearer z is to 0; one complex
+# (2, 1) column per term, highest first, so that one Horner chain steps both
+_C23 = np.array([[[(-1.0) ** k / math.factorial(2 * k + 2)],
+                  [(-1.0) ** k / math.factorial(2 * k + 3)]] for k in range(10)][::-1],
+                dtype=complex)
 
 
 def _stumpff(z):
     """Stumpff functions c2(z), c3(z) of complex z: the series near 0, else
-    cos and sin of sqrt(z), which are cosh and sinh of sqrt(-z) for z < 0."""
-    c2, c3 = np.zeros_like(z), np.zeros_like(z)
-    for a2, a3 in zip(_C2, _C3):
-        c2, c3 = c2 * z + a2, c3 * z + a3
+    cos and sin of sqrt(z), which are cosh and sinh of sqrt(-z) for z < 0.
+    Both series step as the rows of one (2, n) array, each element with the
+    operations of its own chain, so each has the bits of a chain alone."""
+    c = np.zeros((2,) + z.shape, dtype=z.dtype)
+    for a in _C23:
+        c = c * z + a
+    c2, c3 = c
     small = np.abs(z) < 0.5
     if small.all():
         return c2, c3

@@ -228,6 +228,18 @@ def test_summarize_peak_push(intersection_pcbf):
     assert s["max_deviation_norm"] != s["max_control_norm"]
 
 
+def test_summarize_step_time_ranks(satellite_pcbf):
+    """p50_step_ms and p99_step_ms are nearest ranks, the ceil(p n / 100)-th
+    smallest step time: with the 701 satellite steps timed 1 .. 701 ms in
+    a shuffled order, 351 and 694."""
+    ms = np.random.default_rng(0).permutation(np.arange(1.0, 702.0))
+    s = summarize(replace(satellite_pcbf.log, step_ms=ms))
+    assert (s["p50_step_ms"], s["p99_step_ms"], s["max_step_ms"]) == (351.0, 694.0, 701.0)
+    keys = list(s)
+    assert keys[keys.index("mean_step_ms"):keys.index("max_step_ms") + 1] == [
+        "mean_step_ms", "p50_step_ms", "p99_step_ms", "max_step_ms"]
+
+
 def _write_cfg(tmp_path, text):
     p = tmp_path / "cfg.txt"
     p.write_text(text)
@@ -256,7 +268,9 @@ def test_main_compare(tmp_path, capsys):
     assert (out / "pcbf" / "run.csv").exists()
     assert (out / "none" / "run.csv").exists()
     report = (out / "compare.txt").read_text()
-    assert report.splitlines()[0].startswith("controller")
+    assert report.splitlines()[0].split("\t") == [
+        "controller", "max_h", "safe", "max_control_norm", "max_deviation_norm",
+        "total_deviation", "mean_step_ms"]
     assert "pcbf" in report and "none" in report
 
 

@@ -12,7 +12,8 @@ from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, Max
                           _bisect_root, _golden_max, find_maximizers, find_root_before,
                           scan)
 from pcbf.paths import AnalyticCarPath, OdePath
-from pcbf.scenarios import LeftTurnLane, SeparationConstraint, StraightLane
+from pcbf.scenarios import (LeftTurnLane, SeparationConstraint, StraightLane, build_satellite,
+                            default_config, satellite_initial_state)
 
 
 class _StaticModel(DynamicsModel):
@@ -837,3 +838,55 @@ class TestMemoInvalidation:
         assert other.searches and other.evaluations
         assert _searched_bits(grid) == want
         assert path.forecast_restarts == 2
+
+
+# -- evaluations at the search probes' states ---------------------------------
+
+def _car_setup():
+    """The crossing at t = 8, 2.6 s before the conflict."""
+    lane1, lane2 = StraightLane((1.0, 0.0)), StraightLane((0.0, 1.0))
+    path = AnalyticCarPath(k=1.0, v=np.array([1.0, 1.0]))
+    return path, SeparationConstraint(lane1, lane2, rho=1.0), 8.0, \
+        np.array([-4.0, 1.0, -3.5, 1.0]), 10.0, 200
+
+
+def _satellite_setup():
+    """The pinned satellite's zero-control forecast at t = 300, with the
+    conjunction at t = 450 inside the horizon."""
+    cfg = default_config("satellite")
+    _, h, path = build_satellite(cfg)
+    x = path.evaluate_many([300.0], 0.0, satellite_initial_state(cfg))[0]
+    return path, h, 300.0, x, cfg.T, cfg.N
+
+
+@pytest.mark.parametrize("setup", [_car_setup, _satellite_setup], ids=["car", "satellite"])
+def test_evaluations_take_the_probes_states(setup, monkeypatch):
+    """Every state a search batch computed has the bytes of a one-tau call,
+    on both path classes with the scenarios' fields, which compute each row
+    alone.  An evaluation at a probed tau, as at each maximizer and root the
+    searches return, takes that state and asks the path nothing; one at a
+    tau that no search probed asks the path."""
+    path, h, t, x, T, N = setup()
+    grid = scan(path, h, t, x, T, N)
+    mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
+    assert any(not e.root_is_self and not e.at_start for e in mset.entries)  # both searches ran
+    probed = {}
+    for taus, states in grid.probed:
+        for tau, state in zip(taus, states):
+            assert state.tobytes() == path.evaluate_many([tau], t, x)[0].tobytes()
+            probed.setdefault(tau, state)
+    asked = []
+    evaluate_many = path.evaluate_many
+    monkeypatch.setattr(path, "evaluate_many",
+                        lambda taus, *a: asked.append(list(taus)) or evaluate_many(taus, *a))
+    found = [tau for e in mset.entries for tau in (e.tau, e.root_eta) if tau in probed]
+    assert len(found) >= 2
+    for tau in found:
+        assert grid.evaluation(tau).state.tobytes() == probed[tau].tobytes()
+    assert not asked and grid.probe_states == len(set(found))
+    assert (grid.evaluation_misses, grid.evaluation_hits) == (len(set(found)),
+                                                             len(found) - len(set(found)))
+    tau = 0.5 * (found[0] + max(p for p in probed if p < found[0]))
+    assert tau not in probed
+    assert grid.evaluation(tau).state.tobytes() == evaluate_many([tau], t, x)[0].tobytes()
+    assert asked == [[tau]] and grid.probe_states == len(set(found))

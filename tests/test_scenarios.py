@@ -543,6 +543,112 @@ def test_coast_step_at_zero_radius_is_numpys(x):
     assert np.array_equal(np.array(model.coast_step(0.0, x, 1.0)), want, equal_nan=True)
 
 
+# The fused step and the Stumpff series in the forms they had before their
+# numpy calls were paired, kept as oracles: the lean forms must return their
+# bits.
+
+def _parent_coast_step(model, t, y, dt):
+    """coast_step with one np.power call per stage."""
+    c, h2, h6 = -model.mu_grav, dt / 2, dt / 6
+    x0, x1, x2, v0, v1, v2 = y
+    try:
+        r3 = float(np.power(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 3.0))
+        a0, a1, a2 = c * x0 / r3, c * x1 / r3, c * x2 / r3
+        p0, p1, p2, w0, w1, w2 = (x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2,
+                                  v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2)
+        r3 = float(np.power(math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), 3.0))
+        b0, b1, b2 = c * p0 / r3, c * p1 / r3, c * p2 / r3
+        q0, q1, q2, s0, s1, s2 = (x0 + h2 * w0, x1 + h2 * w1, x2 + h2 * w2,
+                                  v0 + h2 * b0, v1 + h2 * b1, v2 + h2 * b2)
+        r3 = float(np.power(math.sqrt(q0 * q0 + q1 * q1 + q2 * q2), 3.0))
+        d0, d1, d2 = c * q0 / r3, c * q1 / r3, c * q2 / r3
+        e0, e1, e2, f0, f1, f2 = (x0 + dt * s0, x1 + dt * s1, x2 + dt * s2,
+                                  v0 + dt * d0, v1 + dt * d1, v2 + dt * d2)
+        r3 = float(np.power(math.sqrt(e0 * e0 + e1 * e1 + e2 * e2), 3.0))
+        return [x0 + h6 * (v0 + 2 * w0 + 2 * s0 + f0),
+                x1 + h6 * (v1 + 2 * w1 + 2 * s1 + f1),
+                x2 + h6 * (v2 + 2 * w2 + 2 * s2 + f2),
+                v0 + h6 * (a0 + 2 * b0 + 2 * d0 + c * e0 / r3),
+                v1 + h6 * (a1 + 2 * b1 + 2 * d1 + c * e1 / r3),
+                v2 + h6 * (a2 + 2 * b2 + 2 * d2 + c * e2 / r3)]
+    except ZeroDivisionError:
+        return rk4(model.drift, t, np.array(y, dtype=float), dt).tolist()
+
+
+_PARENT_C2 = [(-1.0) ** k / math.factorial(2 * k + 2) for k in range(10)][::-1]
+_PARENT_C3 = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(10)][::-1]
+
+
+def _parent_stumpff(z):
+    """_stumpff with one Horner chain per function."""
+    c2, c3 = np.zeros_like(z), np.zeros_like(z)
+    for a2, a3 in zip(_PARENT_C2, _PARENT_C3):
+        c2, c3 = c2 * z + a2, c3 * z + a3
+    small = np.abs(z) < 0.5
+    if small.all():
+        return c2, c3
+    zz = np.where(small, 1.0, z)
+    s = np.sqrt(zz)
+    return (np.where(small, c2, (1.0 - np.cos(s)) / zz),
+            np.where(small, c3, (s - np.sin(s)) / (zz * s)))
+
+
+def test_coast_step_on_orbits_is_rk4_and_the_parent_step():
+    """On 12 000 seeded states from near-circular to hyperbolic speeds, at
+    radii from low orbit to beyond geostationary, with dt from 1e-3 to 2 s,
+    the paired-cube step equals core.rk4 of the drift and the one-cube-per-
+    stage step bit for bit."""
+    model = TwoBodyModel(398600.4418)
+    rng = np.random.default_rng(29)
+    n = 12000
+    r_hat = rng.normal(size=(n, 3))
+    r_hat /= np.linalg.norm(r_hat, axis=1, keepdims=True)
+    along = rng.normal(size=(n, 3))
+    along -= np.sum(along * r_hat, axis=1, keepdims=True) * r_hat
+    along /= np.linalg.norm(along, axis=1, keepdims=True)
+    radius = rng.uniform(6500.0, 50000.0, (n, 1))
+    # speed in circular speeds: 1 circular, 1.2 eccentric, 1.5 hyperbolic (> sqrt 2)
+    speed = rng.choice([1.0, 1.2, 1.5], (n, 1)) * (1.0 + 0.01 * rng.normal(size=(n, 1)))
+    v = speed * np.sqrt(model.mu_grav / radius) * along
+    X = np.hstack([radius * r_hat, v + 0.01 * np.abs(v) * rng.normal(size=(n, 3))])
+    dts = (10.0 ** rng.uniform(-3.0, math.log10(2.0), n)).tolist()
+    for x, dt in zip(X.tolist(), dts):
+        step = model.coast_step(0.0, x, dt)
+        assert step == rk4(model.drift, 0.0, np.array(x), dt).tolist()
+        assert step == _parent_coast_step(model, 0.0, x, dt)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("x", [[1.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                               [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+                         ids=["r_zero_at_stage_3", "r_zero_at_stage_4"])
+def test_coast_step_at_zero_radius_in_the_second_pair_is_numpys(x):
+    """At mu = 2 and dt = 1, stage 3's position x + dt/2 w or stage 4's
+    x + dt s is 0 while the first pair's are not: the step still gives
+    numpy's inf and nan of the array step, and the parent step's."""
+    model = TwoBodyModel(2.0)
+    want = rk4(model.drift, 0.0, np.array(x), 1.0)
+    assert not np.isfinite(want).all()
+    got = np.array(model.coast_step(0.0, x, 1.0))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, np.array(_parent_coast_step(model, 0.0, x, 1.0)), equal_nan=True)
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+@pytest.mark.parametrize("scale", [1e-6, 0.3, 0.49, 0.6, 40.0])
+def test_stumpff_is_the_parent_pair_of_chains(size, scale):
+    """c2 and c3 from one Horner chain have the bits of two chains, on
+    seeded complex z with |z| below and above the series' 0.5 and
+    imaginary parts down to 1e-30, as the complex step makes them."""
+    rng = np.random.default_rng(size)
+    for _ in range(300):
+        z = (scale * rng.uniform(-1.0, 1.0, size)
+             + 1j * rng.normal(size=size) * 10.0 ** rng.uniform(-30.0, -10.0, size))
+        got, want = scenarios._stumpff(z), _parent_stumpff(z)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
 @pytest.mark.parametrize("x, raises", [([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], True),
                                        ([1e-200, -1e-200, 0.0, 1.0, 2.0, 3.0], True),
                                        ([1e62, 3e61, 0.0, 1.0, 2.0, 3.0], False),

@@ -23,7 +23,8 @@ trace_diff = _load("trace_diff")
 _CSV = ("t,x0,Hstar,case,feasible,slack0,step_ms\n"
         "0,1.5,-0.25,I_interior,1,0,{ms0}\n"
         "0.05,1.625,-0.125,I_interior,1,0,{ms1}\n")
-_SUMMARY = "steps = 2\nmean_step_ms = {ms0}\nmax_step_ms = {ms1}\nsafe = true\n"
+_SUMMARY = ("steps = 2\nmean_step_ms = {ms0}\np50_step_ms = {ms0}\np99_step_ms = {ms1}\n"
+            "max_step_ms = {ms1}\nsafe = true\n")
 
 
 def _tree(root: Path, ms0: str, ms1: str, x: str = "1.625") -> Path:
@@ -149,12 +150,14 @@ def test_claims_sweep_one_draw_per_family(capsys):
 
 def test_work_counters_table(capsys):
     """One Markdown row per pinned pcbf run: the cars' path steps no knots,
-    and the satellite's counts are those the pinned test holds."""
+    and the counts are those the pinned tests hold."""
     assert _load("work_counters").main() == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
-    assert header.count("|") == rule.count("|") == 7
+    assert header.count("|") == rule.count("|") == 8
     cells = {row.split("|")[1].strip(): [c.strip() for c in row.split("|")[2:-1]]
              for row in rows}
     assert list(cells) == ["intersection_cross", "intersection_left_turn", "satellite"]
     assert cells["intersection_cross"][:2] == ["-", "-"]
-    assert cells["satellite"][:4] == ["11160", "11297", "80", "2.01"]
+    assert cells["intersection_cross"][5] == "412"
+    assert cells["satellite"][:4] == ["11160", "11217", "80", "2.01"]
+    assert cells["satellite"][5] == "80"
