@@ -3,17 +3,15 @@
 A dense grid over [t, t+T] locates candidate local maximizers of
 h(tau, p(tau; t, x)); golden-section search refines interior candidates and
 bisection finds the last upcrossing zero preceding each unsafe maximizer.
-Each search evaluates a missing probe in one batch with the probes it may
-ask for next: every probe of its next _LOOKAHEAD steps, either way each
-comparison goes, and the path it would take over its next _WALK steps if h
-followed a model of the values it holds, with the other outcome's probe at
-each of those steps.  Both searches use one model: the polynomial through
-the held values nearest the bracket's midpoint, a line through two and a
-parabola through three (Press et al., Numerical Recipes, 3rd ed., sections
-3.2 and 10.3), seeded by the grid samples around the peak for golden section
-and by the bracket's ends for bisection.  Batching keeps each value's bits,
-so both return what one probe per step returns; a wrong prediction costs a
-batch, never a bit.
+Each search evaluates a missing probe in one batch with the path it would
+take over its next _WALK steps if h followed a model of the values it holds,
+with the other outcome's probe at each of those steps.  Both searches use
+one model: the polynomial through the held values nearest the bracket's
+midpoint, a line through two and a parabola through three (Press et al.,
+Numerical Recipes, 3rd ed., sections 3.2 and 10.3), seeded by the grid
+samples around the peak for golden section and by the bracket's ends for
+bisection.  Batching keeps each value's bits, so both return what one probe
+per step returns; a wrong prediction costs a batch, never a bit.
 
 Each HorizonGrid keeps what is looked up along its own path state: h by
 tau, the evaluations at path states by tau, and each search's result by its
@@ -44,7 +42,6 @@ REFINE_TOL = 1e-6       # golden section: final bracket width, s
 ROOT_TOL = 1e-9         # bisection: |h| at which a midpoint is the root
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
 _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
-_LOOKAHEAD = 4          # search steps, both outcomes each, per batch (<= 15 probes)
 _WALK = 32              # search steps along the predicted path per batch
 # scan: N bound, 400x the pinned 250; memory grows with N.  One pcbf step at
 # 1e5 took 0.03 s, 40 MB peak RSS on intersection_cross (t = 10.1) and 0.32 s,
@@ -270,27 +267,17 @@ def _golden_max(h_many, lo, hi, tol, samples=()):
     lo, hi, tol = float(lo), float(hi), float(tol)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def tree(a, b, c, d, pending, depth):
-        # pending probes, then both outcomes of each comparison that follows
-        out, depth = list(pending), depth - len(pending)
-        if depth and b - a > tol:
-            c2, d2 = d - invphi * (d - a), c + invphi * (b - c)
-            out += tree(a, d, c2, c, (c2,), depth) + tree(c, b, d, d2, (d2,), depth)
-        elif depth:
-            out.append(0.5 * (a + b))
-        return out
-
-    def prefetch(memo, a, b, c, d, pending, depth=_LOOKAHEAD):
-        # the tree, then the predicted path past its skip levels with both
-        # outcomes' probes; the final probe alone (skip 0) has no step to predict
-        out, skip = tree(a, b, c, d, pending, depth), depth - len(pending)
-        model = _model({**dict(samples), **memo}, 0.5 * (a + b)) if skip else None
-        for k in range(_WALK if model else 0):
+    def prefetch(memo, a, b, c, d, pending, steps=_WALK):
+        # the pending probes, then the predicted path with both outcomes'
+        # probes at each step; the final probe alone (steps 0) has no step
+        out = list(pending)
+        model = steps and _model({**dict(samples), **memo}, 0.5 * (a + b))
+        for _ in range(steps if model else 0):
             if not b - a > tol:
-                out += (0.5 * (a + b),) if k >= skip else ()
+                out.append(0.5 * (a + b))
                 break
             c2, d2 = d - invphi * (d - a), c + invphi * (b - c)
-            out += (c2, d2) if k >= skip else ()
+            out += (c2, d2)
             if model(c) >= model(d):
                 b, d, c = d, c, c2
             else:
@@ -312,7 +299,7 @@ def _golden_max(h_many, lo, hi, tol, samples=()):
             d = a + invphi * (b - a)
             fd = f(d, a, b, c, d, (d,))
     tau = 0.5 * (a + b)
-    return tau, f(tau, a, b, c, d, (tau,), 1)
+    return tau, f(tau, a, b, c, d, (tau,), 0)
 
 
 def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> MaximizerSet:
@@ -398,20 +385,15 @@ def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
     lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
     ends = {lo: flo, hi: fhi}
 
-    def tree(lo, hi, depth=_LOOKAHEAD):
-        # the midpoint, then those of both halves it may keep
-        mid = 0.5 * (lo + hi)
-        return [mid] + (tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1) if depth > 1 else [])
-
     def prefetch(memo, lo, hi):
-        # the tree, then the predicted path past its levels with both halves'
-        # midpoints
-        out, model = tree(lo, hi), _model({**ends, **memo}, 0.5 * (lo + hi))
-        for k in range(_WALK if model else 0):
+        # the midpoint, then the predicted path with both halves' midpoints
+        # at each step
+        out, model = [0.5 * (lo + hi)], _model({**ends, **memo}, 0.5 * (lo + hi))
+        for _ in range(_WALK if model else 0):
             mid = 0.5 * (lo + hi)
             if (hi - lo) < 1e-15 * max(1.0, abs(mid)):
                 break
-            out += (0.5 * (lo + mid), 0.5 * (mid + hi)) if k >= _LOOKAHEAD - 1 else ()
+            out += (0.5 * (lo + mid), 0.5 * (mid + hi))
             fm = model(mid)
             if abs(fm) <= root_tol:
                 break

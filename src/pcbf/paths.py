@@ -48,7 +48,10 @@ class Path(Protocol):
         token for the forecast from (t, x) that changes whenever a state of
         the held forecast can change.  Under one token p(tau) has the same
         bits for the same tau, so values along the path may be reused by tau
-        alone."""
+        alone.  That holds where the field computes each row of a batch on
+        its own, as a stacked np.matmul does: one BLAS product over the batch
+        (x @ A.T) may part from the one-row products in the last bit, and a
+        row's bits then depend on the batch that computed it."""
 
 
 class AnalyticCarPath:

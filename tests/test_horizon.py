@@ -313,7 +313,7 @@ def test_maximizers_are_the_drawn_peaks(case):
         _check_two_level_samples(grid, h, t, T, N)
 
 
-# -- batched lookahead against the sequential searches ------------------------
+# -- batched prefetch against the sequential searches -------------------------
 
 def _sequential_golden(f, lo, hi, tol):
     """The golden-section search evaluating one probe at a time (oracle)."""
@@ -385,9 +385,10 @@ def _batches(func):
 
 
 def _assert_batching(sizes, sequential):
-    # the depth-_LOOKAHEAD tree and two probes per step of the predicted path
-    assert all(n <= 2 ** horizon._LOOKAHEAD - 1 + 2 * horizon._WALK for n in sizes)
-    assert len(sizes) <= math.ceil(sequential / 4) + 1
+    # the pending probes and two per step of the predicted path, whose first
+    # step holds the next probe either way the pending comparison goes
+    assert all(n <= 2 + 2 * horizon._WALK for n in sizes)
+    assert len(sizes) <= math.ceil(sequential / 2) + 1
 
 
 def _golden_matches(func, lo, hi, tol):
@@ -503,7 +504,8 @@ def test_bisect_root_on_smooth_h_takes_three_batches(shape, s, left, right, root
 def test_wrong_predictions_cost_batches_not_bits(shape, lo, width, shift, tol_frac, root_tol):
     """A model that predicts every comparison wrong, -h itself, leaves each
     search the sequential search's result, within the count bound that the
-    lookahead tree in every batch keeps."""
+    first step of every batch's predicted path keeps: it holds both
+    outcomes' probes, so each batch serves two sequential probes."""
     func = lambda t: _SHAPES[shape](t, lo + shift * width)
     wrong = lambda *fit: (lambda tau: -float(func(np.array([tau]))[0]))
     with pytest.MonkeyPatch.context() as mp:
@@ -603,12 +605,15 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
 # -- the horizon memo along a kept forecast -----------------------------------
 
 class _Oscillator(DynamicsModel):
-    """xdot = A x + B u, a lightly damped oscillator."""
+    """xdot = A x + B u, a lightly damped oscillator.  The drift multiplies
+    each row on its own, as the Path protocol asks of a field: x @ A.T, one
+    BLAS product over the batch, parts from its one-row products in the
+    last bit on some rows."""
 
     A = np.array([[0.0, 1.0], [-4.0, -0.1]])
 
     def drift(self, t, x):
-        return x @ self.A.T
+        return np.matmul(self.A, x[..., None])[..., 0]
 
     def input_matrix(self, t, x):
         return np.broadcast_to(np.array([[0.0], [1.0]]), np.shape(x)[:-1] + (2, 1))
@@ -859,13 +864,21 @@ def _satellite_setup():
     return path, h, 300.0, x, cfg.T, cfg.N
 
 
-@pytest.mark.parametrize("setup", [_car_setup, _satellite_setup], ids=["car", "satellite"])
+def _oscillator_setup():
+    """The oscillator's forecast under the wavy law from rest at 1, whose
+    ceiling it crosses several times within the horizon."""
+    path = OdePath(_Oscillator(), _wavy_law, step=0.25)
+    return path, _Height(), 0.0, np.array([1.0, 0.0]), 20.0, 80
+
+
+@pytest.mark.parametrize("setup", [_car_setup, _satellite_setup, _oscillator_setup],
+                         ids=["car", "satellite", "oscillator"])
 def test_evaluations_take_the_probes_states(setup, monkeypatch):
     """Every state a search batch computed has the bytes of a one-tau call,
-    on both path classes with the scenarios' fields, which compute each row
-    alone.  An evaluation at a probed tau, as at each maximizer and root the
-    searches return, takes that state and asks the path nothing; one at a
-    tau that no search probed asks the path."""
+    on both path classes with fields that compute each row alone: the
+    scenarios' and the oscillator's.  An evaluation at a probed tau, as at
+    each maximizer and root the searches return, takes that state and asks
+    the path nothing; one at a tau that no search probed asks the path."""
     path, h, t, x, T, N = setup()
     grid = scan(path, h, t, x, T, N)
     mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
