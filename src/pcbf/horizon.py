@@ -3,15 +3,17 @@
 A dense grid over [t, t+T] locates candidate local maximizers of
 h(tau, p(tau; t, x)); golden-section search refines interior candidates and
 bisection finds the last upcrossing zero preceding each unsafe maximizer.
-Each search evaluates a missing probe in one batch with the path it would
-take over its next _WALK steps if h followed a model of the values it holds,
-with the other outcome's probe at each of those steps.  Both searches use
-one model: the polynomial through the held values nearest the bracket's
-midpoint, a line through two and a parabola through three (Press et al.,
-Numerical Recipes, 3rd ed., sections 3.2 and 10.3), seeded by the grid
-samples around the peak for golden section and by the bracket's ends for
-bisection.  Batching keeps each value's bits, so both return what one probe
-per step returns; a wrong prediction costs a batch, never a bit.
+Each search is written once, as a generator of its probes, and _run
+batches it by rerunning it from the start: a run takes the values held and,
+at each tau not held, a model's value, and one batch evaluates the taus a
+run missed.  The model is the polynomial through the held values nearest
+the run's first missing tau, a line through two and a parabola through
+three (Press et al., Numerical Recipes, 3rd ed., sections 3.2 and 10.3),
+seeded by the grid samples around the peak for golden section and by the
+bracket's ends for bisection.  Batching keeps each value's bits, and a run
+that misses nothing made the sequential comparisons, so both searches
+return what one probe per step returns; a wrong prediction costs a batch,
+never a bit.
 
 Each HorizonGrid keeps what is looked up along its own path state: h by
 tau, the evaluations at path states by tau, and each search's result by its
@@ -42,7 +44,6 @@ REFINE_TOL = 1e-6       # golden section: final bracket width, s
 ROOT_TOL = 1e-9         # bisection: |h| at which a midpoint is the root
 _THREAT_FRACTION = 0.5  # two-level scan: re-sample where h >= -this * h_max
 _REFINE_FACTOR = 50     # two-level scan: dense step = grid step / this
-_WALK = 32              # search steps along the predicted path per batch
 # scan: N bound, 400x the pinned 250; memory grows with N.  One pcbf step at
 # 1e5 took 0.03 s, 40 MB peak RSS on intersection_cross (t = 10.1) and 0.32 s,
 # 98 MB on the two-level satellite (t = 411), on a 2-vCPU host.
@@ -76,8 +77,8 @@ class HorizonGrid:
     PathEvaluation at p(tau), and searches maps (search, *inputs) to its
     result.  Given prev, the last grid, the grid starts with prev's entries
     at or after t when both share a token that is not None, and with none
-    otherwise.  probed holds (taus, states) of this grid's search batches,
-    not carried, whose rows have a one-tau call's bytes where the path
+    otherwise.  probed maps each tau of this grid's search batches to its
+    state row, not carried; a row has a one-tau call's bytes where the path
     computes each row alone (the car path, the two-body coast; a field that
     multiplies the batch in one BLAS matmul may part in the last bit).
     Plain integer work counters, carried on from prev: h_hits and h_misses
@@ -94,7 +95,7 @@ class HorizonGrid:
         for name in _COUNTERS:
             setattr(self, name, 0 if prev is None else getattr(prev, name))
         self.table, self.searches, self.evaluations = np.array([[np.inf], [np.nan]]), {}, {}
-        self.probed = []
+        self.probed = {}
         if prev is not None and token is not None and token == prev.token:
             self.table = prev.table[:, np.searchsorted(prev.table[0], t):]
             self.searches = {key: v for key, v in prev.searches.items() if key[1] >= t}
@@ -119,15 +120,16 @@ class HorizonGrid:
             self.table = table[:, np.argsort(table[0])]
         return values
 
-    def searched(self, search, *inputs):
-        """search(h, *inputs), kept by its inputs, where h is h_many counted
-        per batch and probe."""
+    def searched(self, search, *inputs, seeds=()):
+        """The value of the search generator search(*inputs), kept by its
+        inputs, run by _run on h_many counted per batch and probe, with
+        seeds for its model."""
         key = (search, *inputs)
         if key in self.searches:
             self.search_hits += 1
             return self.searches[key]
         self.search_misses += 1
-        result = self.searches[key] = search(self._search_batch, *inputs)
+        result = self.searches[key] = _run(self._search_batch, lambda: search(*inputs), seeds)
         return result
 
     def _search_batch(self, taus):
@@ -135,7 +137,7 @@ class HorizonGrid:
         self.search_probes += len(taus)
         at = np.asarray(taus, dtype=float)
         states = self.path.evaluate_many(at, self.t, self.x)
-        self.probed.append((taus, states))
+        self.probed.update(zip(taus, states))
         return self.h.value(at, states)
 
     def evaluation(self, tau: float, state=None) -> PathEvaluation:
@@ -149,8 +151,7 @@ class HorizonGrid:
             self.evaluation_hits += 1
             return ev
         self.evaluation_misses += 1
-        state = next((states[taus.index(tau)] for taus, states in self.probed if tau in taus),
-                     None)
+        state = self.probed.get(tau)
         if state is None:
             state = self.path.evaluate_many([tau], self.t, self.x)[0]
         else:
@@ -227,17 +228,32 @@ def scan(path, h, t, x, T, N, prev=None):
     return grid
 
 
-def _batched(h_many, prefetch):
-    """h through a dict of the search's probes; a miss evaluates the probes
-    that prefetch(memo, *state) lists and the dict lacks."""
-    memo = {}
-
-    def f(tau, *state):
-        if tau not in memo:
-            taus = [p for p in prefetch(memo, *state) if p not in memo]
-            memo.update(zip(taus, h_many(taus).tolist()))
-        return memo[tau]
-    return f
+def _run(h_many, start, seeds=()):
+    """The value of the search generator that start() returns, which yields
+    each tau it probes and is sent h there.  Each run from the start is sent
+    the held value at a held tau and, at any other, the value of one model:
+    _model of the held values and seeds, (tau, h) pairs, near the run's
+    first missing tau (NaN where it gives none).  One h_many batch evaluates
+    the taus a run missed; a run that missed none made the sequential
+    search's comparisons, so its value is the search's."""
+    seeds, held = {float(tau): float(v) for tau, v in seeds}, {}
+    while True:
+        search, missing, value = start(), [], None
+        try:
+            while True:
+                tau = search.send(value)
+                if tau in held:
+                    value = held[tau]
+                    continue
+                if not missing:
+                    model = _model({**seeds, **held}, tau) or (lambda tau: math.nan)
+                value = model(tau)
+                missing.append(tau)
+        except StopIteration as stop:
+            if not missing:
+                return stop.value
+        taus = list(dict.fromkeys(missing))
+        held.update(zip(taus, h_many(taus).tolist()))
 
 
 def _model(held, near):
@@ -260,46 +276,27 @@ def _model(held, near):
     return lambda tau: f0 + (tau - x0) * (s01 + (tau - x1) * c)
 
 
-def _golden_max(h_many, lo, hi, tol, samples=()):
+def _golden_max(lo, hi, tol):
     """Golden-section maximization of h on [lo, hi] to an interval of width
-    tol.  samples, (tau, h) pairs such as the grid's around the peak, join
-    the search's own probes in the prefetch's model."""
-    lo, hi, tol = float(lo), float(hi), float(tol)
+    tol: yields each probe, is sent h there, and returns (tau, h(tau)) at
+    the final bracket's midpoint."""
+    a, b, tol = float(lo), float(hi), float(tol)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def prefetch(memo, a, b, c, d, pending, steps=_WALK):
-        # the pending probes, then the predicted path with both outcomes'
-        # probes at each step; the final probe alone (steps 0) has no step
-        out = list(pending)
-        model = steps and _model({**dict(samples), **memo}, 0.5 * (a + b))
-        for _ in range(steps if model else 0):
-            if not b - a > tol:
-                out.append(0.5 * (a + b))
-                break
-            c2, d2 = d - invphi * (d - a), c + invphi * (b - c)
-            out += (c2, d2)
-            if model(c) >= model(d):
-                b, d, c = d, c, c2
-            else:
-                a, c, d = c, d, d2
-        return out
-
-    f = _batched(h_many, prefetch)
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c, a, b, c, d, (c, d)), f(d, a, b, c, d, (d,))
+    fc = yield c
+    fd = yield d
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c, a, b, c, d, (c,))
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d, a, b, c, d, (d,))
+            fd = yield d
     tau = 0.5 * (a + b)
-    return tau, f(tau, a, b, c, d, (tau,), 0)
+    return tau, (yield tau)
 
 
 def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> MaximizerSet:
@@ -335,8 +332,8 @@ def find_maximizers(grid: HorizonGrid, refine_tol: float, root_tol: float) -> Ma
         end = j
         while end + 1 < K and abs(hv[end + 1] - hv[j]) <= tol_j:
             end += 1
-        samples = tuple(zip(taus[j - 1:j + 2].tolist(), hv[j - 1:j + 2].tolist()))
-        tau_r, h_r = grid.searched(_golden_max, taus[j - 1], taus[j + 1], refine_tol, samples)
+        tau_r, h_r = grid.searched(_golden_max, taus[j - 1], taus[j + 1], refine_tol,
+                                   seeds=zip(taus[j - 1:j + 2], hv[j - 1:j + 2]))
         candidates.append((tau_r, h_r, False, False))
     if hv[K] >= hv[K - 1]:
         candidates.append((tend, float(hv[K]), False, True))
@@ -376,38 +373,23 @@ def find_root_before(grid: HorizonGrid, tau: float, h_tau: float,
     for j in range(len(knot_taus) - 2, -1, -1):
         if knot_h[j] < 0 <= knot_h[j + 1]:
             return grid.searched(_bisect_root, knot_taus[j], knot_taus[j + 1],
-                                 knot_h[j], knot_h[j + 1], root_tol), False
+                                 knot_h[j], knot_h[j + 1], root_tol,
+                                 seeds=zip(knot_taus[j:j + 2], knot_h[j:j + 2])), False
     return grid.t, True
 
 
-def _bisect_root(h_many, lo, hi, flo, fhi, root_tol):
-    """Bisection on [lo, hi] with flo = h(lo) < 0 <= h(hi) = fhi, to |h| <= root_tol."""
+def _bisect_root(lo, hi, flo, fhi, root_tol):
+    """Bisection on [lo, hi] with flo = h(lo) < 0 <= h(hi) = fhi, to
+    |h| <= root_tol: yields each midpoint, is sent h there, and returns the
+    root."""
     lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
-    ends = {lo: flo, hi: fhi}
-
-    def prefetch(memo, lo, hi):
-        # the midpoint, then the predicted path with both halves' midpoints
-        # at each step
-        out, model = [0.5 * (lo + hi)], _model({**ends, **memo}, 0.5 * (lo + hi))
-        for _ in range(_WALK if model else 0):
-            mid = 0.5 * (lo + hi)
-            if (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-                break
-            out += (0.5 * (lo + mid), 0.5 * (mid + hi))
-            fm = model(mid)
-            if abs(fm) <= root_tol:
-                break
-            lo, hi = (mid, hi) if fm < 0 else (lo, mid)
-        return out
-
-    f = _batched(h_many, prefetch)
     if abs(fhi) <= root_tol:
         return hi
     if abs(flo) <= root_tol:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid, lo, hi)
+        fm = yield mid
         if abs(fm) <= root_tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fm < 0:

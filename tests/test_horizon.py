@@ -313,7 +313,7 @@ def test_maximizers_are_the_drawn_peaks(case):
         _check_two_level_samples(grid, h, t, T, N)
 
 
-# -- batched prefetch against the sequential searches -------------------------
+# -- batched runs against the sequential searches ----------------------------
 
 def _sequential_golden(f, lo, hi, tol):
     """The golden-section search evaluating one probe at a time (oracle)."""
@@ -375,36 +375,46 @@ def _alone(func):
 
 
 def _batches(func):
-    """h_many over func, and the size of each batch it was asked for."""
-    sizes = []
+    """h_many over func, and the taus of each batch it was asked for."""
+    batches = []
 
     def h_many(taus):
-        sizes.append(len(taus))
+        batches.append(list(taus))
         return func(np.asarray(taus, dtype=float))
-    return h_many, sizes
+    return h_many, batches
 
 
-def _assert_batching(sizes, sequential):
-    # the pending probes and two per step of the predicted path, whose first
-    # step holds the next probe either way the pending comparison goes
-    assert all(n <= 2 + 2 * horizon._WALK for n in sizes)
-    assert len(sizes) <= math.ceil(sequential / 2) + 1
+def _assert_batching(batches, sequential):
+    # no tau is evaluated twice, and each batch holds the next sequential
+    # probe: every run before it took the sequential values
+    taus = [tau for batch in batches for tau in batch]
+    assert len(set(taus)) == len(taus)
+    assert len(batches) <= sequential
+
+
+def _golden(h_many, lo, hi, tol, seeds=()):
+    return horizon._run(h_many, lambda: _golden_max(lo, hi, tol), seeds)
+
+
+def _bisect(h_many, lo, hi, flo, fhi, root_tol):
+    return horizon._run(h_many, lambda: _bisect_root(lo, hi, flo, fhi, root_tol),
+                        ((lo, flo), (hi, fhi)))
 
 
 def _golden_matches(func, lo, hi, tol):
     f, probes = _alone(func)
-    h_many, sizes = _batches(func)
-    assert _golden_max(h_many, lo, hi, tol) == _sequential_golden(f, lo, hi, tol)
-    _assert_batching(sizes, len(probes))
+    h_many, batches = _batches(func)
+    assert _golden(h_many, lo, hi, tol) == _sequential_golden(f, lo, hi, tol)
+    _assert_batching(batches, len(probes))
 
 
 def _bisect_matches(func, lo, hi, root_tol):
     f, probes = _alone(func)
     want = _sequential_bisect(f, lo, hi, root_tol)
-    h_many, sizes = _batches(func)
+    h_many, batches = _batches(func)
     flo, fhi = (float(func(np.array([v]))[0]) for v in (lo, hi))
-    assert _bisect_root(h_many, lo, hi, flo, fhi, root_tol) == want
-    _assert_batching(sizes, len(probes) - 2)  # the oracle also evaluates lo and hi
+    assert _bisect(h_many, lo, hi, flo, fhi, root_tol) == want
+    _assert_batching(batches, len(probes) - 2)  # the oracle also evaluates lo and hi
     return want
 
 
@@ -438,9 +448,9 @@ def test_bisect_root_exact_zero_at_an_end(at, root_tol):
     lo, hi = 0.3, 1.7
     zero = lo if at == "lo" else hi
     _bisect_matches(lambda t: t - zero, lo, hi, root_tol)
-    h_many, sizes = _batches(lambda t: t - zero)
-    assert _bisect_root(h_many, lo, hi, lo - zero, hi - zero, root_tol) == zero
-    assert sizes == []
+    h_many, batches = _batches(lambda t: t - zero)
+    assert _bisect(h_many, lo, hi, lo - zero, hi - zero, root_tol) == zero
+    assert batches == []
 
 
 def test_bisect_root_width_stop():
@@ -465,10 +475,10 @@ def test_golden_max_on_smooth_h_takes_three_batches(shape, lo, width, shift, tol
     hi = lo + width
     samples = tuple((t, float(func(np.array([t]))[0])) for t in (lo, 0.5 * (lo + hi), hi))
     f, _ = _alone(func)
-    h_many, sizes = _batches(func)
-    got = _golden_max(h_many, lo, hi, tol_frac * width, *([samples] if seeded else []))
+    h_many, batches = _batches(func)
+    got = _golden(h_many, lo, hi, tol_frac * width, samples if seeded else ())
     assert got == _sequential_golden(f, lo, hi, tol_frac * width)
-    assert len(sizes) <= 3
+    assert len(batches) <= 3
 
 
 _UPCROSSINGS = {  # h(t, s) and an upcrossing root, with h rising within 0.25 of it
@@ -491,10 +501,10 @@ def test_bisect_root_on_smooth_h_takes_three_batches(shape, s, left, right, root
     flo, fhi = (float(func(np.array([v]))[0]) for v in (lo, hi))
     assert flo < 0 <= fhi
     f, _ = _alone(func)
-    h_many, sizes = _batches(func)
-    assert _bisect_root(h_many, lo, hi, flo, fhi, root_tol) == _sequential_bisect(
+    h_many, batches = _batches(func)
+    assert _bisect(h_many, lo, hi, flo, fhi, root_tol) == _sequential_bisect(
         f, lo, hi, root_tol)
-    assert len(sizes) <= 3
+    assert len(batches) <= 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -503,9 +513,8 @@ def test_bisect_root_on_smooth_h_takes_three_batches(shape, s, left, right, root
        tol_frac=st.floats(1e-9, 2.0), root_tol=st.sampled_from([0.0, 1e-9, 1e-4]))
 def test_wrong_predictions_cost_batches_not_bits(shape, lo, width, shift, tol_frac, root_tol):
     """A model that predicts every comparison wrong, -h itself, leaves each
-    search the sequential search's result, within the count bound that the
-    first step of every batch's predicted path keeps: it holds both
-    outcomes' probes, so each batch serves two sequential probes."""
+    search the sequential search's result, within one batch per sequential
+    probe: each batch holds the next one."""
     func = lambda t: _SHAPES[shape](t, lo + shift * width)
     wrong = lambda *fit: (lambda tau: -float(func(np.array([tau]))[0]))
     with pytest.MonkeyPatch.context() as mp:
@@ -533,7 +542,8 @@ def _sequential_find_maximizers(grid, refine_tol, root_tol, golden):
                 jj = j
                 while jj + 1 < K and abs(hv[jj + 1] - hv[j]) <= tol_j:
                     jj += 1
-                tau_r, h_r = golden(grid.h_many, taus[j - 1], taus[min(j + 1, K)], refine_tol)
+                tau_r, h_r = horizon._run(
+                    grid.h_many, lambda: golden(taus[j - 1], taus[min(j + 1, K)], refine_tol))
                 candidates.append((tau_r, h_r, False, False))
                 j = jj
         j += 1
@@ -590,9 +600,11 @@ def test_one_pass_peaks_match_sequential_scan(levels, jitter):
     brackets = {"one_pass": [], "sequential": []}
 
     def recording(key):
-        def golden(h_many, lo, hi, tol, *samples):
-            brackets[key].append((lo, hi))
-            return _golden_max(h_many, lo, hi, tol, *samples)
+        # each bracket once: a search starts its generator once per run
+        def golden(lo, hi, tol):
+            if (lo, hi) not in brackets[key]:
+                brackets[key].append((lo, hi))
+            return _golden_max(lo, hi, tol)
         return golden
 
     want = _sequential_find_maximizers(grid, 1e-6, 1e-9, recording("sequential"))
@@ -883,11 +895,9 @@ def test_evaluations_take_the_probes_states(setup, monkeypatch):
     grid = scan(path, h, t, x, T, N)
     mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
     assert any(not e.root_is_self and not e.at_start for e in mset.entries)  # both searches ran
-    probed = {}
-    for taus, states in grid.probed:
-        for tau, state in zip(taus, states):
-            assert state.tobytes() == path.evaluate_many([tau], t, x)[0].tobytes()
-            probed.setdefault(tau, state)
+    probed = grid.probed
+    for tau, state in probed.items():
+        assert state.tobytes() == path.evaluate_many([tau], t, x)[0].tobytes()
     asked = []
     evaluate_many = path.evaluate_many
     monkeypatch.setattr(path, "evaluate_many",

@@ -568,34 +568,26 @@ def test_satellite_steps_before_intervention_add_one_knot(satellite_setup, monke
 
 
 def test_pinned_satellite_run_knot_steps(monkeypatch):
-    """The pinned satellite pcbf run makes 11 160 knot steps (float chain),
-    as many as before its input response took the closed form: 700 for the
-    zero-control check at build, which the steps up to the first
-    intervention follow; 250 for a fresh horizon after each of the 40
+    """The pinned satellite pcbf run makes 11 160 knot steps (float chain):
+    700 for the zero-control check at build, which the steps up to the
+    first intervention follow; 250 for a fresh horizon after each of the 40
     intervening steps; one for each other step that follows the forecast.
     It starts 41 forecasts afresh (the build's, and one after each
-    intervening step) and steps 10 219 off-knot rows.  That was 11 494
-    while each search evaluated the lookahead tree alone (6 697 probes in
-    498 batches), and 12 117 while the predicted path followed a parabola
-    ranking for golden section and the regula-falsi line for bisection
-    (7 320 probes in 199 batches).  The 80 searches that run predict with
-    one interpolating polynomial.  It was 11 297 while each evaluation at a
-    path state stepped its own row: the 80 evaluations at the maximizers and
-    roots that the searches of the 40 restarted forecasts return take the
-    state of the probe at that tau (probe_states).  It was 11 217 while each
-    batch held the lookahead tree beside the predicted path (6 500 probes in
-    161 batches): a batch now holds the pending probes and the predicted
-    path alone, 5 502 probes in 163 batches, so 998 fewer rows fall off the
-    knots for two more batches.
+    intervening step) and steps 7 654 off-knot rows.  The 80 searches that
+    run evaluate 2 937 probes in 172 batches: each batch holds the taus
+    that one run of the search from its start missed, the polynomial
+    through the held values nearest the run's first miss standing in for h
+    there.  The 80 evaluations at the maximizers and roots that those
+    searches return take the state of the probe at that tau
+    (probe_states).
 
     Each scan reads the path's memo_token once, 701 in all.  The values
     each grid keeps, carried on from the last grid along a kept forecast,
     serve 185 580 of the 200 451 scan-time lookups and 420 of the 500
     golden-section and bisection searches.  They also serve 421 of the 704
     evaluations at path states, at the maximizers and roots: with every
-    evaluation a miss, whose state a probe still gives, 10 639 off-knot
-    rows are stepped (11 637 with the tree, 11 718 while no probe gave
-    one).  An evaluation counts once per HorizonGrid.evaluation(tau) call,
+    evaluation a miss, whose state a probe still gives, 8 074 off-knot
+    rows are stepped.  An evaluation counts once per HorizonGrid.evaluation(tau) call,
     a hit when the grid holds tau.  The 40 steps after an intervention
     start a fresh forecast and miss everything.  The other 661 keep the
     forecast; the first of them starts from a grid with nothing to carry,
@@ -615,12 +607,12 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
     assert len(log.t) == 701 and not log.truncated
     assert len(tokens) == 701
     path = built[0][2]
-    assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 10219)
-    assert path.partial_steps < 10639  # the count with no evaluation reuse
+    assert (path.knot_steps, path.forecast_restarts, path.partial_steps) == (11160, 41, 7654)
+    assert path.partial_steps < 8074  # the count with no evaluation reuse
     grid = controllers[0].ctx.memo
     assert (grid.h_hits, grid.h_misses) == (185580, 14871)
     assert (grid.search_hits, grid.search_misses) == (420, 80)
-    assert (grid.search_batches, grid.search_probes) == (163, 5502)
+    assert (grid.search_batches, grid.search_probes) == (172, 2937)
     assert (grid.evaluation_hits, grid.evaluation_misses) == (421, 283)
     assert grid.probe_states == 80
 
@@ -628,14 +620,12 @@ def test_pinned_satellite_run_knot_steps(monkeypatch):
 @pytest.mark.parametrize("scenario", ["intersection_cross", "intersection_left_turn"])
 def test_pinned_intersection_searches_take_few_batches(scenario, monkeypatch):
     """Each golden-section or bisection search of the pinned intersection
-    pcbf runs evaluates h in at most 2.1 batches on average, where the
-    lookahead tree alone took 6.5 and a parabola ranking with a
-    regula-falsi line 2.2: the first batch follows the path that the grid
-    samples or the bracket's ends predict, and the next, predicted by the
-    polynomial through the probes nearest the bracket, mends where the
-    search left it.  They evaluate at most 80 probes each on average (71.0
-    on the cross, 76.5 on the left turn), where the lookahead tree beside
-    the predicted path took 83.3 and 89.4.
+    pcbf runs evaluates h in at most 2.1 batches on average (1.98 on the
+    cross, 2.07 on the left turn): the first run of the search follows the
+    grid samples' or the bracket's ends' model, and the next, whose model
+    is the polynomial through the probes nearest its first miss, mends
+    where that model went wrong.  They evaluate at most 45 probes each on
+    average (37.4 and 40.5), each missed probe once.
     The car path keeps no forecast, so no search result is carried.  Each
     search's result is one of its probes, so each evaluation at a
     maximizer or root that a search returned takes that probe's state."""
@@ -646,7 +636,7 @@ def test_pinned_intersection_searches_take_few_batches(scenario, monkeypatch):
     grid = controllers[0].ctx.memo
     assert grid.search_hits == 0 and grid.search_misses > 400
     assert grid.search_batches <= 2.1 * grid.search_misses
-    assert grid.search_probes <= 80 * grid.search_misses
+    assert grid.search_probes <= 45 * grid.search_misses
     assert grid.probe_states == {"intersection_cross": 412, "intersection_left_turn": 414}[scenario]
 
 

@@ -151,9 +151,8 @@ def test_claims_sweep_one_draw_per_family(capsys):
 def test_work_counters_table(capsys):
     """One Markdown row per pinned pcbf run: the cars' path steps no knots,
     and the counts are those the pinned tests hold.  The satellite's read
-    10 219 partial steps and 2.04 batches per search since each batch holds
-    the pending probes and the predicted path alone; with the lookahead
-    tree beside the path they read 11 217 and 2.01."""
+    7 654 partial steps and 2.15 batches per search, each batch the probes
+    that one run of a search missed."""
     assert _load("work_counters").main() == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
     assert header.count("|") == rule.count("|") == 8
@@ -162,5 +161,5 @@ def test_work_counters_table(capsys):
     assert list(cells) == ["intersection_cross", "intersection_left_turn", "satellite"]
     assert cells["intersection_cross"][:2] == ["-", "-"]
     assert cells["intersection_cross"][5] == "412"
-    assert cells["satellite"][:4] == ["11160", "10219", "80", "2.04"]
+    assert cells["satellite"][:4] == ["11160", "7654", "80", "2.15"]
     assert cells["satellite"][5] == "80"
