@@ -6,20 +6,13 @@ and its control-affine derivative, and filters a nominal control law through
 a minimum-deviation QP so that trajectories stay inside the safe set.
 """
 
-from pcbf.core import (
-    ConfigurationError,
-    MarginFunction,
-    make_compatible_alpha,
-    make_default_margin,
-)
+from pcbf.core import ConfigurationError, make_compatible_alpha
 from pcbf.barrier import PcbfContext, PcbfValue, eval_pcbf
 from pcbf.qp import solve_min_deviation
 
 __all__ = [
     "ConfigurationError",
-    "MarginFunction",
     "make_compatible_alpha",
-    "make_default_margin",
     "PcbfContext",
     "PcbfValue",
     "eval_pcbf",

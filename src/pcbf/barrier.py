@@ -20,8 +20,9 @@ from pcbf.core import (
     ConstraintFunction,
     DegenerateMaximizerError,
     InternalConsistencyError,
-    MarginFunction,
     TangentialCrossingError,
+    margin,
+    margin_slope,
 )
 from pcbf.horizon import (REFINE_TOL, ROOT_TOL, HorizonGrid, MaximizerEntry, MaximizerSet,
                           find_maximizers, scan)
@@ -41,7 +42,6 @@ class PcbfContext:
 
     path: Path
     h: ConstraintFunction
-    margin: MarginFunction
     T: float
     N: int
     memo: HorizonGrid | None = field(default=None, init=False, repr=False, compare=False)
@@ -104,7 +104,7 @@ def eval_pcbf(t, x, ctx: PcbfContext) -> PcbfValue:
     """Scan the horizon, locate maximizers, and assemble the barrier value."""
     grid = ctx.scan(t, x)
     mset = find_maximizers(grid, REFINE_TOL, ROOT_TOL)
-    h_vector = [e.h_value - ctx.margin.value(e.root_eta - t) for e in mset.entries]
+    h_vector = [e.h_value - margin(e.root_eta - t, ctx.h.h_max, ctx.T) for e in mset.entries]
     return PcbfValue(h_star=h_vector[0], h_vector=h_vector,
                      case_label=classify_case(mset.first), grid=grid, maximizers=mset)
 
@@ -184,7 +184,6 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
     if case is None:
         case = classify_case(entry)
     t = grid.t
-    mprime = ctx.margin.derivative
 
     if entry.already_unsafe or (case == CASE_BOUNDARY_ROOT_SELF and entry.at_start):
         # Barrier equals h(t, x) here; differentiate it directly.
@@ -205,12 +204,12 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
     if case == CASE_BOUNDARY_ROOT_SELF:
         # boundary maximizer at the horizon end that is its own root
         dtau_dt = 1.0 if ev.dh_dtau > 0 else 0.0
-        c0 = ev.dh_dtau * dtau_dt - mprime(ctx.T) * (dtau_dt - 1.0)
+        c0 = ev.dh_dtau * dtau_dt - margin_slope(ctx.T, ctx.h.h_max, ctx.T) * (dtau_dt - 1.0)
         aligned = entry.root_is_self or inner_product_monitor(
             row_h, grid.evaluation(entry.root_eta).grad_x)
         return AffineDerivative(constant=float(c0), aligned=aligned, build_row=row_h_phi)
 
-    lam = entry.root_eta - t
+    mprime = margin_slope(entry.root_eta - t, ctx.h.h_max, ctx.T)
     diagnostics = None
     aligned = True
     if case == CASE_INTERIOR and entry.root_is_self:
@@ -224,13 +223,13 @@ def derivative_affine(entry: MaximizerEntry, ctx: PcbfContext, grid: HorizonGrid
         aligned = inner_product_monitor(row_h, row_h_eta)
 
     def row():
-        return row_h_phi() - mprime(lam) * C()
+        return row_h_phi() - mprime * C()
 
     if case == CASE_END_ROOT_BEFORE:
         # the horizon endpoint slides with t, so its time derivative is one
-        return AffineDerivative(constant=float(ev.dh_dtau + mprime(lam)),
+        return AffineDerivative(constant=float(ev.dh_dtau + mprime),
                                 build_row=row, aligned=aligned)
-    return AffineDerivative(constant=mprime(lam), build_row=row, diagnostics=diagnostics,
+    return AffineDerivative(constant=mprime, build_row=row, diagnostics=diagnostics,
                             aligned=aligned, row_must_be_nonzero=not entry.root_is_self)
 
 

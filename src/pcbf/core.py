@@ -1,7 +1,7 @@
-"""System abstractions: dynamics, constraint function, margin and class-K functions.
+"""System abstractions: dynamics, constraint function, margin and class-K function.
 
 The control-affine system is xdot = f(t,x) + g(t,x) u.  The safe set is the
-zero-sublevel set of a constraint function h(t,x); the margin function trades
+zero-sublevel set of a constraint function h(t,x); the margin trades
 predicted violation magnitude against the time remaining to react, and the
 class-K function sets how hard the barrier condition pushes back near the
 boundary.
@@ -9,7 +9,6 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,52 +77,40 @@ class ConstraintFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class MarginFunction:
-    """Nondecreasing margin m with m(0)=0 and m(T) >= h_max."""
-
-    h_max: float
-    T: float
-    value: Callable[[float], float]
-    derivative: Callable[[float], float]
-
-
-def make_default_margin(h_max: float, T: float) -> MarginFunction:
-    """Quadratic margin m(lam) = h_max (lam/T)^2.
+def margin(lam, h_max, T):
+    """Quadratic margin m(lam) = h_max (lam/T)^2: zero at zero, nondecreasing,
+    and h_max at lam = T.
 
     A linear margin has constant positive slope, which no continuous class-K
     function can dominate as lam -> 0; the quadratic admits the square-root
     class-K companion built by make_compatible_alpha.
     """
+    return h_max * (lam / T) ** 2
+
+
+def margin_slope(lam, h_max, T):
+    """m'(lam) of the quadratic margin."""
+    return 2.0 * h_max * lam / T**2
+
+
+def make_compatible_alpha(h_max: float, T: float, gamma: float) -> Callable[[float], float]:
+    """Class-K function alpha satisfying alpha(m(lam)) >= m'(lam) on [0,T]
+    and alpha(m(T)) >= gamma for the quadratic margin: odd, zero at zero,
+    increasing.
+
+    alpha(s) = sign(s) max( (2/T) sqrt(h_max |s|), (gamma/h_max) |s| ).
+    The first branch meets alpha(m(lam)) = m'(lam) with equality; the
+    second covers the gamma bound, as m(T) = h_max.  Where h_max |s|
+    underflows to 0 for a subnormal s, the root is sqrt(h_max) sqrt(|s|), so
+    alpha keeps the sign of s.
+    """
     if not (h_max > 0):
         raise ConfigurationError(f"h_max must be positive, got {h_max}")
     if not (T > 0):
         raise ConfigurationError(f"T must be positive, got {T}")
-
-    def value(lam):
-        return h_max * (lam / T) ** 2
-
-    def derivative(lam):
-        return 2.0 * h_max * lam / T**2
-
-    return MarginFunction(h_max=h_max, T=T, value=value, derivative=derivative)
-
-
-def make_compatible_alpha(margin: MarginFunction, gamma: float) -> Callable[[float], float]:
-    """Class-K function alpha satisfying alpha(m(lam)) >= m'(lam) on [0,T]
-    and alpha(m(T)) >= gamma: odd, zero at zero, increasing.
-
-    alpha(s) = sign(s) max( (2/T) sqrt(h_max |s|), (gamma/m(T)) |s| ).
-    With the quadratic margin the first branch meets alpha(m(lam)) = m'(lam)
-    with equality; the second branch covers the gamma bound.  Where h_max |s|
-    underflows to 0 for a subnormal s, the root is sqrt(h_max) sqrt(|s|), so
-    alpha keeps the sign of s.
-    """
     if not gamma >= 0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
-    h_max, T = margin.h_max, margin.T
-    m_T = margin.value(T)
-    slope = gamma / m_T if m_T > 0 else 0.0
+    slope = gamma / h_max
 
     def alpha(s):
         a = abs(s)

@@ -278,9 +278,11 @@ def _model(held, near):
 
 def _golden_max(lo, hi, tol):
     """Golden-section maximization of h on [lo, hi] to an interval of width
-    tol: yields each probe, is sent h there, and returns (tau, h(tau)) at
-    the final bracket's midpoint."""
-    a, b, tol = float(lo), float(hi), float(tol)
+    tol, or down to the last few ulps of the ends where tol is below them:
+    yields each probe, is sent h there, and returns (tau, h(tau)) at the
+    final bracket's midpoint."""
+    a, b = float(lo), float(hi)
+    tol = max(float(tol), 1e-15 * max(1.0, abs(a), abs(b)))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

@@ -147,12 +147,11 @@ class CarPairModel(DynamicsModel):
 
 
 class SeparationConstraint(ConstraintFunction):
-    """h = rho - ||l1(z1) - l2(z2)||: positive when cars are too close."""
+    """h = h_max - ||l1(z1) - l2(z2)|| with h_max = rho: positive when cars are too close."""
 
     def __init__(self, lane1, lane2, rho):
         self.lane1 = lane1
         self.lane2 = lane2
-        self.rho = float(rho)
         self.h_max = float(rho)
 
     def _delta(self, x):
@@ -162,7 +161,7 @@ class SeparationConstraint(ConstraintFunction):
     def value(self, t, x):
         d = self._delta(x)
         # np.linalg.norm's own sum for real input, without its wrapper
-        return self.rho - np.sqrt(np.add.reduce(d * d, axis=-1))
+        return self.h_max - np.sqrt(np.add.reduce(d * d, axis=-1))
 
     def partials(self, t, x):
         delta = self._delta(x)
@@ -471,15 +470,14 @@ def _solve_tridiagonal(dl, d, du, columns):
 
 
 class DebrisDistanceConstraint(ConstraintFunction):
-    """h = rho - ||r1 - r2(t)|| against an interpolated debris trajectory.
-    The debris passes in under a second, less than one step of the pinned
-    horizon grid, so the horizon scan takes two levels."""
+    """h = h_max - ||r1 - r2(t)||, h_max = rho, against an interpolated debris
+    trajectory.  The debris passes in under a second, less than one step of
+    the pinned horizon grid, so the horizon scan takes two levels."""
 
     two_level = True
 
     def __init__(self, debris_spline: DebrisSpline, rho):
         self.spline = debris_spline
-        self.rho = float(rho)
         self.h_max = float(rho)
 
     def _delta(self, t, x):
@@ -489,7 +487,7 @@ class DebrisDistanceConstraint(ConstraintFunction):
     def value(self, t, x):
         d = self._delta(t, x)
         # np.linalg.norm's own sum for real input, without its wrapper
-        return self.rho - np.sqrt(np.add.reduce(d * d, axis=-1))
+        return self.h_max - np.sqrt(np.add.reduce(d * d, axis=-1))
 
     def partials(self, t, x):
         pos, vel = self.spline.state(t)

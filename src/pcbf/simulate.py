@@ -30,7 +30,6 @@ from pcbf.core import (
     TangentialCrossingError,
     finite_diff_jacobian,
     make_compatible_alpha,
-    make_default_margin,
     rk4,
 )
 from pcbf.qp import AffineConstraint, build_cbf_constraint, solve_min_deviation
@@ -267,15 +266,13 @@ def build_scenario(cfg: ScenarioConfig):
 
 
 def make_context(cfg: ScenarioConfig, h, path) -> PcbfContext:
-    margin = make_default_margin(h.h_max, cfg.T)
-    return PcbfContext(path=path, h=h, margin=margin, T=cfg.T, N=cfg.N)
+    return PcbfContext(path=path, h=h, T=cfg.T, N=cfg.N)
 
 
 def make_controller(cfg: ScenarioConfig, model, h, path, mu_law):
     if cfg.controller == "pcbf":
-        ctx = make_context(cfg, h, path)
-        alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
-        return PcbfController(ctx, alpha)
+        alpha = make_compatible_alpha(h.h_max, cfg.T, cfg.gamma)
+        return PcbfController(make_context(cfg, h, path), alpha)
     if cfg.controller == "ecbf":
         return EcbfController(h, (cfg.ecbf_k1, cfg.ecbf_k2), model, mu_law)
     if cfg.controller in ("none", "nominal"):

@@ -13,7 +13,7 @@ import pytest
 
 from pcbf.barrier import derivative_affine, eval_pcbf
 from pcbf.cli import summarize
-from pcbf.core import make_default_margin
+from pcbf.core import margin
 from pcbf.paths import OdePath
 from pcbf.qp import solve_min_deviation
 from pcbf.scenarios import default_config, satellite_initial_state
@@ -229,8 +229,7 @@ def test_satellite_derivative_matches_finite_difference_per_case(satellite_pcbf)
 def test_satellite_intervention_timing(satellite_pcbf):
     log = satellite_pcbf.log
     cfg = log.cfg
-    margin = make_default_margin(cfg.params["rho"], cfg.T)
-    threshold = -0.5 * margin.value(cfg.T)
+    threshold = -0.5 * margin(cfg.T, cfg.params["rho"], cfg.T)
     above = np.flatnonzero(np.nan_to_num(log.h_star, nan=-np.inf) > threshold)
     dev = np.linalg.norm(log.u - log.mu, axis=1)
     acted = np.flatnonzero(dev > 1e-9)

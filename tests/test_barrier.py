@@ -23,7 +23,8 @@ from pcbf.core import (
     DynamicsModel,
     InternalConsistencyError,
     TangentialCrossingError,
-    make_default_margin,
+    margin,
+    margin_slope,
 )
 from pcbf.horizon import REFINE_TOL, ROOT_TOL, MaximizerEntry, find_maximizers, find_root_before
 from pcbf.paths import OdePath
@@ -57,8 +58,7 @@ def _static_ctx(h, T=10.0, N=200):
     # frozen dynamics: dp/dx is the identity, so the input response is g itself
     path = OdePath(_StaticModel(), lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
                    step=0.05, sensitivity=lambda tau, t, x: _StaticModel().input_matrix(t, x))
-    margin = make_default_margin(h.h_max, T)
-    return PcbfContext(path=path, h=h, margin=margin, T=T, N=N)
+    return PcbfContext(path=path, h=h, T=T, N=N)
 
 
 def _fd_hstar_rate(ctx, model, t, x, u, d=1e-4):
@@ -75,7 +75,7 @@ def _eval_hp(tau, t, ctx, grid):
     margin in the time until the path first becomes unsafe."""
     h_tau = float(grid.h_many([tau])[0])
     eta, _ = find_root_before(grid, tau, h_tau, ROOT_TOL)
-    return h_tau - ctx.margin.value(eta - t)
+    return h_tau - margin(eta - t, ctx.h.h_max, ctx.T)
 
 
 def test_value_consistency_intersection():
@@ -89,7 +89,7 @@ def test_value_consistency_intersection():
         assert val.case_label == classify_case(first)
         # recompute the definition directly
         recomputed = (val.grid.h_many([first.tau])[0]
-                      - ctx.margin.value(first.root_eta - t))
+                      - margin(first.root_eta - t, ctx.h.h_max, ctx.T))
         assert abs(val.h_star - recomputed) <= 1e-10
         # the predicted safety at the maximizer agrees
         assert _eval_hp(first.tau, t, ctx, val.grid) == pytest.approx(
@@ -369,7 +369,7 @@ def _parent_derivative_affine(entry, ctx, grid, case=None):
     if case is None:
         case = classify_case(entry)
     t, x = grid.t, grid.x
-    mprime = ctx.margin.derivative
+    mprime = lambda lam: margin_slope(lam, ctx.h.h_max, ctx.T)
 
     def grad_at(tau):
         return ctx.h.partials(tau, _parent_evaluation(grid, tau)[0])[1]

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -257,6 +260,23 @@ def test_main_run(tmp_path, capsys):
     archived = parse_config((out / "config.txt").read_text())
     assert archived.duration == 2.0
     assert "max_h" in capsys.readouterr().out
+
+
+def test_main_run_far_out_in_time_ends(tmp_path):
+    """Cars that meet near t = 5e10 s, where a float step (7.6e-6 s) is
+    wider than REFINE_TOL: the run once hung in its golden-section search.
+    It runs in a child process, so a hang fails the test by its timeout."""
+    cfg = _write_cfg(tmp_path, "scenario = intersection_cross\nstep = 1e10\nduration = 1e11\n"
+                               "params.z1_0 = -100000000012\nparams.z2_0 = -100000000011.5\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "pcbf.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "steps = 11" in summary and "safe = true" in summary
 
 
 def test_main_compare(tmp_path, capsys):

@@ -8,43 +8,45 @@ from pcbf.core import (
     ConfigurationError,
     finite_diff_jacobian,
     make_compatible_alpha,
-    make_default_margin,
+    margin,
+    margin_slope,
 )
 
 
 def test_margin_values():
-    m = make_default_margin(h_max=1.0, T=10.0)
-    assert m.value(0.0) == 0.0
-    assert m.value(10.0) == pytest.approx(1.0)
-    assert m.value(5.0) == pytest.approx(0.25)
-    assert m.derivative(10.0) == pytest.approx(0.2)
-    assert m.derivative(0.0) == 0.0
+    assert margin(0.0, 1.0, 10.0) == 0.0
+    assert margin(10.0, 1.0, 10.0) == pytest.approx(1.0)
+    assert margin(5.0, 1.0, 10.0) == pytest.approx(0.25)
+    assert margin_slope(10.0, 1.0, 10.0) == pytest.approx(0.2)
+    assert margin_slope(0.0, 1.0, 10.0) == 0.0
 
 
 def test_margin_rejects_bad_args():
-    with pytest.raises(ConfigurationError):
-        make_default_margin(h_max=0.0, T=10.0)
-    with pytest.raises(ConfigurationError):
-        make_default_margin(h_max=1.0, T=-1.0)
+    """The margin's scale and horizon are checked where its class-K
+    companion is built."""
+    with pytest.raises(ConfigurationError, match="h_max must be positive"):
+        make_compatible_alpha(0.0, 10.0, 1.0)
+    with pytest.raises(ConfigurationError, match="T must be positive"):
+        make_compatible_alpha(1.0, -1.0, 1.0)
 
 
 def test_alpha_rejects_negative_gamma():
-    m = make_default_margin(1.0, 10.0)
     with pytest.raises(ConfigurationError):
-        make_compatible_alpha(m, -1.0)
+        make_compatible_alpha(1.0, 10.0, -1.0)
     with pytest.raises(ConfigurationError, match="gamma"):
-        make_compatible_alpha(m, float("nan"))
+        make_compatible_alpha(1.0, 10.0, float("nan"))
 
 
 @given(h_max=st.floats(1e-3, 1e3), T=st.floats(1e-2, 1e3),
        gamma=st.floats(0.0, 100.0), frac=st.floats(1e-6, 1.0))
 def test_alpha_dominates_margin_slope(h_max, T, gamma, frac):
-    """alpha(m(lam)) >= m'(lam) on (0, T] and alpha(m(T)) >= gamma."""
-    m = make_default_margin(h_max, T)
-    alpha = make_compatible_alpha(m, gamma)
+    """alpha(m(lam)) >= m'(lam) on (0, T] and alpha(m(T)) >= gamma, where
+    m(T) is h_max exactly, the value alpha's linear slope divides by."""
+    alpha = make_compatible_alpha(h_max, T, gamma)
     lam = frac * T
-    assert alpha(m.value(lam)) >= m.derivative(lam) * (1 - 1e-12)
-    assert alpha(m.value(T)) >= gamma * (1 - 1e-12)
+    assert alpha(margin(lam, h_max, T)) >= margin_slope(lam, h_max, T) * (1 - 1e-12)
+    assert margin(T, h_max, T) == h_max
+    assert alpha(margin(T, h_max, T)) >= gamma * (1 - 1e-12)
 
 
 @given(h_max=st.floats(1e-3, 1e3), T=st.floats(1e-2, 1e3),
@@ -65,7 +67,7 @@ def test_alpha_class_k(h_max, T, gamma, s1, s2):
     of their values, far more than alpha's few roundings (2.2e-16 each);
     the size bound keeps h_max |s| a normal float, whose roundings are
     relative."""
-    alpha = make_compatible_alpha(make_default_margin(h_max, T), gamma)
+    alpha = make_compatible_alpha(h_max, T, gamma)
     assert alpha(0.0) == 0.0
     assert alpha(-s1) == pytest.approx(-alpha(s1), abs=1e-15)
     for s in (s1, s2):
@@ -78,14 +80,13 @@ def test_alpha_class_k(h_max, T, gamma, s1, s2):
 
 
 def test_margin_monotone_nondecreasing():
-    m = make_default_margin(2.5, 7.0)
     lams = np.linspace(0.0, 7.0, 200)
-    vals = [m.value(l) for l in lams]
+    vals = [margin(l, 2.5, 7.0) for l in lams]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    # derivative consistent with value
+    # slope consistent with value
     for lam in (0.5, 3.0, 6.9):
-        fd = (m.value(lam + 1e-6) - m.value(lam - 1e-6)) / 2e-6
-        assert m.derivative(lam) == pytest.approx(fd, rel=1e-6)
+        fd = (margin(lam + 1e-6, 2.5, 7.0) - margin(lam - 1e-6, 2.5, 7.0)) / 2e-6
+        assert margin_slope(lam, 2.5, 7.0) == pytest.approx(fd, rel=1e-6)
 
 
 def test_finite_diff_jacobian_quadratic():

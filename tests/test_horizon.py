@@ -316,9 +316,11 @@ def test_maximizers_are_the_drawn_peaks(case):
 # -- batched runs against the sequential searches ----------------------------
 
 def _sequential_golden(f, lo, hi, tol):
-    """The golden-section search evaluating one probe at a time (oracle)."""
+    """The golden-section search evaluating one probe at a time, to width
+    tol or the relative floor 1e-15 of the bracket's ends (oracle)."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
+    tol = max(tol, 1e-15 * max(1.0, abs(a), abs(b)))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -440,6 +442,25 @@ def test_bisect_root_is_the_sequential_search(shape, lo, width, shift, root_tol)
 def test_golden_max_on_constant_h(tol):
     """fc == fd at every step: the search always keeps the left part."""
     _golden_matches(lambda t: np.full_like(t, -0.25), 0.0, 1.0, tol)
+
+
+def test_golden_max_ends_where_tol_is_below_the_ulps():
+    """At tau = 5e10 a float step is 7.6e-6, above REFINE_TOL, so a bracket
+    that must shrink below REFINE_TOL never does; the search stops at the
+    relative floor instead of probing the same taus for ever."""
+    lo, hi = 5e10 + 0.35, 5e10 + 0.45
+
+    def capped():
+        search, value = _golden_max(lo, hi, REFINE_TOL), None
+        for _ in range(10**4):
+            try:
+                value = yield search.send(value)
+            except StopIteration as stop:
+                return stop.value
+        raise AssertionError("golden-section search did not end in 10**4 probes")
+
+    tau, _ = horizon._run(lambda taus: -(np.asarray(taus) - (5e10 + 0.42)) ** 2, capped)
+    assert abs(tau - (5e10 + 0.42)) <= 1e-4
 
 
 @pytest.mark.parametrize("root_tol", [0.0, 1e-9])

@@ -122,7 +122,7 @@ def _parent_left_tangent(lane, z):
 
 
 def _parent_separation_value(h, x):
-    return h.rho - np.linalg.norm(h._delta(x), axis=-1)
+    return h.h_max - np.linalg.norm(h._delta(x), axis=-1)
 
 
 def _parent_input_matrix(x):
@@ -298,7 +298,7 @@ def test_debris_value_matches_parent_bit_for_bit(satellite_pcbf):
     log = satellite_pcbf.log
     h = build_scenario(log.cfg)[1]
     spline = _parent_debris_splines(log.cfg)[0]
-    parent = h.rho - np.linalg.norm(log.x[:, :3] - spline(log.t), axis=-1)
+    parent = h.h_max - np.linalg.norm(log.x[:, :3] - spline(log.t), axis=-1)
     assert h.value(log.t, log.x).tobytes() == parent.tobytes()
     for t, x, want in zip(log.t.tolist()[::7], log.x[::7], parent[::7]):
         assert h.value(t, x) == want

@@ -301,7 +301,7 @@ class TestHysteresis:
     def _controller(self, intersection_setup):
         cfg, model, h, path, mu_law, _ = intersection_setup
         ctx = make_context(cfg, h, path)
-        alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
+        alpha = make_compatible_alpha(h.h_max, cfg.T, cfg.gamma)
         return PcbfController(ctx, alpha), ctx
 
     def test_holds_previous_case_near_end_boundary(self, intersection_setup):
@@ -394,7 +394,7 @@ def _parent_held_case(ctrl, entry, t):
 def test_pcbf_controller_step_fields(intersection_setup):
     cfg, model, h, path, mu_law, x0 = intersection_setup
     ctx = make_context(cfg, h, path)
-    alpha = make_compatible_alpha(ctx.margin, cfg.gamma)
+    alpha = make_compatible_alpha(h.h_max, cfg.T, cfg.gamma)
     ctrl = PcbfController(ctx, alpha)
     dec = ctrl.step(0.0, x0)
     assert dec.feasible
@@ -421,7 +421,7 @@ def test_pcbf_step_when_the_scan_fails(intersection_setup, monkeypatch):
     h(t, x), from the constraint itself: there is no grid to read it from."""
     cfg, model, h, path, mu_law, x0 = intersection_setup
     ctx = make_context(cfg, h, path)
-    ctrl = PcbfController(ctx, make_compatible_alpha(ctx.margin, cfg.gamma))
+    ctrl = PcbfController(ctx, make_compatible_alpha(h.h_max, cfg.T, cfg.gamma))
 
     def failing_scan(t, x, ctx):
         raise PropagationError("non-finite state at tau=3.5")
@@ -680,7 +680,7 @@ def test_activity_first_with_slack_rows(alpha_value, active, monkeypatch):
         grad_x=lambda t, x: np.array([0.1]),
     )
     ctx = _static_ctx(h)
-    alpha = make_compatible_alpha(ctx.margin, 1.0)
+    alpha = make_compatible_alpha(h.h_max, ctx.T, 1.0)
     if alpha_value is not None:
         alpha = lambda s: alpha_value
     ctrl = PcbfController(ctx, alpha)
